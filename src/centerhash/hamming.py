@@ -18,6 +18,9 @@ MAGIC_CODES = b"CSQC"
 
 _BYTE_SHIFTS = (np.arange(8, dtype=np.uint64) * 8).astype(np.uint64)
 
+# XOR words per block of pairwise_distances (8 MiB of uint64)
+PAIRWISE_BLOCK_WORDS = 1 << 20
+
 
 def words_per_code(k: int) -> int:
     return (k + 63) // 64
@@ -71,13 +74,21 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
 
 
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All Hamming distances between rows of two packed word matrices."""
+    """All Hamming distances between rows of two packed word matrices.
+
+    Rows of ``a`` are taken in blocks so the XOR intermediate holds at
+    most about ``PAIRWISE_BLOCK_WORDS`` words, whatever the input sizes.
+    """
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"word counts differ: {a.shape[1]} vs {b.shape[1]}")
-    xor = a[:, None, :] ^ b[None, :, :]
-    return popcount_words(xor).sum(axis=2, dtype=np.int64)
+    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
+    rows = max(1, PAIRWISE_BLOCK_WORDS // max(1, b.size))
+    for start in range(0, a.shape[0], rows):
+        xor = a[start : start + rows, None, :] ^ b[None, :, :]
+        out[start : start + rows] = popcount_words(xor).sum(axis=2, dtype=np.int64)
+    return out
 
 
 def distances_to(query_words: np.ndarray, db_words: np.ndarray) -> np.ndarray:

@@ -4,12 +4,17 @@ Rankings sort by ascending distance with ties broken by ascending
 database index, so every reported number is reproducible bit for bit.
 Two items are relevant to each other iff their label sets intersect.
 
-Per-query quantities are exact integer ratios and means accumulate in
-query order, which keeps results independent of vectorization details.
+Every metric comes from one pass that ranks each query once (a single
+stable argsort over the distances) and takes one cumulative count of its
+ranked relevance; mAP@N, P@N, the PR curve and the precision within a
+Hamming radius are all read off that count. Per-query quantities are
+exact integer ratios, and two rules keep the results bit-exact against
+a plain loop: per-query values accumulate into the float64 means in
+query order, and each AP sums its precisions sequentially in rank order
+(never with np.sum, whose pairwise order changes the last bit).
 """
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,12 +48,21 @@ class CodeIndex:
         return self.codes.shape[0]
 
 
+def _rank(index: CodeIndex, query_words) -> tuple[np.ndarray, np.ndarray]:
+    """(distances, database indices by ascending distance, ties by index).
+
+    Distances are at most k, so a key of the smallest unsigned dtype that
+    holds k keeps the stable argsort's order and lets numpy radix-sort it.
+    """
+    dists = hamming.distances_to(query_words, index.codes)
+    return dists, np.argsort(dists.astype(np.min_scalar_type(index.k)), kind="stable")
+
+
 def rank_by_distance(index: CodeIndex, query: PackedCode) -> np.ndarray:
     """Database indices by ascending distance, ties by ascending index."""
     if query.k != index.k:
         raise DimensionError(f"query has {query.k} bits, index has {index.k}")
-    dists = hamming.distances_to(query.words, index.codes)
-    return np.argsort(dists, kind="stable")
+    return _rank(index, query.words)[1]
 
 
 def relevant(query_labels, db_labels) -> bool:
@@ -77,48 +91,17 @@ def average_precision_at_n(relevance, n: int) -> float:
     return acc / hits if hits else 0.0
 
 
-def _ranked_relevance(index: CodeIndex, query_words, query_label) -> np.ndarray:
-    dists = hamming.distances_to(query_words, index.codes)
-    order = np.argsort(dists, kind="stable")
-    rel = (index.labels @ query_label.astype(np.int64)) > 0
-    return rel[order], dists
-
-
-def _check_queries(index, query_words, query_labels):
-    query_words = np.asarray(query_words, dtype=np.uint64)
-    query_labels = np.asarray(query_labels, dtype=np.uint8)
-    if query_words.ndim != 2 or query_words.shape[0] != query_labels.shape[0]:
-        raise DimensionError("query codes and labels must align")
-    if query_words.shape[0] == 0:
-        raise ValueError("query set is empty")
-    if query_labels.shape[1] != index.labels.shape[1]:
-        raise DimensionError(
-            f"queries have {query_labels.shape[1]} categories, index has {index.labels.shape[1]}"
-        )
-    return query_words, query_labels
+# each metric is one field of the single pass; map_n=1 stands in for an unused cutoff
 
 
 def mean_average_precision(index: CodeIndex, query_words, query_labels, n: int) -> float:
     """Mean over queries of AP at rank cutoff n."""
-    query_words, query_labels = _check_queries(index, query_words, query_labels)
-    total = 0.0
-    for qw, ql in zip(query_words, query_labels):
-        rel, _ = _ranked_relevance(index, qw, ql)
-        total += average_precision_at_n(rel, n)
-    return total / query_words.shape[0]
+    return evaluate(index, query_words, query_labels, n).map_at_n
 
 
 def precision_at_n_curve(index: CodeIndex, query_words, query_labels, max_n: int) -> list:
     """[(r, mean precision in the top r)] for r = 1..max_n."""
-    query_words, query_labels = _check_queries(index, query_words, query_labels)
-    max_n = min(max_n, index.n)
-    ranks = np.arange(1, max_n + 1, dtype=np.float64)
-    acc = np.zeros(max_n)
-    for qw, ql in zip(query_words, query_labels):
-        rel, _ = _ranked_relevance(index, qw, ql)
-        acc += np.cumsum(rel[:max_n], dtype=np.int64) / ranks
-    acc /= query_words.shape[0]
-    return [(r, float(p)) for r, p in zip(range(1, max_n + 1), acc)]
+    return evaluate(index, query_words, query_labels, 1, pn_max=max_n).precision_at_n
 
 
 def precision_within_radius(index: CodeIndex, query_words, query_labels, radius: int = 2) -> float:
@@ -126,16 +109,7 @@ def precision_within_radius(index: CodeIndex, query_words, query_labels, radius:
 
     A query whose ball is empty contributes 0.
     """
-    query_words, query_labels = _check_queries(index, query_words, query_labels)
-    total = 0.0
-    for qw, ql in zip(query_words, query_labels):
-        dists = hamming.distances_to(qw, index.codes)
-        inside = dists <= radius
-        hit = int(inside.sum())
-        if hit:
-            rel = (index.labels @ ql.astype(np.int64)) > 0
-            total += int(rel[inside].sum()) / hit
-    return total / query_words.shape[0]
+    return evaluate(index, query_words, query_labels, 1, radius=radius).p_at_h2
 
 
 def pr_curve(index: CodeIndex, query_words, query_labels) -> list:
@@ -144,21 +118,7 @@ def pr_curve(index: CodeIndex, query_words, query_labels) -> list:
     A query with no relevant database item counts as fully recalled at
     every cutoff (its precision contribution is zero anyway).
     """
-    query_words, query_labels = _check_queries(index, query_words, query_labels)
-    n = index.n
-    ranks = np.arange(1, n + 1, dtype=np.float64)
-    recall_acc = np.zeros(n)
-    prec_acc = np.zeros(n)
-    for qw, ql in zip(query_words, query_labels):
-        rel, _ = _ranked_relevance(index, qw, ql)
-        cum = np.cumsum(rel, dtype=np.int64)
-        total_rel = int(cum[-1])
-        recall_acc += cum / total_rel if total_rel else 1.0
-        prec_acc += cum / ranks
-    nq = query_words.shape[0]
-    recall_acc /= nq
-    prec_acc /= nq
-    return list(zip(map(float, recall_acc), map(float, prec_acc)))
+    return evaluate(index, query_words, query_labels, 1).pr_curve
 
 
 def center_distance_matrix(code_words, group_ids, cs: CenterSet) -> np.ndarray:
@@ -185,18 +145,13 @@ def center_distance_matrix(code_words, group_ids, cs: CenterSet) -> np.ndarray:
 
 @dataclass
 class EvalReport:
-    """All retrieval metrics for one query set against one database.
-
-    ``runtimes`` is informational only and never serialized, so report
-    files stay byte-identical across reruns.
-    """
+    """All retrieval metrics for one query set against one database."""
 
     map_at_n: float
     p_at_h2: float
     precision_at_n: list  # [(rank, precision)]
     pr_curve: list  # [(recall, precision)]
     center_distances: np.ndarray | None = None  # (m, m), NaN for empty groups
-    runtimes: dict = field(default_factory=dict)
 
 
 def evaluate(
@@ -208,27 +163,60 @@ def evaluate(
     radius: int = 2,
     center_distances: np.ndarray | None = None,
 ) -> EvalReport:
-    """Run the full metric battery for a query set."""
-    runtimes = {}
-    t0 = time.perf_counter()
-    map_val = mean_average_precision(index, query_words, query_labels, map_n)
-    runtimes["map"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pn = precision_at_n_curve(index, query_words, query_labels, pn_max or map_n)
-    runtimes["p_at_n"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    ph2 = precision_within_radius(index, query_words, query_labels, radius)
-    runtimes["p_at_h2"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pr = pr_curve(index, query_words, query_labels)
-    runtimes["pr"] = time.perf_counter() - t0
+    """Run the full metric battery for a query set in one ranking pass.
+
+    Each query is ranked once and its ranked relevance counted once
+    (``cum``); AP@map_n, the precision within the Hamming ball (whose
+    members are the first ranks) and the PR and P@N curves are all read
+    off that count. P@N covers ranks 1..pn_max, default map_n.
+    """
+    query_words = np.asarray(query_words, dtype=np.uint64)
+    query_labels = np.asarray(query_labels, dtype=np.uint8)
+    if query_words.ndim != 2 or query_words.shape[0] != query_labels.shape[0]:
+        raise DimensionError("query codes and labels must align")
+    if query_words.shape[0] == 0:
+        raise ValueError("query set is empty")
+    if index.n == 0:
+        raise ValueError("database is empty")
+    if query_labels.shape[1] != index.labels.shape[1]:
+        raise DimensionError(
+            f"queries have {query_labels.shape[1]} categories, index has {index.labels.shape[1]}"
+        )
+    if map_n < 1:
+        raise ValueError("n must be at least 1")
+    n = index.n
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+    map_total = 0.0
+    radius_total = 0.0
+    recall = np.zeros(n)
+    precision = np.zeros(n)
+    for qw, ql in zip(query_words, query_labels):
+        dists, order = _rank(index, qw)
+        rel = index.labels[:, ql != 0].any(axis=1)[order]
+        cum = np.cumsum(rel, dtype=np.int64)
+        top = rel[:map_n]
+        hits = int(cum[top.size - 1])
+        if hits:
+            # precisions at the relevant ranks, summed in rank order as in
+            # average_precision_at_n: np.sum's pairwise order changes the last bit
+            at_hits = cum[: top.size][top] / ranks[: top.size][top]
+            map_total += float(np.cumsum(at_hits)[-1]) / hits
+        inside = int(np.count_nonzero(dists <= radius))
+        if inside:
+            radius_total += int(cum[inside - 1]) / inside
+        # a query with no relevant item counts as fully recalled at every cutoff
+        recall += cum / cum[-1] if cum[-1] else 1.0
+        precision += cum / ranks
+    nq = query_words.shape[0]
+    recall /= nq
+    precision /= nq
+    pn_max = map_n if pn_max is None else pn_max
     return EvalReport(
-        map_at_n=map_val,
-        p_at_h2=ph2,
-        precision_at_n=pn,
-        pr_curve=pr,
+        map_at_n=map_total / nq,
+        p_at_h2=radius_total / nq,
+        precision_at_n=[(r, float(p)) for r, p in zip(range(1, pn_max + 1), precision)],
+        pr_curve=list(zip(map(float, recall), map(float, precision))),
         center_distances=center_distances,
-        runtimes=runtimes,
     )
 
 

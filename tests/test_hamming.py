@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from centerhash import hamming
 from centerhash.errors import DimensionError, FormatError, NumericError
 from centerhash.hamming import PackedCode, binarize, hamming_distance, unpack
@@ -143,3 +144,16 @@ def test_codes_file_nonzero_padding(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         hamming.load_codes(path)
+
+
+def test_pairwise_distances_blocked_matches_oracle(monkeypatch):
+    rng = np.random.default_rng(11)
+    k = 70
+    a = rng.integers(0, 2, size=(9, k), dtype=np.uint8)
+    b = rng.integers(0, 2, size=(4, k), dtype=np.uint8)
+    # b is 4 rows of 2 words: 8 words per block is one row of a, 20 is two
+    for block_words in (8, 20, hamming.PAIRWISE_BLOCK_WORDS):
+        monkeypatch.setattr(hamming, "PAIRWISE_BLOCK_WORDS", block_words)
+        got = hamming.pairwise_distances(hamming.pack_matrix(a), hamming.pack_matrix(b))
+        assert got.dtype == np.int64
+        assert got.tolist() == [[oracle.dist(x, y) for y in b] for x in a]

@@ -172,7 +172,7 @@ class TestCenterDistanceMatrix:
         assert np.isfinite(matrix[0]).all()
         assert np.isnan(matrix[1]).all() and np.isnan(matrix[2]).all()
 
-    def test_matches_oracle(self):
+    def test_matches_oracle(self, monkeypatch):
         rng = np.random.default_rng(2)
         cs = C.generate_centers_bernoulli(5, 12, seed=3)
         bits = rng.integers(0, 2, size=(30, 12), dtype=np.uint8)
@@ -187,6 +187,10 @@ class TestCenterDistanceMatrix:
                     assert np.isnan(got[i, j])
                 else:
                     assert got[i, j] == want[i][j]
+        # 2 code rows per distance block: same matrix, bit for bit
+        monkeypatch.setattr(hamming, "PAIRWISE_BLOCK_WORDS", 2 * cs.m)
+        blocked = R.center_distance_matrix(hamming.pack_matrix(bits), groups, cs)
+        assert blocked.tobytes() == got.tobytes()
 
 
 def random_instance(rng):
@@ -260,12 +264,96 @@ class TestReport:
         assert sections[3].splitlines()[0] == "center_i,center_j,mean_distance"
         assert "1,0,nan" in sections[3]
 
-    def test_runtimes_never_serialized(self, tmp_path):
-        report = R.EvalReport(
-            map_at_n=1.0, p_at_h2=1.0, precision_at_n=[], pr_curve=[], runtimes={"map": 0.1}
+    def test_rerun_reports_byte_identical(self, tmp_path):
+        rng = np.random.default_rng(5)
+        index = make_index(
+            rng.integers(0, 2, size=(50, 8)), np.eye(4, dtype=np.uint8)[rng.integers(0, 4, 50)]
         )
+        words = hamming.pack_matrix(rng.integers(0, 2, size=(6, 8), dtype=np.uint8))
+        labels = np.eye(4, dtype=np.uint8)[rng.integers(0, 4, 6)]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        R.write_report(a, report)
-        report.runtimes = {"map": 99.0}
-        R.write_report(b, report)
+        R.write_report(a, R.evaluate(index, words, labels, map_n=10))
+        R.write_report(b, R.evaluate(index, words, labels, map_n=10))
         assert a.read_bytes() == b.read_bytes()
+
+
+def tied_instance(rng, k, n, nq):
+    """Database rows drawn from 5 codes (heavy ties), one being the first's
+    complement so distances reach k; queries sit on or next to pool codes."""
+    pool = rng.integers(0, 2, size=(4, k), dtype=np.uint8)
+    pool = np.vstack([pool, 1 - pool[:1]])
+    db_bits = pool[rng.integers(0, len(pool), n)]
+    q_bits = pool[rng.integers(0, len(pool), nq)].copy()
+    q_bits[1:, 0] ^= 1
+    q = 3
+    db_labels = np.eye(q, dtype=np.uint8)[rng.integers(0, q, n)]
+    db_labels[rng.random(n) < 0.3, rng.integers(0, q)] = 1
+    q_labels = np.eye(q, dtype=np.uint8)[rng.integers(0, q, nq)]
+    return db_bits, db_labels, q_bits, q_labels
+
+
+@pytest.mark.parametrize("k", [1, 3, 63, 64, 65, 130, 300])
+@pytest.mark.parametrize("map_n, pn_max", [(7, None), (1000, 25)])
+def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn_max):
+    rng = np.random.default_rng(k)
+    db_bits, db_labels, q_bits, q_labels = tied_instance(rng, k, n=40, nq=3)
+    index = make_index(db_bits, db_labels)
+    q_words = hamming.pack_matrix(q_bits)
+    report = R.evaluate(index, q_words, q_labels, map_n, pn_max=pn_max)
+
+    db_cats = [set(np.flatnonzero(row)) for row in db_labels]
+    q_cats = [set(np.flatnonzero(row)) for row in q_labels]
+    db_list = [list(map(int, row)) for row in db_bits]
+    q_list = [list(map(int, row)) for row in q_bits]
+    pn = map_n if pn_max is None else pn_max
+
+    assert report.map_at_n == oracle.mean_average_precision(db_list, db_cats, q_list, q_cats, map_n)
+    assert report.p_at_h2 == oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
+    assert report.precision_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, pn)
+    assert report.pr_curve == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
+    assert report.center_distances is None
+
+    assert report.map_at_n == R.mean_average_precision(index, q_words, q_labels, map_n)
+    assert report.p_at_h2 == R.precision_within_radius(index, q_words, q_labels, 2)
+    assert report.precision_at_n == R.precision_at_n_curve(index, q_words, q_labels, pn)
+    assert report.pr_curve == R.pr_curve(index, q_words, q_labels)
+
+
+class TestEvaluateOnePass:
+    @pytest.fixture
+    def distance_calls(self, monkeypatch):
+        calls = []
+        real = hamming.distances_to
+
+        def counted(query_words, db_words):
+            calls.append(1)
+            return real(query_words, db_words)
+
+        monkeypatch.setattr(hamming, "distances_to", counted)
+        return calls
+
+    def test_distances_computed_once_per_query(self, distance_calls):
+        rng = np.random.default_rng(3)
+        index = make_index(
+            rng.integers(0, 2, size=(30, 10)), np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 30)]
+        )
+        words = hamming.pack_matrix(rng.integers(0, 2, size=(7, 10), dtype=np.uint8))
+        labels = np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 7)]
+        R.evaluate(index, words, labels, map_n=5)
+        assert len(distance_calls) == 7
+
+    def test_map_n_checked_before_ranking(self, distance_calls):
+        index = make_index([[0, 0], [1, 1]], [[1], [1]])
+        words = hamming.pack_matrix(np.zeros((1, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="at least 1"):
+            R.evaluate(index, words, np.array([[1]], dtype=np.uint8), map_n=0)
+        assert distance_calls == []
+
+    def test_empty_database_rejected(self):
+        index = R.CodeIndex(k=8, codes=np.zeros((0, 1), np.uint64), labels=np.zeros((0, 2), np.uint8))
+        words = hamming.pack_matrix(np.zeros((1, 8), dtype=np.uint8))
+        labels = np.array([[1, 0]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="database is empty"):
+            R.evaluate(index, words, labels, map_n=10)
+        with pytest.raises(ValueError, match="database is empty"):
+            R.pr_curve(index, words, labels)
