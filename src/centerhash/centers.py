@@ -25,6 +25,8 @@ MAGIC_CENTERS = b"CSQH"
 
 MAX_DUPLICATE_RETRIES = 100
 
+METHODS = ("hadamard", "balanced", "bernoulli")  # the names generate accepts
+
 
 class CenterMethod(str, Enum):
     HADAMARD = "hadamard"
@@ -105,6 +107,18 @@ def _check_generation_args(m: int, k: int) -> None:
         raise ValueError(f"need at least one center, got m={m}")
     if k < 2:
         raise ValueError(f"code length must be at least 2, got k={k}")
+
+
+def generate(method: str, m: int, k: int, seed: int = 0) -> CenterSet:
+    """m centers of k bits by a METHODS name; "hadamard" is generate_centers' automatic rule."""
+    # call through the module names, not a table, so rebinding them is seen
+    if method == "hadamard":
+        return generate_centers(m, k, seed)
+    if method == "balanced":
+        return generate_centers_balanced(m, k, seed)
+    if method == "bernoulli":
+        return generate_centers_bernoulli(m, k, seed)
+    raise ValueError(f"unknown center method {method!r}")
 
 
 def generate_centers(m: int, k: int, seed: int = 0) -> CenterSet:

@@ -8,22 +8,18 @@ exits nonzero.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import centers as centers_mod
 from . import data_io, hamming, model as model_mod, retrieval, synthetic
-from .config import load_run_config
+from .config import TRAIN_FIELDS, RunConfig, load_run_config
 from .errors import CenterHashError, DimensionError, InvalidLabelError, StageError
 from .pipeline import _stage, run_pipeline
 
 
 def _cmd_gen_centers(args):
     with _stage("gen-centers"):
-        if args.method == "hadamard":
-            cs = centers_mod.generate_centers(args.m, args.k, args.seed)
-        elif args.method == "balanced":
-            cs = centers_mod.generate_centers_balanced(args.m, args.k, args.seed)
-        else:
-            cs = centers_mod.generate_centers_bernoulli(args.m, args.k, args.seed)
+        cs = centers_mod.generate(args.method, args.m, args.k, args.seed)
         centers_mod.save_centers(args.out, cs)
     report = centers_mod.validate_centers(cs)
     print(
@@ -54,16 +50,7 @@ def _cmd_train(args):
                     f"{labels.shape[0]} label rows but {features.shape[0]} feature rows"
                 )
         center_vectors = hamming.unpack_matrix(center_words, k)
-        cfg = model_mod.TrainConfig(
-            lambda1=args.lambda1,
-            learning_rate=args.lr,
-            momentum=args.momentum,
-            batch_size=args.batch,
-            epochs=args.epochs,
-            seed=args.seed,
-            use_lc=not args.no_lc,
-            use_lq=not args.no_lq,
-        )
+        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in TRAIN_FIELDS}).train_config()
         net, log = model_mod.train(features, center_vectors, cfg)
         model_mod.save_model(args.out_model, net)
     final = f", final loss {log[-1].total:.6f}" if log else ""
@@ -107,10 +94,7 @@ def _cmd_distmat(args):
             raise InvalidLabelError("assignments must name exactly one center per code")
         groups = assigned.argmax(axis=1)
         matrix = retrieval.center_distance_matrix(words, groups, cs)
-        lines = ["center_i,center_j,mean_distance"]
-        for i in range(cs.m):
-            for j in range(cs.m):
-                lines.append(f"{i},{j},{float(matrix[i, j])!r}")
+        lines = retrieval.center_distance_lines(matrix)
         with open(args.out, "w", newline="") as f:
             f.write("\n".join(lines) + "\n")
     print(f"wrote {args.out}: {cs.m}x{cs.m} mean-distance matrix")
@@ -139,25 +123,40 @@ def _cmd_synth(args):
 
 
 def _cmd_run(args):
-    overrides = {}
-    for key in (
-        "k", "m", "method", "lambda1", "lr", "momentum", "batch", "epochs",
-        "map_n", "seed", "out_dir",
-        "train_features", "train_labels", "db_features", "db_labels",
-        "query_features", "query_labels",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    if args.no_lc:
-        overrides["use_lc"] = False
-    if args.no_lq:
-        overrides["use_lq"] = False
+    values = vars(args)
+    overrides = {f.name: values[f.name] for f in fields(RunConfig) if values[f.name] is not None}
     with _stage("config"):
         cfg = load_run_config(args.config, overrides)
     result = run_pipeline(cfg)
     print(f"wrote {result.paths['report']}")
     print(f"map@{cfg.map_n}={result.report.map_at_n:.6f} p@h2={result.report.p_at_h2:.6f}")
+
+
+_METHOD_HELP = (
+    "hadamard (the default) is automatic: Hadamard rows when k is a power of two "
+    "and m <= 2k, otherwise balanced random"
+)
+
+_FLAG_HELP = {
+    "method": _METHOD_HELP,
+    "use_lc": "drop the center-similarity loss",
+    "use_lq": "drop the quantization loss",
+}
+
+
+def _add_config_flags(p, config_fields, defaults: bool) -> None:
+    """--no-<x> for a bool field use_<x>, else --<field-name>. Without defaults an
+    unset flag reads None, so it leaves the config file's value alone."""
+    for f in config_fields:
+        default = f.default if defaults else None
+        help_text = _FLAG_HELP.get(f.name)
+        if f.type is bool:
+            p.add_argument(f"--no-{f.name.removeprefix('use_')}", dest=f.name,
+                           action="store_false", default=default, help=help_text)
+        else:
+            choices = centers_mod.METHODS if f.name == "method" else None
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=f.type, default=default,
+                           choices=choices, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -170,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-centers", help="generate and save a hash center set")
     p.add_argument("--k", type=int, required=True, help="code length in bits")
     p.add_argument("--m", type=int, required=True, help="number of centers")
-    p.add_argument("--method", choices=["hadamard", "bernoulli", "balanced"], default="hadamard")
+    p.add_argument("--method", choices=centers_mod.METHODS, default=RunConfig.method,
+                   help=_METHOD_HELP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_centers)
@@ -187,14 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default="", help="optional, checked against the feature count")
     p.add_argument("--centers-map", required=True, dest="centers_map")
     p.add_argument("--k", type=int, default=None, help="optional, checked against the map")
-    p.add_argument("--lambda1", type=float, default=1e-4)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-lc", action="store_true", help="drop the center-similarity loss")
-    p.add_argument("--no-lq", action="store_true", help="drop the quantization loss")
+    _add_config_flags(p, TRAIN_FIELDS, defaults=True)
     p.add_argument("--out-model", required=True, dest="out_model")
     p.set_defaults(func=_cmd_train)
 
@@ -209,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db-labels", required=True, dest="db_labels")
     p.add_argument("--query-codes", required=True, dest="query_codes")
     p.add_argument("--query-labels", required=True, dest="query_labels")
-    p.add_argument("--map-n", type=int, default=100, dest="map_n")
+    p.add_argument("--map-n", type=int, default=RunConfig.map_n, dest="map_n")
     p.add_argument("--out-report", required=True, dest="out_report")
     p.set_defaults(func=_cmd_eval)
 
@@ -233,25 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", default=None, help="key = value file; flags override it")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--method", choices=["hadamard", "bernoulli", "balanced"], default=None)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--map-n", type=int, default=None, dest="map_n")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-lc", action="store_true")
-    p.add_argument("--no-lq", action="store_true")
-    p.add_argument("--out-dir", default=None, dest="out_dir")
-    p.add_argument("--train-features", default=None, dest="train_features")
-    p.add_argument("--train-labels", default=None, dest="train_labels")
-    p.add_argument("--db-features", default=None, dest="db_features")
-    p.add_argument("--db-labels", default=None, dest="db_labels")
-    p.add_argument("--query-features", default=None, dest="query_features")
-    p.add_argument("--query-labels", default=None, dest="query_labels")
+    _add_config_flags(p, fields(RunConfig), defaults=False)
     p.set_defaults(func=_cmd_run)
 
     return parser

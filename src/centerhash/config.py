@@ -1,11 +1,21 @@
 """Experiment configuration: flat key=value files plus CLI overrides.
 
 Precedence is flag > file > default. Unknown keys are rejected so typos
-fail loudly instead of silently using a default.
+fail loudly instead of silently using a default. RunConfig is the one
+schema: the CLI flags and the TrainConfig handed to training are derived
+from its fields.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+from .centers import METHODS
+from .model import TrainConfig
+
+
+def _train(name: str):
+    """A field passed to TrainConfig as `name`, with TrainConfig's default."""
+    return field(default=getattr(TrainConfig, name), metadata={"train": name})
 
 
 @dataclass
@@ -28,35 +38,44 @@ class RunConfig:
     # centers
     k: int = 16
     m: int = 0  # 0: one center per category found in the training labels
-    method: str = "hadamard"  # hadamard | balanced | bernoulli
+    # one of centers.METHODS; hadamard is automatic: Hadamard rows when k is
+    # a power of two and m <= 2k, otherwise balanced random centers
+    method: str = "hadamard"
     # training
-    lambda1: float = 1e-4
-    lr: float = 0.01
-    momentum: float = 0.9
-    batch: int = 16
-    epochs: int = 100
-    use_lc: bool = True
-    use_lq: bool = True
+    lambda1: float = _train("lambda1")
+    lr: float = _train("learning_rate")
+    momentum: float = _train("momentum")
+    batch: int = _train("batch_size")
+    epochs: int = _train("epochs")
+    use_lc: bool = _train("use_lc")
+    use_lq: bool = _train("use_lq")
     # evaluation
     map_n: int = 100
-    seed: int = 0
+    seed: int = _train("seed")
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.map_n < 1:
             raise ValueError(f"map_n must be at least 1, got {self.map_n}")
-        if self.method not in ("hadamard", "balanced", "bernoulli"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown center method {self.method!r}")
         if not self.db_features:
             self.db_features = self.train_features
         if not self.db_labels:
             self.db_labels = self.train_labels
 
+    def train_config(self) -> TrainConfig:
+        """The training fields under their TrainConfig names."""
+        return TrainConfig(**{f.metadata["train"]: getattr(self, f.name) for f in TRAIN_FIELDS})
+
     def resolve_out(self, name: str) -> str:
         path = Path(name)
         return str(path if path.is_absolute() else Path(self.out_dir) / path)
 
+
+# the RunConfig fields that make up a TrainConfig, in declaration order
+TRAIN_FIELDS = tuple(f for f in fields(RunConfig) if "train" in f.metadata)
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -89,15 +108,9 @@ def parse_config_text(text: str) -> dict:
     return values
 
 
-_KINDS = {"str": str, "int": int, "float": float, "bool": bool}
-
-
 def build_run_config(file_values: dict | None = None, overrides: dict | None = None) -> RunConfig:
     """Merge defaults, file values, and CLI overrides into a RunConfig."""
-    known = {
-        f.name: _KINDS[f.type] if isinstance(f.type, str) else f.type
-        for f in fields(RunConfig)
-    }
+    known = {f.name: f.type for f in fields(RunConfig)}
     merged = {}
     for source in (file_values or {}, overrides or {}):
         for key, value in source.items():

@@ -40,6 +40,10 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.use_lc or self.use_lq):
             raise ValueError("at least one loss term must be enabled")
+        # nan passes every comparison below, so test finiteness first
+        for name in ("lambda1", "learning_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lambda1 < 0:
             raise ValueError("lambda1 must be non-negative")
         if self.learning_rate <= 0:

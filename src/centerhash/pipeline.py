@@ -34,14 +34,6 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def _generate(cfg: RunConfig, m: int):
-    if cfg.method == "hadamard":
-        return centers_mod.generate_centers(m, cfg.k, cfg.seed)
-    if cfg.method == "balanced":
-        return centers_mod.generate_centers_balanced(m, cfg.k, cfg.seed)
-    return centers_mod.generate_centers_bernoulli(m, cfg.k, cfg.seed)
-
-
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     paths = {}
 
@@ -53,7 +45,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
 
     with _stage("gen-centers"):
         m = cfg.m if cfg.m else train.q
-        center_set = _generate(cfg, m)
+        center_set = centers_mod.generate(cfg.method, m, cfg.k, cfg.seed)
         paths["centers"] = cfg.resolve_out(cfg.centers_out)
         centers_mod.save_centers(paths["centers"], center_set)
 
@@ -63,17 +55,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         hamming.save_codes(paths["assignments"], assignment.packed(), center_set.k)
 
     with _stage("train"):
-        train_cfg = model_mod.TrainConfig(
-            lambda1=cfg.lambda1,
-            learning_rate=cfg.lr,
-            momentum=cfg.momentum,
-            batch_size=cfg.batch,
-            epochs=cfg.epochs,
-            seed=cfg.seed,
-            use_lc=cfg.use_lc,
-            use_lq=cfg.use_lq,
-        )
-        net, epoch_log = model_mod.train(train.features, assignment.vectors, train_cfg)
+        net, epoch_log = model_mod.train(train.features, assignment.vectors, cfg.train_config())
         paths["model"] = cfg.resolve_out(cfg.model_out)
         model_mod.save_model(paths["model"], net)
 

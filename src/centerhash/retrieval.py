@@ -224,6 +224,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def center_distance_lines(matrix: np.ndarray) -> list:
+    """The CSV lines of an (m, m) center-distance matrix, header first."""
+    m = matrix.shape[0]
+    return ["center_i,center_j,mean_distance"] + [
+        f"{i},{j},{_fmt(matrix[i, j])}" for i in range(m) for j in range(m)
+    ]
+
+
 def write_report(path, report: EvalReport) -> None:
     """Serialize a report as CSV sections (scalars, P@N, PR, distances)."""
     lines = ["metric,value"]
@@ -239,10 +247,6 @@ def write_report(path, report: EvalReport) -> None:
         lines.append(f"{_fmt(rec)},{_fmt(prec)}")
     if report.center_distances is not None:
         lines.append("")
-        lines.append("center_i,center_j,mean_distance")
-        m = report.center_distances.shape[0]
-        for i in range(m):
-            for j in range(m):
-                lines.append(f"{i},{j},{_fmt(report.center_distances[i, j])}")
+        lines += center_distance_lines(report.center_distances)
     with open(path, "w", newline="") as f:
         f.write("\n".join(lines) + "\n")

@@ -110,6 +110,39 @@ class TestGenerateCenters:
             assert C.validate_centers(cs).valid
 
 
+class TestGenerateDispatch:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_hadamard_falls_back_to_balanced(self, seed):
+        # the multi-label benchmark (q=21, k=48) relies on this fallback
+        auto = C.generate("hadamard", 21, 48, seed)
+        assert auto.method == C.CenterMethod.BALANCED_RANDOM
+        assert np.array_equal(auto.bits, C.generate("balanced", 21, 48, seed).bits)
+
+    @pytest.mark.parametrize("m", [21, 64, 100])
+    def test_hadamard_rows_for_power_of_two(self, m):
+        cs = C.generate("hadamard", m, 64, seed=3)
+        h = C.hadamard_matrix(64)
+        assert np.array_equal(cs.bits, (np.vstack([h, -h])[:m] > 0).astype(np.uint8))
+        assert np.array_equal(cs.bits, C.generate_centers(m, 64, seed=3).bits)
+
+    def test_each_method_calls_its_generator(self):
+        by_name = {
+            "hadamard": C.generate_centers,
+            "balanced": C.generate_centers_balanced,
+            "bernoulli": C.generate_centers_bernoulli,
+        }
+        assert set(by_name) == set(C.METHODS)
+        for method, generate in by_name.items():
+            expected = generate(12, 24, seed=7)
+            cs = C.generate(method, 12, 24, seed=7)
+            assert cs.method == expected.method
+            assert np.array_equal(cs.bits, expected.bits)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown center method"):
+            C.generate("hadamard2k", 4, 8)
+
+
 class TestBernoulli:
     def test_deterministic(self):
         a = C.generate_centers_bernoulli(50, 64, seed=9)

@@ -1,9 +1,13 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from centerhash import centers as C
-from centerhash import data_io, hamming
+from centerhash import cli, data_io, hamming
+from centerhash import model as M
 from centerhash.cli import main
+from centerhash.config import RunConfig
 
 
 @pytest.fixture
@@ -171,3 +175,122 @@ def test_ablation_flags(workdir, capsys):
     err = run_cli("run", "--config", "run.cfg", "--no-lc", "--no-lq", "--epochs", 2)
     assert err == 1
     assert "error [train]" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_learning_rate(workdir, capsys):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=7)
+    assert run_cli("run", "--config", "run.cfg", "--lr", "nan") == 1
+    err = capsys.readouterr().err
+    assert "error [train]" in err and "learning_rate" in err
+
+
+def small_train_inputs():
+    run_cli("synth", "--classes", 2, "--per-class", 6, "--dim", 4, "--spread", 0.1,
+            "--seed", 0, "--out-prefix", "blob")
+    run_cli("gen-centers", "--k", 8, "--m", 2, "--out", "c.csqh")
+    run_cli("assign", "--centers", "c.csqh", "--labels", "blob.train.csql", "--out", "map.csqc")
+    return ["train", "--features", "blob.train.csqf", "--centers-map", "map.csqc",
+            "--epochs", 1, "--out-model", "m.csqm"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lr", "nan"], "learning_rate must be finite"),
+        (["--lr", "inf"], "learning_rate must be finite"),
+        (["--lambda1", "nan"], "lambda1 must be finite"),
+        (["--lambda1", "inf"], "lambda1 must be finite"),
+        (["--no-lc", "--no-lq"], "at least one loss term"),
+    ],
+)
+def test_train_rejects_bad_hyperparameters(workdir, capsys, flags, message):
+    assert run_cli(*small_train_inputs(), *flags) == 1
+    err = capsys.readouterr().err
+    assert "error [train]" in err and message in err
+    assert not (workdir / "m.csqm").exists()
+
+
+def test_distmat_matches_report_section(workdir):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 8, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=8)
+    assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 0
+    rc = run_cli("distmat", "--codes", "out/db_codes.csqc", "--assignments", "blob.train.csql",
+                 "--centers", "out/centers.csqh", "--out", "dist.csv")
+    assert rc == 0
+    report = (workdir / "out" / "report.csv").read_text()
+    section = report[report.index("center_i,center_j,mean_distance"):]
+    assert section.count("\n") == 1 + 4 * 4
+    assert (workdir / "dist.csv").read_text() == section
+
+
+# RunConfig training keys and the TrainConfig fields they set
+TRAIN_KEYS = {
+    "lambda1": "lambda1", "lr": "learning_rate", "momentum": "momentum", "batch": "batch_size",
+    "epochs": "epochs", "seed": "seed", "use_lc": "use_lc", "use_lq": "use_lq",
+}
+
+
+class _Stop(Exception):
+    pass
+
+
+def run_flag(f):
+    """(argv, value) that sets RunConfig field f on the run command line."""
+    if f.type is bool:
+        return [f"--no-{f.name.removeprefix('use_')}"], False
+    if f.name == "method":
+        return ["--method", "bernoulli"], "bernoulli"
+    value = f"{f.name}.x" if f.type is str else f.type(f.default) + 1
+    return [f"--{f.name.replace('_', '-')}", str(value)], value
+
+
+@pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+def test_every_config_key_is_a_run_flag(field, monkeypatch):
+    seen = []
+
+    def stop_pipeline(cfg):
+        seen.append(cfg)
+        raise _Stop
+
+    monkeypatch.setattr(cli, "run_pipeline", stop_pipeline)
+    argv, value = run_flag(field)
+    with pytest.raises(_Stop):
+        cli._cmd_run(cli.build_parser().parse_args(["run", *argv]))
+    assert getattr(seen[0], field.name) == value
+    assert seen[0] == replace(RunConfig(), **{field.name: value})
+
+
+def test_train_flag_defaults_match_run_config_and_train_config():
+    args = cli.build_parser().parse_args(
+        ["train", "--features", "f", "--centers-map", "c", "--out-model", "m"]
+    )
+    run_defaults, train_defaults = RunConfig(), M.TrainConfig()
+    for run_key, train_key in TRAIN_KEYS.items():
+        assert getattr(args, run_key) == getattr(run_defaults, run_key)
+        assert getattr(run_defaults, run_key) == getattr(train_defaults, train_key)
+    assert run_defaults.train_config() == train_defaults
+    assert cli.build_parser().parse_args(["eval", "--db-codes", "a", "--db-labels", "b",
+                                          "--query-codes", "c", "--query-labels", "d",
+                                          "--out-report", "e"]).map_n == RunConfig.map_n
+
+
+def test_train_flags_reach_train_config(workdir, monkeypatch):
+    argv = small_train_inputs()
+    seen = []
+
+    def stop_training(features, centers, cfg):
+        seen.append(cfg)
+        raise _Stop
+
+    monkeypatch.setattr(M, "train", stop_training)
+    values = {"lambda1": 0.5, "lr": 0.25, "momentum": 0.125, "batch": 3, "epochs": 4,
+              "seed": 9, "use_lc": False, "use_lq": True}
+    with pytest.raises(_Stop):
+        run_cli(*argv, "--lambda1", 0.5, "--lr", 0.25, "--momentum", 0.125, "--batch", 3,
+                "--epochs", 4, "--seed", 9, "--no-lc")
+    expected = M.TrainConfig(**{TRAIN_KEYS[key]: v for key, v in values.items()})
+    assert seen == [expected]
+    assert RunConfig(**values).train_config() == expected

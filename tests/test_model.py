@@ -124,6 +124,12 @@ class TestLosses:
         with pytest.raises(ValueError):
             M.TrainConfig(use_lc=False, use_lq=False)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["learning_rate", "lambda1"])
+    def test_non_finite_hyperparameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            M.TrainConfig(**{name: value})
+
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24), st.data())
     def test_central_loss_nonnegative_zero_only_at_center(self, h, data):
         c = data.draw(st.lists(st.integers(0, 1), min_size=len(h), max_size=len(h)))
