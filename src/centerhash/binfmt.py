@@ -15,21 +15,30 @@ VERSION = 1
 
 
 class Reader:
-    """A byte buffer with offset tracking for format errors."""
+    """A byte buffer with offset tracking for format errors.
 
-    def __init__(self, data: bytes):
+    `size` is the length of the whole file when `data` holds only its
+    head: `skip` and `expect_end` then check lengths against the file
+    without its payload being read. `take` reads only from `data`.
+    """
+
+    def __init__(self, data: bytes, size: int | None = None):
         self._data = data
+        self.size = len(data) if size is None else size
         self.offset = 0
 
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self._data):
+    def skip(self, n: int) -> None:
+        if self.offset + n > self.size:
             raise FormatError(
-                f"truncated file: wanted {n} bytes, {len(self._data) - self.offset} left",
+                f"truncated file: wanted {n} bytes, {self.size - self.offset} left",
                 offset=self.offset,
             )
-        chunk = self._data[self.offset : self.offset + n]
         self.offset += n
-        return chunk
+
+    def take(self, n: int) -> bytes:
+        start = self.offset
+        self.skip(n)
+        return self._data[start : self.offset]
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
@@ -48,10 +57,8 @@ class Reader:
             raise FormatError(f"unsupported version {version}", offset=version_at)
 
     def expect_end(self) -> None:
-        if self.offset != len(self._data):
-            raise FormatError(
-                f"{len(self._data) - self.offset} trailing bytes", offset=self.offset
-            )
+        if self.offset != self.size:
+            raise FormatError(f"{self.size - self.offset} trailing bytes", offset=self.offset)
 
 
 def read_file(path) -> Reader:

@@ -60,8 +60,7 @@ def _cmd_train(args):
 def _cmd_encode(args):
     with _stage("encode"):
         net = model_mod.load_model(args.model)
-        features = data_io.load_features(args.features)
-        words = model_mod.encode(net, features)
+        words = model_mod.encode(net, data_io.open_features(args.features))
         hamming.save_codes(args.out_codes, words, net.k)
     print(f"wrote {args.out_codes}: {words.shape[0]} codes of {net.k} bits")
 

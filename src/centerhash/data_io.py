@@ -5,6 +5,8 @@ multi-hot bitmap rows over q categories. Both formats are flat,
 seekable, and language-neutral.
 """
 
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +16,10 @@ from .errors import DimensionError, FormatError, InvalidLabelError
 
 MAGIC_FEATURES = b"CSQF"
 MAGIC_LABELS = b"CSQL"
+
+FEATURES_AT = 20  # byte offset of the first feature row: magic, version, u64 n, u32 d
+# float32 values per block that load_features reads (4 MiB)
+READ_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -53,17 +59,66 @@ def save_features(path, features) -> None:
         f.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
 
 
-def load_features(path) -> np.ndarray:
-    """Read features into float64 working precision."""
-    r = binfmt.read_file(path)
+@dataclass(frozen=True)
+class FeatureFile:
+    """A feature file whose header and length are checked; rows are read on demand."""
+
+    path: str
+    n: int
+    d: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.d)
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """Yield the rows in order as float64 blocks of at most `rows` rows.
+
+        Each block is checked before it is yielded: a NaN or infinite
+        value raises FormatError at the offset of the first row holding one.
+        """
+        raw = np.empty((min(rows, self.n), self.d), dtype="<f4")
+        with open(self.path, "rb") as f:
+            f.seek(FEATURES_AT)
+            for start in range(0, self.n, rows):
+                block = raw[: min(rows, self.n - start)]
+                got = f.readinto(block)
+                if got != block.nbytes:  # the file shrank after open_features
+                    raise FormatError(
+                        f"truncated file: wanted {block.nbytes} bytes, {got} left",
+                        offset=FEATURES_AT + 4 * start * self.d,
+                    )
+                finite = np.isfinite(block)
+                if not finite.all():
+                    row = start + int(np.flatnonzero(~finite.all(axis=1))[0])
+                    raise FormatError(
+                        f"feature row {row} is not finite", offset=FEATURES_AT + 4 * row * self.d
+                    )
+                yield block.astype(np.float64)
+
+
+def open_features(path) -> FeatureFile:
+    """Check a feature file's header and length (magic CSQF) without reading its rows."""
+    with open(path, "rb") as f:
+        r = binfmt.Reader(f.read(FEATURES_AT), size=os.fstat(f.fileno()).st_size)
     r.expect_magic(MAGIC_FEATURES)
     n = r.u64()
     d = r.u32()
     if n == 0 or d == 0:
         raise FormatError(f"empty feature file (n={n}, d={d})", offset=8)
-    raw = r.take(4 * n * d)
+    r.skip(4 * n * d)
     r.expect_end()
-    return np.frombuffer(raw, dtype="<f4").reshape(n, d).astype(np.float64)
+    return FeatureFile(str(path), n, d)
+
+
+def load_features(path) -> np.ndarray:
+    """Read features into float64 working precision."""
+    src = open_features(path)
+    out = np.empty(src.shape, dtype=np.float64)
+    rows = max(1, READ_BLOCK_VALUES // src.d)
+    for start, block in zip(range(0, src.n, rows), src.blocks(rows)):
+        out[start : start + len(block)] = block
+    return out
 
 
 def save_labels(path, labels) -> None:

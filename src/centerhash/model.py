@@ -16,13 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binfmt, hamming
+from . import binfmt, data_io, hamming
 from .errors import DimensionError, FormatError, NumericError, TrainingError
 from .seeds import substream
 
 MAGIC_MODEL = b"CSQM"
 
 BCE_EPS = 1e-7  # clamp for log arguments
+
+# rows per block of encode: its float64 input and activations never hold
+# more than ENCODE_BLOCK_ROWS * sum(layer_sizes) values, whatever n is
+ENCODE_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -130,16 +134,20 @@ def _forward_cached(model: HashModel, x: np.ndarray):
     return z1, a1, z2, a2, h
 
 
+def _check_features(model: HashModel, shape: tuple) -> None:
+    """One length-d vector or an (n, d) batch, d being the model's input width."""
+    if len(shape) not in (1, 2) or shape[-1] != model.layer_sizes[0]:
+        raise DimensionError(
+            f"features have shape {shape}, model expects dim {model.layer_sizes[0]}"
+        )
+
+
 def forward(model: HashModel, x) -> np.ndarray:
     """Relaxed codes in (0,1)^K for one feature vector or a batch."""
     x = np.asarray(x, dtype=np.float64)
+    _check_features(model, x.shape)
     single = x.ndim == 1
-    x2 = x[None, :] if single else x
-    if x2.ndim != 2 or x2.shape[1] != model.layer_sizes[0]:
-        raise DimensionError(
-            f"features have shape {x.shape}, model expects dim {model.layer_sizes[0]}"
-        )
-    h = _forward_cached(model, x2)[-1]
+    h = _forward_cached(model, x[None, :] if single else x)[-1]
     return h[0] if single else h
 
 
@@ -295,9 +303,26 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
 
 
 def encode(model: HashModel, features) -> np.ndarray:
-    """Binary codes for a feature batch, packed into (n, W) uint64 words."""
-    h = forward(model, np.asarray(features, dtype=np.float64))
-    return hamming.binarize_matrix(h if h.ndim == 2 else h[None, :])
+    """Binary codes for feature rows, packed into (n, W) uint64 words.
+
+    `features` is one vector, an (n, d) array or a data_io.FeatureFile.
+    Rows pass through the head ENCODE_BLOCK_ROWS at a time, and each block
+    is cast to float64 (or read from the file) only when its turn comes, so
+    memory beyond the (n, W) output does not grow with n.
+    """
+    if isinstance(features, data_io.FeatureFile):
+        _check_features(model, features.shape)
+        n, blocks = features.n, features.blocks(ENCODE_BLOCK_ROWS)
+    else:
+        x = np.asarray(features)
+        _check_features(model, x.shape)
+        x = x[None, :] if x.ndim == 1 else x
+        n = len(x)
+        blocks = (x[s : s + ENCODE_BLOCK_ROWS] for s in range(0, n, ENCODE_BLOCK_ROWS))
+    words = np.empty((n, hamming.words_per_code(model.k)), dtype=np.uint64)
+    for start, block in zip(range(0, n, ENCODE_BLOCK_ROWS), blocks):
+        words[start : start + len(block)] = hamming.binarize_matrix(forward(model, block))
+    return words
 
 
 def save_model(path, model: HashModel) -> None:

@@ -6,7 +6,7 @@ config and seed reproduces every output file byte for byte.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +37,15 @@ def _stage(name: str):
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     paths = {}
 
+    with _stage("train"):
+        train_cfg = cfg.train_config()  # a bad setting fails before any artifact is written
+
     with _stage("load"):
         train = data_io.load_dataset(cfg.train_features, cfg.train_labels, "train")
-        db = data_io.load_dataset(cfg.db_features, cfg.db_labels, "database")
+        if (cfg.db_features, cfg.db_labels) == (cfg.train_features, cfg.train_labels):
+            db = replace(train, split="database")  # shares the train arrays, no second copy
+        else:
+            db = data_io.load_dataset(cfg.db_features, cfg.db_labels, "database")
         query = data_io.load_dataset(cfg.query_features, cfg.query_labels, "query")
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
 
@@ -55,7 +61,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         hamming.save_codes(paths["assignments"], assignment.packed(), center_set.k)
 
     with _stage("train"):
-        net, epoch_log = model_mod.train(train.features, assignment.vectors, cfg.train_config())
+        net, epoch_log = model_mod.train(train.features, assignment.vectors, train_cfg)
         paths["model"] = cfg.resolve_out(cfg.model_out)
         model_mod.save_model(paths["model"], net)
 

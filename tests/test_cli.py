@@ -1,3 +1,5 @@
+import tracemalloc
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -184,6 +186,79 @@ def test_run_rejects_non_finite_learning_rate(workdir, capsys):
     assert run_cli("run", "--config", "run.cfg", "--lr", "nan") == 1
     err = capsys.readouterr().err
     assert "error [train]" in err and "learning_rate" in err
+
+
+def test_run_rejects_bad_training_setting_before_writing(workdir, capsys):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=7)
+    assert run_cli("run", "--config", "run.cfg", "--lr", "nan", "--out-dir", "y") == 1
+    assert "error [train]" in capsys.readouterr().err
+    assert list(workdir.glob("y/*")) == []
+
+
+def test_run_loads_each_feature_file_once(workdir, monkeypatch):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 6, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=6)
+    loaded = Counter()
+    load_features = data_io.load_features
+
+    def spy(path):
+        loaded[str(path)] += 1
+        return load_features(path)
+
+    monkeypatch.setattr(data_io, "load_features", spy)
+    assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 0
+    assert loaded == {"blob.train.csqf": 1, "blob.query.csqf": 1}
+
+
+def encode_inputs(n, d, seed=0):
+    """A random model for d-wide features and a feature file of n rows."""
+    M.save_model("model.csqm", M.init_model(d, 16, seed=seed))
+    x = np.random.default_rng(seed).normal(size=(n, d)).astype(np.float32)
+    data_io.save_features("x.csqf", x)
+    return ["encode", "--model", "model.csqm", "--features", "x.csqf", "--out-codes", "c.csqc"]
+
+
+def test_encode_command_matches_encode_of_loaded_features(workdir, monkeypatch):
+    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
+    assert run_cli(*encode_inputs(n=11, d=5)) == 0
+    net = M.load_model("model.csqm")
+    hamming.save_codes("expected.csqc", M.encode(net, data_io.load_features("x.csqf")), net.k)
+    assert (workdir / "c.csqc").read_bytes() == (workdir / "expected.csqc").read_bytes()
+
+
+def test_encode_command_memory_does_not_grow_with_rows(workdir, monkeypatch):
+    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 64)
+    n, d = 4096, 128
+    argv = encode_inputs(n, d)
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * d / 2  # half the float64 feature matrix
+
+
+def test_encode_command_rejects_non_finite_features(workdir, capsys):
+    argv = encode_inputs(n=6, d=4)
+    x = data_io.load_features("x.csqf")
+    x[3, 1] = np.nan
+    data_io.save_features("x.csqf", x)
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "error [encode]" in err and "feature row 3 is not finite" in err
+    assert not (workdir / "c.csqc").exists()
+
+
+def test_encode_command_wrong_width_names_the_file_width(workdir, capsys):
+    argv = encode_inputs(n=6, d=4)
+    M.save_model("model.csqm", M.init_model(5, 16, seed=0))
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "error [encode]" in err and "shape (6, 4), model expects dim 5" in err
 
 
 def small_train_inputs():

@@ -1,8 +1,38 @@
 import numpy as np
 import pytest
 
-from centerhash import config, data_io, synthetic
+from centerhash import binfmt, config, data_io, synthetic
 from centerhash.errors import DimensionError, FormatError, InvalidLabelError
+
+
+def csqf_header(n, d):
+    return binfmt.header(data_io.MAGIC_FEATURES) + binfmt.u64(n) + binfmt.u32(d)
+
+
+def read_blocks(path, rows=2):
+    """All rows of a feature file through the block reader."""
+    return np.concatenate(list(data_io.open_features(path).blocks(rows)))
+
+
+def three_by_four():
+    x = np.ones((3, 4), dtype=np.float32)
+    return csqf_header(3, 4) + x.tobytes()
+
+
+# (file bytes, FormatError message without its offset, offset); the messages are
+# those load_features gave when it read the whole file into memory first
+BAD_FEATURE_FILES = {
+    "wrong_magic": (b"JUNK" + bytes(32), "bad magic b'JUNK', expected b'CSQF'", 0),
+    "wrong_version": (b"CSQF" + binfmt.u32(2) + bytes(12), "unsupported version 2", 4),
+    "two_bytes": (b"CS", "truncated file: wanted 4 bytes, 2 left", 0),
+    "header_cut": (csqf_header(3, 4)[:16], "truncated file: wanted 4 bytes, 0 left", 16),
+    "truncated": (three_by_four()[:-2], "truncated file: wanted 48 bytes, 46 left", 20),
+    "trailing": (three_by_four() + b"xyz", "3 trailing bytes", 68),
+    "zero_rows": (csqf_header(0, 4), "empty feature file (n=0, d=4)", 8),
+    "zero_columns": (csqf_header(3, 0), "empty feature file (n=3, d=0)", 8),
+    "hostile_n": (csqf_header(1 << 40, 4) + bytes(64),
+                  "truncated file: wanted 17592186044416 bytes, 64 left", 20),
+}
 
 
 class TestFeatures:
@@ -43,6 +73,54 @@ class TestFeatures:
         path.write_bytes(binfmt.header(data_io.MAGIC_FEATURES) + binfmt.u64(0) + binfmt.u32(4))
         with pytest.raises(FormatError):
             data_io.load_features(path)
+
+
+    def test_roundtrip_across_read_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", 7)  # two rows of three per block
+        x = np.arange(15, dtype=np.float32).reshape(5, 3) / 7
+        path = tmp_path / "x.csqf"
+        data_io.save_features(path, x)
+        assert np.array_equal(data_io.load_features(path), x.astype(np.float64))
+        for rows in (1, 2, 4, 5, 9):
+            blocks = list(data_io.open_features(path).blocks(rows))
+            assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
+            assert all(b.dtype == np.float64 for b in blocks)
+            assert np.array_equal(np.concatenate(blocks), x.astype(np.float64))
+
+    @pytest.mark.parametrize("read", [data_io.load_features, read_blocks],
+                             ids=["load_features", "blocks"])
+    @pytest.mark.parametrize("case", sorted(BAD_FEATURE_FILES))
+    def test_bad_file_error_is_the_same_through_both_readers(self, tmp_path, case, read):
+        data, message, offset = BAD_FEATURE_FILES[case]
+        path = tmp_path / "x.csqf"
+        path.write_bytes(data)
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert str(err.value) == f"{message} (byte offset {offset})"
+        assert err.value.offset == offset
+
+    def test_file_cut_after_open_is_truncated(self, tmp_path):
+        path = tmp_path / "x.csqf"
+        data_io.save_features(path, np.ones((6, 2), dtype=np.float32))
+        src = data_io.open_features(path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(FormatError, match="wanted 16 bytes, 12 left") as err:
+            list(src.blocks(4))
+        assert err.value.offset == 20 + 4 * 4 * 2
+
+    @pytest.mark.parametrize("read", [data_io.load_features, read_blocks],
+                             ids=["load_features", "blocks"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_names_its_row(self, tmp_path, read, value):
+        x = np.ones((8, 3), dtype=np.float32)
+        x[5, 2] = value
+        x[7, 0] = value
+        path = tmp_path / "x.csqf"
+        data_io.save_features(path, x)
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert "feature row 5 is not finite" in str(err.value)
+        assert err.value.offset == 20 + 4 * 5 * 3
 
 
 class TestLabels:

@@ -255,6 +255,24 @@ class TestEncodeAndCheckpoint:
         expected = (M.forward(net, x) >= 0.5).astype(np.uint8)
         assert np.array_equal(unpack_matrix(words, net.k), expected)
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])  # blocks of B=4: 1, B-1, B, B+1, 2B+1
+    def test_blocked_encode_matches_per_row_forward(self, monkeypatch, n):
+        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
+        net = M.init_model(6, 70, seed=1)  # two words per code, the second padded
+        x = np.random.default_rng(n).normal(size=(n, 6))
+        expected = np.array([M.forward(net, row) >= 0.5 for row in x], dtype=np.uint8)
+        words = M.encode(net, x)
+        assert words.shape == (n, 2) and words.dtype == np.uint64
+        assert np.array_equal(unpack_matrix(words, 70), expected)
+        x32 = x.astype(np.float32)
+        assert np.array_equal(M.encode(net, x32), M.encode(net, x32.astype(np.float64)))
+        assert np.array_equal(M.encode(net, x[0]), words[:1])
+
+    def test_encode_rejects_wrong_width_before_any_block(self, monkeypatch):
+        monkeypatch.setattr(M, "forward", None)  # never reached
+        with pytest.raises(DimensionError, match=r"shape \(5, 7\), model expects dim 6"):
+            M.encode(M.init_model(6, 8, seed=0), np.ones((5, 7)))
+
     def test_checkpoint_roundtrip_is_exact(self, tmp_path):
         x, c = tiny_problem()
         net, _ = M.train(x, c, M.TrainConfig(epochs=3, seed=4))
