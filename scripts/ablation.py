@@ -45,9 +45,8 @@ def main():
             k=args.k, codes=model.encode(net, train.features), labels=train.labels
         )
         q_words = model.encode(net, query.features)
-        map_val = retrieval.mean_average_precision(index, q_words, query.labels, args.per_class)
-        ph2 = retrieval.precision_within_radius(index, q_words, query.labels)
-        print(f"{name:<24} {map_val:>8.4f} {ph2:>8.4f}")
+        report = retrieval.evaluate(index, q_words, query.labels, args.per_class)
+        print(f"{name:<24} {report.map_at_n:>8.4f} {report.p_at_h2:>8.4f}")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ sigmoid output to a relaxed code in (0,1)^K. Training minimizes
 
 where L_central is the per-bit binary cross-entropy between the relaxed
 code and its assigned binary center, and L_quant is a log-cosh penalty
-that pushes every output toward {0, 1}. All math is float64 and every
-random draw is seeded, so training is bit-reproducible.
+that pushes every output toward {0, 1}. A training step runs one forward
+pass: loss_and_dh turns its output into both loss terms and dL/dh, and
+backprop carries dL/dh through the same cached activations. All math is
+float64 and every random draw is seeded, so training is bit-reproducible.
 """
 
 import math
@@ -118,9 +120,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _logcosh(x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - math.log(2.0)
+def _quant(u: np.ndarray) -> np.ndarray:
+    """Per-sample sum of logcosh(u) over the bits, u being |2h - 1| - 1."""
+    au = np.abs(u)
+    return (au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1)
 
 
 def _forward_cached(model: HashModel, x: np.ndarray):
@@ -165,12 +168,15 @@ def _as_batches(h, c=None):
     return h, c
 
 
+def _bce(hc: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Per-sample mean bit cross-entropy of clipped codes hc against centers c."""
+    return -(c * np.log(hc) + (1.0 - c) * np.log1p(-hc)).sum(axis=1) / hc.shape[1]
+
+
 def central_loss(h, c) -> float:
     """Mean per-bit binary cross-entropy between relaxed codes and centers."""
     h, c = _as_batches(h, c)
-    hc = np.clip(h, BCE_EPS, 1.0 - BCE_EPS)
-    per_sample = -(c * np.log(hc) + (1.0 - c) * np.log1p(-hc)).sum(axis=1) / h.shape[1]
-    return float(per_sample.mean())
+    return float(_bce(np.clip(h, BCE_EPS, 1.0 - BCE_EPS), c).mean())
 
 
 def quantization_loss(h) -> float:
@@ -178,8 +184,7 @@ def quantization_loss(h) -> float:
     h, _ = _as_batches(h)
     if np.isnan(h).any():
         raise NumericError("relaxed code contains NaN")
-    per_sample = _logcosh(np.abs(2.0 * h - 1.0) - 1.0).sum(axis=1)
-    return float(per_sample.mean())
+    return float(_quant(np.abs(2.0 * h - 1.0) - 1.0).mean())
 
 
 def total_loss(h, c, cfg: TrainConfig) -> float:
@@ -191,34 +196,38 @@ def total_loss(h, c, cfg: TrainConfig) -> float:
     return loss
 
 
-def backward(model: HashModel, x, c, cfg: TrainConfig) -> Gradients:
-    """Exact gradients of the batch objective w.r.t. every parameter.
+def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
+    """Both loss terms of an (n, k) batch of relaxed codes, and dL/dh.
 
-    The |.| subderivative at 0 is taken as 0, and coordinates clamped by
-    the cross-entropy epsilon propagate a zero gradient, matching what a
-    finite difference of the actual loss sees.
+    A disabled term reads 0.0 and adds nothing to dh. The |.| subderivative
+    at 0 is taken as 0, and coordinates clamped by the cross-entropy epsilon
+    get a zero gradient, matching what a finite difference of the loss sees.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim == 1:
-        c = c[None, :]
-    if c.shape != (x.shape[0], model.k):
-        raise DimensionError(f"centers {c.shape} do not match batch ({x.shape[0]}, {model.k})")
-    w1, w2, w3 = model.weights
-    z1, a1, z2, a2, h = _forward_cached(model, x)
     n, k = h.shape
-
+    central = quant = 0.0
     dh = np.zeros_like(h)
     if cfg.use_lc:
         hc = np.clip(h, BCE_EPS, 1.0 - BCE_EPS)
+        central = float(_bce(hc, c).mean())
         inside = (h > BCE_EPS) & (h < 1.0 - BCE_EPS)
         dh += np.where(inside, -(c / hc - (1.0 - c) / (1.0 - hc)) / (n * k), 0.0)
     if cfg.use_lq and cfg.lambda1 != 0.0:
-        u = np.abs(2.0 * h - 1.0) - 1.0
-        dh += (cfg.lambda1 * 2.0 / n) * np.sign(2.0 * h - 1.0) * np.tanh(u)
+        s = 2.0 * h - 1.0
+        u = np.abs(s) - 1.0
+        quant = float(_quant(u).mean())
+        dh += (cfg.lambda1 * 2.0 / n) * np.sign(s) * np.tanh(u)
+    return central, quant, dh
 
+
+def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> Gradients:
+    """Parameter gradients from dL/dh through cache = _forward_cached(model, x).
+
+    Raises NumericError on any non-finite gradient: an activation that
+    overflowed to inf leaves h exactly 0 or 1 and the loss finite, but its
+    weight gradient 0 * inf is NaN.
+    """
+    _, w2, w3 = model.weights
+    z1, a1, z2, a2, h = cache
     dz3 = dh * h * (1.0 - h)
     dw3 = dz3.T @ a2
     db3 = dz3.sum(axis=0)
@@ -234,6 +243,17 @@ def backward(model: HashModel, x, c, cfg: TrainConfig) -> Gradients:
         if not np.isfinite(g).all():
             raise NumericError("non-finite gradient")
     return grads
+
+
+def backward(model: HashModel, x, c, cfg: TrainConfig) -> Gradients:
+    """Exact gradients of the batch objective w.r.t. every parameter."""
+    x, _ = _as_batches(x)
+    c, _ = _as_batches(c)
+    if c.shape != (x.shape[0], model.k):
+        raise DimensionError(f"centers {c.shape} do not match batch ({x.shape[0]}, {model.k})")
+    cache = _forward_cached(model, x)
+    _, _, dh = loss_and_dh(cache[-1], c, cfg)
+    return backprop(model, x, cache, dh)
 
 
 def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
@@ -266,11 +286,10 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
             sel = order[start : start + cfg.batch_size]
             xb, cb = x[sel], c[sel]
-            h = forward(model, xb)
-            if not np.isfinite(h).all():
+            cache = _forward_cached(model, xb)
+            if not np.isfinite(cache[-1]).all():
                 raise TrainingError("model output is not finite", epoch=epoch, batch=batch_idx)
-            lc = central_loss(h, cb) if cfg.use_lc else 0.0
-            lq = quantization_loss(h) if cfg.use_lq and cfg.lambda1 != 0.0 else 0.0
+            lc, lq, dh = loss_and_dh(cache[-1], cb, cfg)
             batch_loss = lc + cfg.lambda1 * lq
             if not math.isfinite(batch_loss):
                 raise TrainingError("loss is not finite", epoch=epoch, batch=batch_idx)
@@ -279,7 +298,7 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
             sum_quant += lq * len(sel)
 
             try:
-                grads = backward(model, xb, cb, cfg)
+                grads = backprop(model, xb, cache, dh)
             except NumericError as exc:
                 raise TrainingError(str(exc), epoch=epoch, batch=batch_idx) from exc
             for w, b, gw, gb, vw, vb in zip(

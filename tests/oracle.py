@@ -1,10 +1,20 @@
-"""Naive brute-force reference implementations for the retrieval metrics.
+"""Naive brute-force reference implementations for the retrieval metrics,
+and a reference training loop.
 
-Everything here works on plain Python lists of bits and sets of category
+The metrics work on plain Python lists of bits and sets of category
 indices: no packing, no vectorization, no shared code with the package.
-Kept deliberately slow and literal so it can serve as an independent
+Kept deliberately slow and literal so they can serve as an independent
 check of the fast paths.
+
+train_reference is the two-pass training step written out from the
+package's public pieces (forward, the two losses, backward), so the fused
+model.train can be held to it byte for byte.
 """
+
+import numpy as np
+
+from centerhash import model as M
+from centerhash.seeds import substream
 
 
 def dist(a, b):
@@ -97,3 +107,41 @@ def center_distance_matrix(code_bits, group_ids, center_bits):
         for j in range(m):
             out[i][j] = sum(dist(code, center_bits[j]) for code in members) / len(members)
     return out
+
+
+def train_reference(features, center_vectors, cfg):
+    """Mini-batch SGD with momentum: forward, then the losses, then backward
+    (which runs its own forward pass), then the momentum update."""
+    x = np.asarray(features, dtype=np.float64)
+    c = np.asarray(center_vectors, dtype=np.float64)
+    n = x.shape[0]
+    net = M.init_model(x.shape[1], c.shape[1], hidden=cfg.hidden, seed=cfg.seed)
+    vel_w = [np.zeros_like(w) for w in net.weights]
+    vel_b = [np.zeros_like(b) for b in net.biases]
+    shuffle_rng = substream(cfg.seed, "shuffle")
+    log = []
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        sum_total = sum_central = sum_quant = 0.0
+        for start in range(0, n, cfg.batch_size):
+            sel = order[start : start + cfg.batch_size]
+            xb, cb = x[sel], c[sel]
+            h = M.forward(net, xb)
+            lc = M.central_loss(h, cb) if cfg.use_lc else 0.0
+            lq = M.quantization_loss(h) if cfg.use_lq and cfg.lambda1 != 0.0 else 0.0
+            batch_loss = lc + cfg.lambda1 * lq
+            sum_total += batch_loss * len(sel)
+            sum_central += lc * len(sel)
+            sum_quant += lq * len(sel)
+            grads = M.backward(net, xb, cb, cfg)
+            for w, b, gw, gb, vw, vb in zip(
+                net.weights, net.biases, grads.weights, grads.biases, vel_w, vel_b
+            ):
+                vw *= cfg.momentum
+                vw += gw
+                vb *= cfg.momentum
+                vb += gb
+                w -= cfg.learning_rate * vw
+                b -= cfg.learning_rate * vb
+        log.append(M.EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
+    return net, log

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracle
 from centerhash import model as M
 from centerhash.errors import DimensionError, FormatError, NumericError, TrainingError
 from centerhash.hamming import unpack_matrix
@@ -187,6 +188,19 @@ class TestBackward:
         for g in grads.weights + grads.biases:
             assert np.all(g == 0.0)
 
+    def test_overflowed_activation_with_finite_loss_still_raises(self):
+        # b2 = +inf makes a2 inf and h exactly 1: the clipped loss stays
+        # finite and dh is 0, but dw3 = dz3.T @ a2 = 0 * inf is NaN
+        net = zero_model(2, 3, 3, 4)
+        net.weights[2][:] = 1.0
+        net.biases[1][:] = np.inf
+        x, c = np.zeros((1, 2)), np.array([[1.0, 0.0, 1.0, 0.0]])
+        h = M.forward(net, x)
+        assert np.array_equal(h, np.ones((1, 4)))
+        assert M.total_loss(h, c, M.TrainConfig()) == pytest.approx(8.059, abs=1e-3)
+        with pytest.raises(NumericError, match="non-finite gradient"), np.errstate(invalid="ignore"):
+            M.backward(net, x, c, M.TrainConfig())
+
     def test_lambda_zero_bitwise_equals_disabled_quantization(self):
         rng = np.random.default_rng(5)
         net = M.init_model(6, 4, hidden=(5, 4), seed=5)
@@ -237,6 +251,19 @@ class TestTrain:
             M.train(x, c, M.TrainConfig(epochs=3, seed=0))
         assert err.value.epoch == 0 and err.value.batch >= 0
 
+    def test_non_finite_gradient_raises_training_error(self, monkeypatch):
+        real = M.loss_and_dh
+
+        def nan_dh(h, c, cfg):
+            central, quant, dh = real(h, c, cfg)
+            return central, quant, np.full_like(dh, np.nan)
+
+        monkeypatch.setattr(M, "loss_and_dh", nan_dh)
+        x, c = tiny_problem()
+        with pytest.raises(TrainingError, match="non-finite gradient") as err:
+            M.train(x, c, M.TrainConfig(epochs=2, seed=0))
+        assert err.value.epoch == 0 and err.value.batch == 0
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             M.train(np.zeros((0, 3)), np.zeros((0, 4)), M.TrainConfig())
@@ -245,6 +272,57 @@ class TestTrain:
         x, c = tiny_problem()
         with pytest.raises(DimensionError):
             M.train(x, c[:-1], M.TrainConfig())
+
+
+class TestFusedStep:
+    """train runs one forward pass per batch and must equal, byte for byte,
+    the two-pass reference loop in tests/oracle.py."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"use_lc": False, "lambda1": 0.3},
+            {"use_lq": False},
+            {"lambda1": 0.0},
+            {"batch_size": 7},  # does not divide n
+            {"batch_size": 50},  # larger than n
+        ],
+    )
+    def test_train_matches_two_pass_reference(self, overrides):
+        x, c = tiny_problem(n=32, d=8, k=12, seed=6)
+        cfg = M.TrainConfig(epochs=4, seed=2, learning_rate=0.05, **overrides)
+        net, log = M.train(x, c, cfg)
+        ref_net, ref_log = oracle.train_reference(x, c, cfg)
+        for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+            assert a.tobytes() == b.tobytes()
+        assert len(log) == 4 and repr(log) == repr(ref_log)
+
+    def test_one_forward_pass_per_batch(self, monkeypatch):
+        calls = []
+        real = M._forward_cached
+
+        def spy(model, x):
+            calls.append(len(x))
+            return real(model, x)
+
+        monkeypatch.setattr(M, "_forward_cached", spy)
+        x, c = tiny_problem(n=24)
+        M.train(x, c, M.TrainConfig(epochs=3, batch_size=8, seed=0))
+        assert calls == [8] * 9
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [M.TrainConfig(), M.TrainConfig(use_lc=False, lambda1=0.3), M.TrainConfig(lambda1=0.0)],
+    )
+    def test_loss_and_dh_losses_equal_public_losses(self, cfg):
+        rng = np.random.default_rng(7)
+        h = np.concatenate([rng.uniform(size=(5, 6)), [[0.0, 1.0, 1e-9, 1 - 1e-9, 0.5, 0.5]]])
+        c = rng.integers(0, 2, size=h.shape).astype(float)
+        central, quant, dh = M.loss_and_dh(h, c, cfg)
+        assert central == (M.central_loss(h, c) if cfg.use_lc else 0.0)
+        assert quant == (M.quantization_loss(h) if cfg.lambda1 != 0.0 else 0.0)
+        assert dh.shape == h.shape and np.isfinite(dh).all()
 
 
 class TestEncodeAndCheckpoint:
