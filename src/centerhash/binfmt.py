@@ -3,9 +3,13 @@
 Every format is: 4 magic bytes, u32 little-endian version, fixed-width
 counts, then a payload. All integers are little-endian. Readers reject
 wrong magic, unknown versions, truncation, and trailing garbage, and
-report the byte offset of the problem.
+report the byte offset of the problem. Writers go through atomic_write,
+so a crashed writer never leaves a half-written file behind.
 """
 
+import contextlib
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -63,6 +67,29 @@ class Reader:
 
 def read_file(path) -> Reader:
     return Reader(Path(path).read_bytes())
+
+
+@contextlib.contextmanager
+def atomic_write(path, text: bool = False):
+    """A new file that replaces `path` only if the with-block finishes.
+
+    The block writes a temp file beside `path`, opened with "x" so its
+    permissions follow the umask as open's do. On success os.replace puts
+    it in place; on any error it is removed, so `path` keeps its old bytes
+    (or stays absent). Text mode writes "\n" line ends, as newline="" does.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(tmp, "x", newline="") if text else open(tmp, "xb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename, exc.filename2 = path, None  # name the file the caller asked for
+        raise
 
 
 def header(magic: bytes) -> bytes:

@@ -291,7 +291,7 @@ def _centroid(cs: CenterSet, key: tuple, rng) -> np.ndarray:
 def save_centers(path, cs: CenterSet) -> None:
     """Write a center set to a center file (magic CSQH)."""
     payload = np.packbits(cs.bits, axis=1, bitorder="little").tobytes()
-    with open(path, "wb") as f:
+    with binfmt.atomic_write(path) as f:
         f.write(binfmt.header(MAGIC_CENTERS))
         f.write(binfmt.u64(cs.m))
         f.write(binfmt.u32(cs.k))

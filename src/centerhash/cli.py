@@ -11,7 +11,7 @@ import sys
 from dataclasses import fields
 
 from . import centers as centers_mod
-from . import data_io, hamming, model as model_mod, retrieval, synthetic
+from . import binfmt, data_io, hamming, model as model_mod, retrieval, synthetic
 from .config import TRAIN_FIELDS, RunConfig, load_run_config
 from .errors import CenterHashError, DimensionError, InvalidLabelError, StageError
 from .pipeline import _stage, run_pipeline
@@ -94,7 +94,7 @@ def _cmd_distmat(args):
         groups = assigned.argmax(axis=1)
         matrix = retrieval.center_distance_matrix(words, groups, cs)
         lines = retrieval.center_distance_lines(matrix)
-        with open(args.out, "w", newline="") as f:
+        with binfmt.atomic_write(args.out, text=True) as f:
             f.write("\n".join(lines) + "\n")
     print(f"wrote {args.out}: {cs.m}x{cs.m} mean-distance matrix")
 

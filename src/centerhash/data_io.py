@@ -52,7 +52,7 @@ def save_features(path, features) -> None:
     x = np.asarray(features)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"need a nonempty 2-d feature matrix, got shape {x.shape}")
-    with open(path, "wb") as f:
+    with binfmt.atomic_write(path) as f:
         f.write(binfmt.header(MAGIC_FEATURES))
         f.write(binfmt.u64(x.shape[0]))
         f.write(binfmt.u32(x.shape[1]))
@@ -130,7 +130,7 @@ def save_labels(path, labels) -> None:
         raise ValueError("labels must be 0 or 1")
     if (y.sum(axis=1) == 0).any():
         raise InvalidLabelError("every sample needs at least one label")
-    with open(path, "wb") as f:
+    with binfmt.atomic_write(path) as f:
         f.write(binfmt.header(MAGIC_LABELS))
         f.write(binfmt.u64(y.shape[0]))
         f.write(binfmt.u32(y.shape[1]))

@@ -38,7 +38,8 @@ def pack_matrix(bits: np.ndarray) -> np.ndarray:
     n, k = bits.shape
     if k == 0:
         raise DimensionError("codes must have at least one bit")
-    if not np.isin(bits, (0, 1)).all():
+    # a bool matrix (a thresholded batch) is 0/1 by construction
+    if bits.dtype != np.bool_ and not np.isin(bits, (0, 1)).all():
         raise ValueError("bit matrix entries must be 0 or 1")
     packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
     return _bytes_to_words(packed, k)
@@ -92,14 +93,19 @@ def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def distances_to(query_words: np.ndarray, db_words: np.ndarray) -> np.ndarray:
-    """Hamming distance from one packed code to every row of a database."""
+    """Hamming distance from one packed code to every row of a database.
+
+    The sum is in the smallest unsigned dtype that holds 64 * W for W words
+    per code, so the result serves as a sort key as it is.
+    """
     query_words = np.asarray(query_words, dtype=np.uint64)
     db_words = np.asarray(db_words, dtype=np.uint64)
     if query_words.shape != (db_words.shape[1],):
         raise DimensionError(
             f"query has {query_words.shape} words, database rows have {db_words.shape[1]}"
         )
-    return popcount_words(db_words ^ query_words[None, :]).sum(axis=1, dtype=np.int64)
+    key = np.min_scalar_type(64 * db_words.shape[1])
+    return popcount_words(db_words ^ query_words[None, :]).sum(axis=1, dtype=key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +156,7 @@ def binarize_matrix(h: np.ndarray) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
     if not np.isfinite(h).all():
         raise NumericError("relaxed codes contain NaN or infinity")
-    return pack_matrix((h >= 0.5).astype(np.uint8))
+    return pack_matrix(h >= 0.5)
 
 
 def unpack(code: PackedCode) -> np.ndarray:
@@ -165,7 +171,7 @@ def save_codes(path, words: np.ndarray, k: int) -> None:
     if n < 1 or k < 1:
         raise ValueError("need at least one code of at least one bit")
     payload = _words_to_bytes(words, k).tobytes()
-    with open(path, "wb") as f:
+    with binfmt.atomic_write(path) as f:
         f.write(binfmt.header(MAGIC_CODES))
         f.write(binfmt.u64(n))
         f.write(binfmt.u32(k))

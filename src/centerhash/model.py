@@ -11,6 +11,7 @@ that pushes every output toward {0, 1}. A training step runs one forward
 pass: loss_and_dh turns its output into both loss terms and dL/dh, and
 backprop carries dL/dh through the same cached activations. All math is
 float64 and every random draw is seeded, so training is bit-reproducible.
+encode runs the same forward pass on blocks of rows in reused buffers.
 """
 
 import math
@@ -111,13 +112,21 @@ def init_model(d: int, k: int, hidden: tuple[int, int] | None = None, seed: int 
     return HashModel(weights=weights, biases=biases)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), computed over z in place; e is float64 scratch shaped like z.
+
+    With e = exp(-|z|), which cannot overflow, the result is 1 / (e + 1)
+    where z >= 0 and e / (e + 1) where z < 0: the float operations of the
+    two-branch form, with no mask or gather. A NaN passes through exactly
+    as there, since np.minimum and np.maximum return the NaN operand.
+    """
+    e = np.negative(z, out=e)
+    np.minimum(z, e, out=e)  # -|z|
+    np.exp(e, out=e)
+    np.greater_equal(z, 0.0, out=z)
+    np.maximum(z, e, out=z)  # the numerator: 1 where z >= 0, else e (which is <= 1)
+    e += 1.0
+    return np.divide(z, e, out=z)
 
 
 def _quant(u: np.ndarray) -> np.ndarray:
@@ -126,15 +135,30 @@ def _quant(u: np.ndarray) -> np.ndarray:
     return (au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1)
 
 
-def _forward_cached(model: HashModel, x: np.ndarray):
+def _buffers(model: HashModel, rows: int) -> tuple:
+    """Room for _forward_into on up to `rows` rows: a1, a2, h and the sigmoid's scratch."""
+    widths = model.layer_sizes[1:]
+    return tuple(np.empty((rows, w)) for w in widths + widths[-1:])
+
+
+def _forward_into(model: HashModel, x: np.ndarray, buffers: tuple) -> tuple:
+    """The activations (a1, a2, h) of the rows of x, computed in the leading rows of buffers."""
     w1, w2, w3 = model.weights
     b1, b2, b3 = model.biases
-    z1 = x @ w1.T + b1
-    a1 = np.maximum(z1, 0.0)
-    z2 = a1 @ w2.T + b2
-    a2 = np.maximum(z2, 0.0)
-    h = _sigmoid(a2 @ w3.T + b3)
-    return z1, a1, z2, a2, h
+    a1, a2, h, e = (b[: len(x)] for b in buffers)
+    np.matmul(x, w1.T, out=a1)
+    a1 += b1
+    np.maximum(a1, 0.0, out=a1)
+    np.matmul(a1, w2.T, out=a2)
+    a2 += b2
+    np.maximum(a2, 0.0, out=a2)
+    np.matmul(a2, w3.T, out=h)
+    h += b3
+    return a1, a2, _sigmoid(h, e)
+
+
+def _forward_cached(model: HashModel, x: np.ndarray) -> tuple:
+    return _forward_into(model, x, _buffers(model, len(x)))
 
 
 def _check_features(model: HashModel, shape: tuple) -> None:
@@ -227,14 +251,14 @@ def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> G
     weight gradient 0 * inf is NaN.
     """
     _, w2, w3 = model.weights
-    z1, a1, z2, a2, h = cache
+    a1, a2, h = cache
     dz3 = dh * h * (1.0 - h)
     dw3 = dz3.T @ a2
     db3 = dz3.sum(axis=0)
-    dz2 = (dz3 @ w3) * (z2 > 0)
+    dz2 = (dz3 @ w3) * (a2 > 0)
     dw2 = dz2.T @ a1
     db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ w2) * (z1 > 0)
+    dz1 = (dz2 @ w2) * (a1 > 0)
     dw1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
 
@@ -326,28 +350,38 @@ def encode(model: HashModel, features) -> np.ndarray:
 
     `features` is one vector, an (n, d) array or a data_io.FeatureFile.
     Rows pass through the head ENCODE_BLOCK_ROWS at a time, and each block
-    is cast to float64 (or read from the file) only when its turn comes, so
-    memory beyond the (n, W) output does not grow with n.
+    is cast to float64 (or read from the file) only when its turn comes.
+    Every block's forward pass computes into one set of buffers allocated
+    here, so memory beyond the (n, W) output does not grow with n.
+
+    It runs in the calling thread: worker threads over the blocks were
+    faster on an idle 2-CPU machine, but on a shared one their timings
+    spread several times wider than one thread's.
     """
+    rows = ENCODE_BLOCK_ROWS
     if isinstance(features, data_io.FeatureFile):
         _check_features(model, features.shape)
-        n, blocks = features.n, features.blocks(ENCODE_BLOCK_ROWS)
+        n, blocks = features.n, features.blocks(rows)
     else:
         x = np.asarray(features)
         _check_features(model, x.shape)
         x = x[None, :] if x.ndim == 1 else x
         n = len(x)
-        blocks = (x[s : s + ENCODE_BLOCK_ROWS] for s in range(0, n, ENCODE_BLOCK_ROWS))
+        blocks = (
+            np.ascontiguousarray(x[s : s + rows], dtype=np.float64) for s in range(0, n, rows)
+        )
+    buffers = _buffers(model, min(rows, n))
     words = np.empty((n, hamming.words_per_code(model.k)), dtype=np.uint64)
-    for start, block in zip(range(0, n, ENCODE_BLOCK_ROWS), blocks):
-        words[start : start + len(block)] = hamming.binarize_matrix(forward(model, block))
+    for start, block in zip(range(0, n, rows), blocks):
+        h = _forward_into(model, block, buffers)[-1]
+        words[start : start + len(h)] = hamming.binarize_matrix(h)
     return words
 
 
 def save_model(path, model: HashModel) -> None:
     """Write a checkpoint (magic CSQM): layer sizes, then f64 params."""
     sizes = model.layer_sizes
-    with open(path, "wb") as f:
+    with binfmt.atomic_write(path) as f:
         f.write(binfmt.header(MAGIC_MODEL))
         f.write(binfmt.u32(len(sizes)))
         for s in sizes:

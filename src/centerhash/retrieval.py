@@ -14,14 +14,18 @@ query order, and each AP sums its precisions sequentially in rank order
 (never with np.sum, whose pairwise order changes the last bit).
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import hamming
+from . import binfmt, hamming
 from .centers import CenterSet
 from .errors import DimensionError
 from .hamming import PackedCode
+
+# lines per write of write_report
+REPORT_CHUNK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -51,11 +55,12 @@ class CodeIndex:
 def _rank(index: CodeIndex, query_words) -> tuple[np.ndarray, np.ndarray]:
     """(distances, database indices by ascending distance, ties by index).
 
-    Distances are at most k, so a key of the smallest unsigned dtype that
-    holds k keeps the stable argsort's order and lets numpy radix-sort it.
+    distances_to sums in the smallest unsigned dtype that holds the
+    distances, so they are the sort key as they are: the stable argsort
+    keeps ties by index and numpy radix-sorts them.
     """
     dists = hamming.distances_to(query_words, index.codes)
-    return dists, np.argsort(dists.astype(np.min_scalar_type(index.k)), kind="stable")
+    return dists, np.argsort(dists, kind="stable")
 
 
 def rank_by_distance(index: CodeIndex, query: PackedCode) -> np.ndarray:
@@ -186,13 +191,18 @@ def evaluate(
         raise ValueError("n must be at least 1")
     n = index.n
     ranks = np.arange(1, n + 1, dtype=np.float64)
+    # bit i of row c: database item i has category c; a query's relevance is
+    # the OR of its categories' rows (none for a query without a category)
+    category_rows = np.packbits(index.labels.T, axis=1, bitorder="little")
     map_total = 0.0
     radius_total = 0.0
     recall = np.zeros(n)
     precision = np.zeros(n)
+    ratio = np.empty(n)  # each PR division in turn
     for qw, ql in zip(query_words, query_labels):
         dists, order = _rank(index, qw)
-        rel = index.labels[:, ql != 0].any(axis=1)[order]
+        packed = np.bitwise_or.reduce(category_rows[ql != 0], axis=0)
+        rel = np.unpackbits(packed, count=n, bitorder="little").view(bool)[order]
         cum = np.cumsum(rel, dtype=np.int64)
         top = rel[:map_n]
         hits = int(cum[top.size - 1])
@@ -205,8 +215,8 @@ def evaluate(
         if inside:
             radius_total += int(cum[inside - 1]) / inside
         # a query with no relevant item counts as fully recalled at every cutoff
-        recall += cum / cum[-1] if cum[-1] else 1.0
-        precision += cum / ranks
+        recall += np.divide(cum, cum[-1], out=ratio) if cum[-1] else 1.0
+        precision += np.divide(cum, ranks, out=ratio)
     nq = query_words.shape[0]
     recall /= nq
     precision /= nq
@@ -233,20 +243,20 @@ def center_distance_lines(matrix: np.ndarray) -> list:
 
 
 def write_report(path, report: EvalReport) -> None:
-    """Serialize a report as CSV sections (scalars, P@N, PR, distances)."""
-    lines = ["metric,value"]
-    lines.append(f"map_at_n,{_fmt(report.map_at_n)}")
-    lines.append(f"p_at_h2,{_fmt(report.p_at_h2)}")
-    lines.append("")
-    lines.append("rank,precision")
-    for rank, prec in report.precision_at_n:
-        lines.append(f"{rank},{_fmt(prec)}")
-    lines.append("")
-    lines.append("recall,precision")
-    for rec, prec in report.pr_curve:
-        lines.append(f"{_fmt(rec)},{_fmt(prec)}")
-    if report.center_distances is not None:
-        lines.append("")
-        lines += center_distance_lines(report.center_distances)
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    """Serialize a report as CSV sections (scalars, P@N, PR, distances).
+
+    Lines are formatted and written REPORT_CHUNK_LINES at a time, so the
+    text of a long PR curve is never held whole.
+    """
+    matrix = report.center_distances
+    lines = itertools.chain(
+        ["metric,value", f"map_at_n,{_fmt(report.map_at_n)}", f"p_at_h2,{_fmt(report.p_at_h2)}"],
+        ["", "rank,precision"],
+        (f"{rank},{_fmt(prec)}" for rank, prec in report.precision_at_n),
+        ["", "recall,precision"],
+        (f"{_fmt(rec)},{_fmt(prec)}" for rec, prec in report.pr_curve),
+        [] if matrix is None else ["", *center_distance_lines(matrix)],
+    )
+    with binfmt.atomic_write(path, text=True) as f:
+        while chunk := list(itertools.islice(lines, REPORT_CHUNK_LINES)):
+            f.write("\n".join(chunk) + "\n")

@@ -8,7 +8,9 @@ check of the fast paths.
 
 train_reference is the two-pass training step written out from the
 package's public pieces (forward, the two losses, backward), so the fused
-model.train can be held to it byte for byte.
+model.train can be held to it byte for byte. sigmoid_reference and
+forward_reference are the hash head's output written with masks and
+fresh arrays, to hold the in-place forward pass to them bit for bit.
 """
 
 import numpy as np
@@ -145,3 +147,22 @@ def train_reference(features, center_vectors, cfg):
                 b -= cfg.learning_rate * vb
         log.append(M.EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
     return net, log
+
+
+def sigmoid_reference(z):
+    """The two-branch logistic: exp only ever sees a non-positive argument."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def forward_reference(net, x):
+    """(a1, a2, h) of a batch: each layer is x @ w.T + b, then ReLU or the sigmoid."""
+    w1, w2, w3 = net.weights
+    b1, b2, b3 = net.biases
+    a1 = np.maximum(x @ w1.T + b1, 0.0)
+    a2 = np.maximum(a1 @ w2.T + b2, 0.0)
+    return a1, a2, sigmoid_reference(a2 @ w3.T + b3)

@@ -5,6 +5,49 @@ from centerhash import binfmt, config, data_io, synthetic
 from centerhash.errors import DimensionError, FormatError, InvalidLabelError
 
 
+class TestAtomicWrite:
+    def test_failed_writer_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with binfmt.atomic_write(tmp_path / "out.bin") as f:
+                f.write(b"half")
+                raise RuntimeError("writer failed midway")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_writer_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with binfmt.atomic_write(path, text=True) as f:
+                f.write("new\n")
+                raise RuntimeError("writer failed midway")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_bytes() == b"old"
+
+    def test_success_replaces_the_target(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        with binfmt.atomic_write(path, text=True) as f:
+            f.write("a\nb\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert path.read_bytes() == b"a\nb\n"
+
+    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    def test_errors_name_the_target(self, tmp_path, target):
+        path = tmp_path / target
+        with pytest.raises(OSError) as failed:
+            with binfmt.atomic_write(path, text=True) as f:
+                f.write("a\n")
+        assert failed.value.filename == str(path) and failed.value.filename2 is None
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_permissions_follow_the_umask_as_open_does(self, tmp_path):
+        with binfmt.atomic_write(tmp_path / "atomic") as f:
+            f.write(b"x")
+        with open(tmp_path / "plain", "wb") as f:
+            f.write(b"x")
+        assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def csqf_header(n, d):
     return binfmt.header(data_io.MAGIC_FEATURES) + binfmt.u64(n) + binfmt.u32(d)
 

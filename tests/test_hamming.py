@@ -157,3 +157,16 @@ def test_pairwise_distances_blocked_matches_oracle(monkeypatch):
         got = hamming.pairwise_distances(hamming.pack_matrix(a), hamming.pack_matrix(b))
         assert got.dtype == np.int64
         assert got.tolist() == [[oracle.dist(x, y) for y in b] for x in a]
+
+
+@pytest.mark.parametrize(
+    "k, dtype", [(1, np.uint8), (64, np.uint8), (65, np.uint8), (200, np.uint16), (300, np.uint16)]
+)
+def test_distances_to_sums_in_the_smallest_key_dtype(k, dtype):
+    rng = np.random.default_rng(k)
+    db = rng.integers(0, 2, size=(7, k), dtype=np.uint8)
+    db[0] = 1  # the complement of the query: distance k
+    query = np.zeros(k, dtype=np.uint8)
+    got = hamming.distances_to(hamming.pack_matrix(query[None])[0], hamming.pack_matrix(db))
+    assert got.dtype == dtype  # holds 64 * W, W words per code
+    assert got.tolist() == [oracle.dist(row, query) for row in db]

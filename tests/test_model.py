@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
+from centerhash import data_io
 from centerhash import model as M
 from centerhash.errors import DimensionError, FormatError, NumericError, TrainingError
 from centerhash.hamming import unpack_matrix
@@ -75,6 +76,21 @@ class TestForward:
         net = M.init_model(4, 6, seed=0)
         with pytest.raises(DimensionError):
             M.forward(net, np.zeros(5))
+
+    def test_sigmoid_equals_masked_reference_bitwise(self):
+        special = []
+        for v in (0.0, np.inf, np.nan, 1e-17, 2.0**-54, 36.0, 745.0, 800.0):
+            special += [v, -v]
+        z = np.concatenate([special, np.random.default_rng(4).normal(size=10_000) * 50])
+        got = M._sigmoid(z.copy())
+        assert got.view(np.uint64).tolist() == oracle.sigmoid_reference(z).view(np.uint64).tolist()
+
+    def test_forward_pass_equals_reference_bitwise(self):
+        net = M.init_model(7, 70, hidden=(9, 5), seed=5)
+        x = np.random.default_rng(5).normal(size=(13, 7)) * 30
+        for got, want in zip(M._forward_cached(net, x), oracle.forward_reference(net, x)):
+            assert got.tobytes() == want.tobytes()
+        assert M.forward(net, x).tobytes() == M._forward_cached(net, x)[-1].tobytes()
 
 
 class TestLosses:
@@ -334,7 +350,7 @@ class TestEncodeAndCheckpoint:
         assert np.array_equal(unpack_matrix(words, net.k), expected)
 
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])  # blocks of B=4: 1, B-1, B, B+1, 2B+1
-    def test_blocked_encode_matches_per_row_forward(self, monkeypatch, n):
+    def test_blocked_encode_matches_per_row_forward(self, monkeypatch, tmp_path, n):
         monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
         net = M.init_model(6, 70, seed=1)  # two words per code, the second padded
         x = np.random.default_rng(n).normal(size=(n, 6))
@@ -344,7 +360,52 @@ class TestEncodeAndCheckpoint:
         assert np.array_equal(unpack_matrix(words, 70), expected)
         x32 = x.astype(np.float32)
         assert np.array_equal(M.encode(net, x32), M.encode(net, x32.astype(np.float64)))
+        data_io.save_features(tmp_path / "x.csqf", x32)
+        from_file = M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
+        assert np.array_equal(from_file, M.encode(net, x32))
         assert np.array_equal(M.encode(net, x[0]), words[:1])
+
+    def test_blocks_share_one_set_of_buffers(self, monkeypatch):
+        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
+        calls = []
+        real = M._forward_into
+
+        def spy(model, x, buffers):
+            calls.append((len(x), len(buffers[0]), id(buffers)))
+            return real(model, x, buffers)
+
+        monkeypatch.setattr(M, "_forward_into", spy)
+        M.encode(M.init_model(3, 5, seed=0), np.ones((11, 3)))
+        assert [c[:2] for c in calls] == [(4, 4), (4, 4), (3, 4)]
+        assert len({c[2] for c in calls}) == 1
+        calls.clear()
+        M.encode(M.init_model(3, 5, seed=0), np.ones((3, 3)))
+        assert [c[:2] for c in calls] == [(3, 3)]  # never more rows than n
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_output_raises(self, monkeypatch):
+        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
+        net = M.init_model(6, 8, seed=0)
+        net.weights[1][0, 0] = np.inf
+        with pytest.raises(NumericError):
+            M.encode(net, np.random.default_rng(0).normal(size=(9, 6)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_errors_surface_in_row_order(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 2)
+        net = M.init_model(2, 4, hidden=(3, 3), seed=0)
+        net.weights[0][:] = 1e300
+        net.weights[1][:] = [[1.0, -1.0, 1.0]] * 3  # inf - inf: NaN from an overflowed row
+        x = np.zeros((8, 2), dtype=np.float32)
+        x[2] = 1e30  # block 1 overflows
+        x[4, 0] = np.nan  # block 2 does not read
+        data_io.save_features(tmp_path / "x.csqf", x)
+        with pytest.raises(NumericError):
+            M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
+        x[2] = 0.0
+        data_io.save_features(tmp_path / "x.csqf", x)
+        with pytest.raises(FormatError, match="feature row 4 is not finite"):
+            M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
 
     def test_encode_rejects_wrong_width_before_any_block(self, monkeypatch):
         monkeypatch.setattr(M, "forward", None)  # never reached
@@ -363,6 +424,16 @@ class TestEncodeAndCheckpoint:
         again = tmp_path / "again.csqm"
         M.save_model(again, loaded)
         assert path.read_bytes() == again.read_bytes()
+
+    def test_failed_save_leaves_the_old_checkpoint(self, tmp_path):
+        path = tmp_path / "model.csqm"
+        path.write_bytes(b"old")
+        net = M.init_model(3, 4, hidden=(3, 3), seed=0)
+        net.biases[2] = object()  # the last layer fails after the first two are written
+        with pytest.raises(TypeError):
+            M.save_model(path, net)
+        assert [p.name for p in tmp_path.iterdir()] == ["model.csqm"]
+        assert path.read_bytes() == b"old"
 
     def test_checkpoint_truncation_rejected(self, tmp_path):
         net = M.init_model(3, 4, hidden=(3, 3), seed=0)

@@ -264,6 +264,34 @@ class TestReport:
         assert sections[3].splitlines()[0] == "center_i,center_j,mean_distance"
         assert "1,0,nan" in sections[3]
 
+    def test_chunked_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
+        report = R.EvalReport(
+            map_at_n=1 / 3,
+            p_at_h2=0.1,
+            precision_at_n=[(r, 1 / r) for r in range(1, 8)],
+            pr_curve=[(r / 9, 1 - r / 11) for r in range(1, 10)],
+            center_distances=np.array([[0.5, np.nan], [2.0, 1 / 7]]),
+        )
+        lines = ["metric,value", f"map_at_n,{1 / 3!r}", "p_at_h2,0.1", "", "rank,precision"]
+        lines += [f"{r},{1 / r!r}" for r in range(1, 8)] + ["", "recall,precision"]
+        lines += [f"{r / 9!r},{1 - r / 11!r}" for r in range(1, 10)]
+        lines += ["", "center_i,center_j,mean_distance", "0,0,0.5", "0,1,nan", "1,0,2.0"]
+        expected = ("\n".join(lines) + f"\n1,1,{1 / 7!r}\n").encode()
+        for chunk in (1, 4, 29, R.REPORT_CHUNK_LINES):
+            monkeypatch.setattr(R, "REPORT_CHUNK_LINES", chunk)
+            R.write_report(tmp_path / "report.csv", report)
+            assert (tmp_path / "report.csv").read_bytes() == expected
+
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(R, "REPORT_CHUNK_LINES", 2)
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"old report")
+        report = R.EvalReport(0.5, 0.5, [(1, 0.5)], [(0.5, 1.0), (1.0,)])  # a broken PR point
+        with pytest.raises(ValueError):
+            R.write_report(path, report)  # after the first chunks were written
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+        assert path.read_bytes() == b"old report"
+
     def test_rerun_reports_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
         index = make_index(
@@ -317,6 +345,29 @@ def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn_max):
     assert report.p_at_h2 == R.precision_within_radius(index, q_words, q_labels, 2)
     assert report.precision_at_n == R.precision_at_n_curve(index, q_words, q_labels, pn)
     assert report.pr_curve == R.pr_curve(index, q_words, q_labels)
+
+
+def test_query_without_category_and_multi_category_queries_match_oracle():
+    rng = np.random.default_rng(8)
+    db_bits = rng.integers(0, 2, size=(13, 9), dtype=np.uint8)  # 13 rows: a partial bitset byte
+    db_labels = rng.integers(0, 2, size=(13, 4), dtype=np.uint8)
+    db_labels[db_labels.sum(axis=1) == 0, 0] = 1
+    q_bits = rng.integers(0, 2, size=(3, 9), dtype=np.uint8)
+    q_labels = np.array([[0, 0, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]], dtype=np.uint8)
+    report = R.evaluate(make_index(db_bits, db_labels), hamming.pack_matrix(q_bits), q_labels, 5)
+
+    db_cats = [set(np.flatnonzero(row)) for row in db_labels]
+    q_cats = [set(np.flatnonzero(row)) for row in q_labels]
+    db_list = [list(map(int, row)) for row in db_bits]
+    q_list = [list(map(int, row)) for row in q_bits]
+    assert report.map_at_n == oracle.mean_average_precision(db_list, db_cats, q_list, q_cats, 5)
+    assert report.p_at_h2 == oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
+    assert report.precision_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, 5)
+    assert report.pr_curve == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
+    index = make_index(db_bits, db_labels)
+    alone = R.evaluate(index, hamming.pack_matrix(q_bits[:1]), q_labels[:1], 5)
+    assert alone.map_at_n == 0.0 and alone.p_at_h2 == 0.0
+    assert {rec for rec, _ in alone.pr_curve} == {1.0} and {p for _, p in alone.pr_curve} == {0.0}
 
 
 class TestEvaluateOnePass:
