@@ -7,7 +7,6 @@ from .centers import (
     SemanticCenterMap,
     ValidityReport,
     assign_multi_label,
-    assign_single_label,
     generate_centers,
     generate_centers_balanced,
     generate_centers_bernoulli,
@@ -18,7 +17,7 @@ from .centers import (
 )
 from .config import RunConfig, load_run_config
 from .data_io import Dataset, load_dataset, load_features, load_labels, save_features, save_labels
-from .hamming import PackedCode, binarize, hamming_distance, load_codes, save_codes, unpack
+from .hamming import load_codes, save_codes
 from .model import (
     EpochLog,
     HashModel,
@@ -37,15 +36,12 @@ from .pipeline import PipelineResult, run_pipeline
 from .retrieval import (
     CodeIndex,
     EvalReport,
-    average_precision_at_n,
     center_distance_matrix,
     evaluate,
     mean_average_precision,
     pr_curve,
     precision_at_n_curve,
     precision_within_radius,
-    rank_by_distance,
-    relevant,
     write_report,
 )
 from .synthetic import make_synthetic_blobs

@@ -5,6 +5,11 @@ counts, then a payload. All integers are little-endian. Readers reject
 wrong magic, unknown versions, truncation, and trailing garbage, and
 report the byte offset of the problem. Writers go through atomic_write,
 so a crashed writer never leaves a half-written file behind.
+
+Centers (CSQH), codes (CSQC) and labels (CSQL) are all bit rows: a u64
+row count, a u32 width k, then the rows, each ceil(k/8) bytes with bit i
+at bit i % 8 of byte i // 8 and the padding bits past k zero.
+save_bit_rows and load_bit_rows are the one writer and reader of it.
 """
 
 import contextlib
@@ -12,6 +17,8 @@ import os
 import secrets
 import struct
 from pathlib import Path
+
+import numpy as np
 
 from .errors import FormatError
 
@@ -102,3 +109,40 @@ def u32(value: int) -> bytes:
 
 def u64(value: int) -> bytes:
     return struct.pack("<Q", value)
+
+
+def save_bit_rows(path, magic: bytes, rows, k: int) -> None:
+    """Write (count, ceil(k/8)) uint8 rows of k bits each under `magic`.
+
+    Rows of the wrong width, or with a padding bit past k set, raise
+    ValueError before any file is created.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[0] < 1 or k < 1 or rows.shape[1] != (k + 7) // 8:
+        raise ValueError(f"need at least one row of ceil({k}/8) bytes, got shape {rows.shape}")
+    if k % 8 and (rows[:, -1] >> k % 8).any():
+        raise ValueError(f"nonzero padding bits past k={k}")
+    with atomic_write(path) as f:
+        f.write(header(magic) + u64(rows.shape[0]) + u32(k))
+        f.write(rows.tobytes())
+
+
+def load_bit_rows(path, magic: bytes, empty: str) -> tuple[np.ndarray, int]:
+    """Read a bit-row file; returns its read-only (count, ceil(k/8)) uint8 rows and k.
+
+    `empty` is the message for a zero count or width, formatted with n and k.
+    """
+    r = read_file(path)
+    r.expect_magic(magic)
+    n = r.u64()
+    k = r.u32()
+    if n == 0 or k == 0:
+        raise FormatError(empty.format(n=n, k=k), offset=8)
+    row_bytes = (k + 7) // 8
+    rows_at = r.offset
+    raw = r.take(n * row_bytes)
+    r.expect_end()
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, row_bytes)
+    if k % 8 and (rows[:, -1] >> k % 8).any():
+        raise FormatError("nonzero padding bits", offset=rows_at)
+    return rows, k

@@ -12,13 +12,7 @@ from enum import Enum
 import numpy as np
 
 from . import binfmt, hamming
-from .errors import (
-    DimensionError,
-    FormatError,
-    GenerationError,
-    InsufficientCentersError,
-    InvalidLabelError,
-)
+from .errors import DimensionError, GenerationError, InsufficientCentersError, InvalidLabelError
 from .seeds import substream
 
 MAGIC_CENTERS = b"CSQH"
@@ -230,22 +224,6 @@ class SemanticCenterMap:
         return hamming.pack_matrix(self.vectors)
 
 
-def assign_single_label(cs: CenterSet, categories) -> SemanticCenterMap:
-    """Map each sample with category j to center j."""
-    categories = np.asarray(categories, dtype=np.int64)
-    if categories.ndim != 1:
-        raise DimensionError("expected one category index per sample")
-    if categories.size and categories.min() < 0:
-        raise InvalidLabelError("negative category index")
-    if categories.size and categories.max() >= cs.m:
-        raise InsufficientCentersError(
-            f"category {int(categories.max())} but only {cs.m} centers"
-        )
-    vectors = cs.bits[categories].copy()
-    cache = {(int(j),): cs.bits[j].copy() for j in np.unique(categories)}
-    return SemanticCenterMap(k=cs.k, vectors=vectors, by_label=cache)
-
-
 def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMap:
     """Per-sample centers for multi-hot labels over q categories.
 
@@ -290,28 +268,12 @@ def _centroid(cs: CenterSet, key: tuple, rng) -> np.ndarray:
 
 def save_centers(path, cs: CenterSet) -> None:
     """Write a center set to a center file (magic CSQH)."""
-    payload = np.packbits(cs.bits, axis=1, bitorder="little").tobytes()
-    with binfmt.atomic_write(path) as f:
-        f.write(binfmt.header(MAGIC_CENTERS))
-        f.write(binfmt.u64(cs.m))
-        f.write(binfmt.u32(cs.k))
-        f.write(payload)
+    rows = np.packbits(cs.bits, axis=1, bitorder="little")
+    binfmt.save_bit_rows(path, MAGIC_CENTERS, rows, cs.k)
 
 
 def load_centers(path) -> CenterSet:
     """Read a center file. The generation method is not stored on disk."""
-    r = binfmt.read_file(path)
-    r.expect_magic(MAGIC_CENTERS)
-    m = r.u64()
-    k = r.u32()
-    if m == 0 or k == 0:
-        raise FormatError(f"empty center file (m={m}, k={k})", offset=8)
-    row_bytes = hamming.bytes_per_code(k)
-    rows_at = r.offset
-    raw = r.take(m * row_bytes)
-    r.expect_end()
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(m, row_bytes)
-    if k % 8 and (rows[:, -1] >> (k % 8)).any():
-        raise FormatError("nonzero padding bits", offset=rows_at)
+    rows, k = binfmt.load_bit_rows(path, MAGIC_CENTERS, "empty center file (m={n}, k={k})")
     bits = np.unpackbits(rows, axis=1, count=k, bitorder="little")
     return CenterSet(k=k, bits=bits, method=None)

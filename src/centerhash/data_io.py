@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binfmt, hamming
+from . import binfmt
 from .errors import DimensionError, FormatError, InvalidLabelError
 
 MAGIC_FEATURES = b"CSQF"
@@ -130,27 +130,11 @@ def save_labels(path, labels) -> None:
         raise ValueError("labels must be 0 or 1")
     if (y.sum(axis=1) == 0).any():
         raise InvalidLabelError("every sample needs at least one label")
-    with binfmt.atomic_write(path) as f:
-        f.write(binfmt.header(MAGIC_LABELS))
-        f.write(binfmt.u64(y.shape[0]))
-        f.write(binfmt.u32(y.shape[1]))
-        f.write(np.packbits(y, axis=1, bitorder="little").tobytes())
+    binfmt.save_bit_rows(path, MAGIC_LABELS, np.packbits(y, axis=1, bitorder="little"), y.shape[1])
 
 
 def load_labels(path) -> np.ndarray:
-    r = binfmt.read_file(path)
-    r.expect_magic(MAGIC_LABELS)
-    n = r.u64()
-    q = r.u32()
-    if n == 0 or q == 0:
-        raise FormatError(f"empty label file (n={n}, q={q})", offset=8)
-    row_bytes = hamming.bytes_per_code(q)
-    rows_at = r.offset
-    raw = r.take(n * row_bytes)
-    r.expect_end()
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, row_bytes)
-    if q % 8 and (rows[:, -1] >> (q % 8)).any():
-        raise FormatError("nonzero padding bits", offset=rows_at)
+    rows, q = binfmt.load_bit_rows(path, MAGIC_LABELS, "empty label file (n={n}, q={k})")
     labels = np.unpackbits(rows, axis=1, count=q, bitorder="little")
     empty = np.flatnonzero(labels.sum(axis=1) == 0)
     if empty.size:

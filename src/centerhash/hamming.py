@@ -7,16 +7,12 @@ layout, and padding bits past ``k`` are always zero so popcounts over
 whole words are exact distances.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import binfmt
-from .errors import DimensionError, FormatError, NumericError
+from .errors import DimensionError, NumericError
 
 MAGIC_CODES = b"CSQC"
-
-_BYTE_SHIFTS = (np.arange(8, dtype=np.uint64) * 8).astype(np.uint64)
 
 # XOR words per block of pairwise_distances (8 MiB of uint64)
 PAIRWISE_BLOCK_WORDS = 1 << 20
@@ -47,27 +43,20 @@ def pack_matrix(bits: np.ndarray) -> np.ndarray:
 
 def unpack_matrix(words: np.ndarray, k: int) -> np.ndarray:
     """Inverse of pack_matrix; returns an (n, k) uint8 array."""
-    data = _words_to_bytes(words, k)
+    data = _words_to_bytes(words)[:, : bytes_per_code(k)]
     return np.unpackbits(data, axis=1, count=k, bitorder="little")
 
 
 def _bytes_to_words(rows: np.ndarray, k: int) -> np.ndarray:
-    # explicit shifts instead of a .view() so byte order never depends on platform
-    n = rows.shape[0]
-    nwords = words_per_code(k)
-    padded = np.zeros((n, nwords * 8), dtype=np.uint8)
+    # a little-endian view, so the byte order never depends on the platform
+    padded = np.zeros((rows.shape[0], 8 * words_per_code(k)), dtype=np.uint8)
     padded[:, : rows.shape[1]] = rows
-    grouped = padded.reshape(n, nwords, 8).astype(np.uint64)
-    return (grouped << _BYTE_SHIFTS).sum(axis=2, dtype=np.uint64)
+    return padded.view("<u8")
 
 
-def _words_to_bytes(words: np.ndarray, k: int) -> np.ndarray:
-    words = np.asarray(words, dtype=np.uint64)
-    if words.ndim == 1:
-        words = words[None, :]
-    n = words.shape[0]
-    spread = (words[:, :, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
-    return spread.reshape(n, -1)[:, : bytes_per_code(k)].astype(np.uint8)
+def _words_to_bytes(words: np.ndarray) -> np.ndarray:
+    """All 8 * W bytes of each row of (n, W) words, little-endian."""
+    return np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
 
 
 def popcount_words(words: np.ndarray) -> np.ndarray:
@@ -108,49 +97,6 @@ def distances_to(query_words: np.ndarray, db_words: np.ndarray) -> np.ndarray:
     return popcount_words(db_words ^ query_words[None, :]).sum(axis=1, dtype=key)
 
 
-@dataclass(frozen=True, eq=False)
-class PackedCode:
-    """One k-bit binary code stored as little-endian uint64 words."""
-
-    k: int
-    words: np.ndarray
-
-    @classmethod
-    def from_bits(cls, bits) -> "PackedCode":
-        bits = np.atleast_2d(np.asarray(bits))
-        code = cls(k=bits.shape[1], words=pack_matrix(bits)[0])
-        code.words.flags.writeable = False
-        return code
-
-    def bits(self) -> np.ndarray:
-        return unpack_matrix(self.words[None, :], self.k)[0]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PackedCode):
-            return NotImplemented
-        return self.k == other.k and bool(np.array_equal(self.words, other.words))
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.words.tobytes()))
-
-
-def hamming_distance(a: PackedCode, b: PackedCode) -> int:
-    """Number of differing bit positions between two equal-length codes."""
-    if a.k != b.k:
-        raise DimensionError(f"code lengths differ: {a.k} vs {b.k}")
-    return int(popcount_words(a.words ^ b.words).sum())
-
-
-def binarize(h) -> PackedCode:
-    """Threshold a relaxed code in [0,1]^k at 0.5 (ties go to 1)."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 1:
-        raise DimensionError(f"expected a 1-d relaxed code, got shape {h.shape}")
-    if not np.isfinite(h).all():
-        raise NumericError("relaxed code contains NaN or infinity")
-    return PackedCode.from_bits((h >= 0.5).astype(np.uint8))
-
-
 def binarize_matrix(h: np.ndarray) -> np.ndarray:
     """Threshold an (n, k) batch of relaxed codes into packed words."""
     h = np.asarray(h, dtype=np.float64)
@@ -159,38 +105,22 @@ def binarize_matrix(h: np.ndarray) -> np.ndarray:
     return pack_matrix(h >= 0.5)
 
 
-def unpack(code: PackedCode) -> np.ndarray:
-    """Expand a packed code back to a length-k {0,1} vector."""
-    return code.bits()
-
-
 def save_codes(path, words: np.ndarray, k: int) -> None:
-    """Write packed codes to a code file (magic CSQC)."""
+    """Write (n, words_per_code(k)) packed codes to a code file (magic CSQC).
+
+    Codes of the wrong width or with a bit set past k raise ValueError
+    before any file is created.
+    """
     words = np.asarray(words, dtype=np.uint64)
-    n = words.shape[0]
-    if n < 1 or k < 1:
-        raise ValueError("need at least one code of at least one bit")
-    payload = _words_to_bytes(words, k).tobytes()
-    with binfmt.atomic_write(path) as f:
-        f.write(binfmt.header(MAGIC_CODES))
-        f.write(binfmt.u64(n))
-        f.write(binfmt.u32(k))
-        f.write(payload)
+    if words.ndim != 2 or words.shape[1] != words_per_code(k):
+        raise ValueError(f"k={k} needs {words_per_code(k)} words per code, got shape {words.shape}")
+    data = _words_to_bytes(words)
+    if data[:, bytes_per_code(k) :].any():
+        raise ValueError(f"nonzero padding bits past k={k}")
+    binfmt.save_bit_rows(path, MAGIC_CODES, data[:, : bytes_per_code(k)], k)
 
 
 def load_codes(path) -> tuple[np.ndarray, int]:
     """Read a code file; returns ((n, W) uint64 words, k)."""
-    r = binfmt.read_file(path)
-    r.expect_magic(MAGIC_CODES)
-    n = r.u64()
-    k = r.u32()
-    if n == 0 or k == 0:
-        raise FormatError(f"empty code file (n={n}, k={k})", offset=8)
-    row_bytes = bytes_per_code(k)
-    rows_at = r.offset
-    raw = r.take(n * row_bytes)
-    r.expect_end()
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, row_bytes)
-    if k % 8 and (rows[:, -1] >> (k % 8)).any():
-        raise FormatError("nonzero padding bits", offset=rows_at)
+    rows, k = binfmt.load_bit_rows(path, MAGIC_CODES, "empty code file (n={n}, k={k})")
     return _bytes_to_words(rows, k), k

@@ -22,7 +22,6 @@ import numpy as np
 from . import binfmt, hamming
 from .centers import CenterSet
 from .errors import DimensionError
-from .hamming import PackedCode
 
 # lines per write of write_report
 REPORT_CHUNK_LINES = 8192
@@ -61,39 +60,6 @@ def _rank(index: CodeIndex, query_words) -> tuple[np.ndarray, np.ndarray]:
     """
     dists = hamming.distances_to(query_words, index.codes)
     return dists, np.argsort(dists, kind="stable")
-
-
-def rank_by_distance(index: CodeIndex, query: PackedCode) -> np.ndarray:
-    """Database indices by ascending distance, ties by ascending index."""
-    if query.k != index.k:
-        raise DimensionError(f"query has {query.k} bits, index has {index.k}")
-    return _rank(index, query.words)[1]
-
-
-def relevant(query_labels, db_labels) -> bool:
-    """True iff the two multi-hot label sets share at least one category."""
-    a = np.asarray(query_labels, dtype=np.uint8)
-    b = np.asarray(db_labels, dtype=np.uint8)
-    if a.shape != b.shape:
-        raise DimensionError(f"label shapes differ: {a.shape} vs {b.shape}")
-    return bool(np.any(a & b))
-
-
-def average_precision_at_n(relevance, n: int) -> float:
-    """AP over the top n of a ranked 0/1 relevance list.
-
-    Precision values at the relevant ranks are averaged over the number
-    of relevant items found within the top n; no relevant items means 0.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    hits = 0
-    acc = 0.0
-    for rank, flag in enumerate(relevance[:n], start=1):
-        if flag:
-            hits += 1
-            acc += hits / rank
-    return acc / hits if hits else 0.0
 
 
 # each metric is one field of the single pass; map_n=1 stands in for an unused cutoff
@@ -207,8 +173,8 @@ def evaluate(
         top = rel[:map_n]
         hits = int(cum[top.size - 1])
         if hits:
-            # precisions at the relevant ranks, summed in rank order as in
-            # average_precision_at_n: np.sum's pairwise order changes the last bit
+            # precisions at the relevant ranks, summed in rank order as a
+            # plain loop does: np.sum's pairwise order changes the last bit
             at_hits = cum[: top.size][top] / ranks[: top.size][top]
             map_total += float(np.cumsum(at_hits)[-1]) / hits
         inside = int(np.count_nonzero(dists <= radius))

@@ -185,22 +185,24 @@ class TestValidate:
 
 
 class TestAssignSingleLabel:
+    """One-hot labels: assign_multi_label maps a singleton set to its category's center."""
+
     def test_index_binding(self):
         cs = C.generate_centers(2, 4, seed=0)
-        smap = C.assign_single_label(cs, [0, 1, 0])
+        smap = C.assign_multi_label(cs, np.eye(2, dtype=np.uint8)[[0, 1, 0]])
         assert np.array_equal(smap.vectors[0], cs.bits[0])
         assert np.array_equal(smap.vectors[1], cs.bits[1])
         assert np.array_equal(smap.vectors[2], cs.bits[0])
 
     def test_all_same_category(self):
         cs = C.generate_centers(3, 4, seed=0)
-        smap = C.assign_single_label(cs, [2] * 5)
+        smap = C.assign_multi_label(cs, np.eye(3, dtype=np.uint8)[[2] * 5])
         assert np.array_equal(smap.vectors, np.tile(cs.bits[2], (5, 1)))
 
     def test_category_out_of_range(self):
         cs = C.generate_centers(2, 4, seed=0)
         with pytest.raises(InsufficientCentersError):
-            C.assign_single_label(cs, [0, 2])
+            C.assign_multi_label(cs, np.eye(3, dtype=np.uint8)[[0, 2]])
 
 
 def multihot(q, *cats):

@@ -105,6 +105,18 @@ def test_train_k_mismatch_rejected(workdir, capsys):
     assert "error [train]" in capsys.readouterr().err
 
 
+def test_eval_k_mismatch_rejected(workdir, capsys):
+    # k=13 and k=12 codes are both one word per row, so only the files' k tell them apart
+    labels = np.eye(2, dtype=np.uint8)[[0, 1]]
+    data_io.save_labels("y.csql", labels)
+    hamming.save_codes("db.csqc", hamming.pack_matrix(np.zeros((2, 13), np.uint8)), 13)
+    hamming.save_codes("q.csqc", hamming.pack_matrix(np.zeros((2, 12), np.uint8)), 12)
+    rc = run_cli("eval", "--db-codes", "db.csqc", "--db-labels", "y.csql", "--query-codes",
+                 "q.csqc", "--query-labels", "y.csql", "--out-report", "r.csv")
+    assert rc == 1
+    assert "error [eval] database codes have k=13, queries k=12" in capsys.readouterr().err
+
+
 def test_synth_writes_both_splits(workdir):
     rc = run_cli("synth", "--classes", 3, "--per-class", 10, "--dim", 5, "--spread", 0.2,
                  "--seed", 2, "--out-prefix", "data")

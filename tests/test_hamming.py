@@ -6,52 +6,68 @@ from hypothesis import strategies as st
 import oracle
 from centerhash import hamming
 from centerhash.errors import DimensionError, FormatError, NumericError
-from centerhash.hamming import PackedCode, binarize, hamming_distance, unpack
 
 
 def code(bits):
-    return PackedCode.from_bits(np.array(bits, dtype=np.uint8))
+    """One code as a (W,) row of packed words."""
+    return hamming.pack_matrix(np.array([bits], dtype=np.uint8))[0]
+
+
+def distance(a, b):
+    return int(hamming.distances_to(code(a), code(b)[None, :])[0])
+
+
+def bits_of(h):
+    """binarize_matrix on one relaxed code, unpacked to its k bits."""
+    return hamming.unpack_matrix(hamming.binarize_matrix([h]), len(h))[0]
 
 
 def test_distance_example():
-    assert hamming_distance(code([1, 0, 1, 0]), code([0, 1, 1, 0])) == 2
+    assert distance([1, 0, 1, 0], [0, 1, 1, 0]) == 2
 
 
 def test_distance_identity():
-    a = code([1, 0, 1, 1, 0, 1])
-    assert hamming_distance(a, a) == 0
+    a = [1, 0, 1, 1, 0, 1]
+    assert distance(a, a) == 0
 
 
 def test_distance_complement_k64():
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, size=64, dtype=np.uint8)
-    assert hamming_distance(code(bits), code(1 - bits)) == 64
+    assert distance(bits, 1 - bits) == 64
+    pair = hamming.pairwise_distances(code(bits)[None, :], code(1 - bits)[None, :])
+    assert pair.tolist() == [[64]]
 
 
 def test_distance_k_mismatch():
+    # k=64 packs into one word and k=65 into two
+    one, two = code([0] * 64), code([0] * 65)
     with pytest.raises(DimensionError):
-        hamming_distance(code([0, 1]), code([0, 1, 1]))
+        hamming.distances_to(one, two[None, :])
+    with pytest.raises(DimensionError):
+        hamming.pairwise_distances(one[None, :], two[None, :])
 
 
 def test_binarize_examples():
-    assert np.array_equal(binarize([0.9, 0.1]).bits(), [1, 0])
-    assert np.array_equal(binarize([0.5]).bits(), [1])  # tie goes to 1
-    assert np.array_equal(binarize([0.49999, 0.50001]).bits(), [0, 1])
+    assert np.array_equal(bits_of([0.9, 0.1]), [1, 0])
+    assert np.array_equal(bits_of([0.5]), [1])  # tie goes to 1
+    assert np.array_equal(bits_of([0.49999, 0.50001]), [0, 1])
 
 
 def test_binarize_rejects_nan():
     with pytest.raises(NumericError):
-        binarize([0.2, float("nan")])
+        hamming.binarize_matrix([[0.2, float("nan")]])
 
 
 def test_unpack_zero_vector():
-    assert np.array_equal(unpack(code([0] * 13)), np.zeros(13, dtype=np.uint8))
+    zeros = np.zeros(13, dtype=np.uint8)
+    assert np.array_equal(hamming.unpack_matrix(code(zeros)[None, :], 13)[0], zeros)
 
 
 def test_k65_uses_two_words():
     c = code([1] * 65)
-    assert c.words.shape == (2,)
-    assert np.array_equal(c.bits(), np.ones(65, dtype=np.uint8))
+    assert c.shape == (2,)
+    assert np.array_equal(hamming.unpack_matrix(c[None, :], 65)[0], np.ones(65, dtype=np.uint8))
 
 
 def test_pack_unpack_roundtrip_many():
@@ -74,10 +90,13 @@ bit_lists = st.integers(2, 100).flatmap(
 
 @given(bit_lists)
 def test_distance_is_a_metric(triple):
-    a, b, c = (code(t) for t in triple)
-    assert hamming_distance(a, b) == hamming_distance(b, a)
-    assert (hamming_distance(a, b) == 0) == (a == b)
-    assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
+    a, b, c = triple
+    assert distance(a, b) == distance(b, a)
+    assert (distance(a, b) == 0) == (a == b)
+    assert distance(a, c) <= distance(a, b) + distance(b, c)
+    # the batch path gives the same distances
+    words = hamming.pack_matrix(np.array(triple, dtype=np.uint8))
+    assert hamming.pairwise_distances(words, words)[0].tolist() == [distance(a, x) for x in triple]
 
 
 @given(bit_lists)
@@ -86,13 +105,13 @@ def test_distance_matches_pm1_dot_product(triple):
     k = len(a)
     pa = 2 * np.array(a) - 1
     pb = 2 * np.array(b) - 1
-    assert hamming_distance(code(a), code(b)) == (k - pa @ pb) / 2
+    assert distance(a, b) == (k - pa @ pb) / 2
 
 
 @settings(max_examples=25)
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=80))
 def test_binarize_threshold_rule(h):
-    bits = binarize(h).bits()
+    bits = bits_of(h)
     for value, bit in zip(h, bits):
         assert bit == (1 if value >= 0.5 else 0)
 
@@ -144,6 +163,21 @@ def test_codes_file_nonzero_padding(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError):
         hamming.load_codes(path)
+
+
+@pytest.mark.parametrize(
+    "words, k",
+    [
+        ([[0xFF]], 5),  # bits set past k
+        ([[1 << 8]], 5),  # a bit set in a byte past ceil(k/8)
+        ([[1]], 100),  # one word where k needs two
+        ([[1, 2, 3]], 64),  # three words where k needs one
+    ],
+)
+def test_save_codes_rejects_what_load_codes_would(tmp_path, words, k):
+    with pytest.raises(ValueError):
+        hamming.save_codes(tmp_path / "codes.csqc", np.array(words, dtype=np.uint64), k)
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
 
 
 def test_pairwise_distances_blocked_matches_oracle(monkeypatch):
