@@ -1,0 +1,63 @@
+"""Check the result line of one end-to-end benchmark run.
+
+    python3 perfbench/run.py --workload W --seed 0 --seconds 1 --trace 0 > run.txt
+    python3 scripts/check_bench_result.py < run.txt
+
+Reads the run's stdout and checks its last line: it must be strict JSON (no
+NaN or Infinity), with "correct" true, "failed" 0, and a positive finite
+value for every end-to-end metric that BENCHMARK.json declares. Exits 0,
+or prints what is wrong and exits 1.
+"""
+
+import json
+import math
+import sys
+from pathlib import Path
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def problems(stdout: str, declared: list) -> list:
+    """What is wrong with the last line of `stdout`; empty when it is a good result."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        return ["no output"]
+    try:
+        result = json.loads(lines[-1], parse_constant=_reject_constant)
+    except ValueError as exc:
+        return [f"last line is not a JSON result: {exc}"]
+    if not isinstance(result, dict):
+        return ["last line is not a JSON object"]
+    found = []
+    if result.get("correct") is not True:
+        found.append(f"correct is {result.get('correct')!r}")
+    if result.get("failed") != 0:
+        found.append(f"failed is {result.get('failed')!r}")
+    metrics = result.get("metrics")
+    if not isinstance(metrics, dict):
+        return found + ["no metrics object"]
+    for name in declared:
+        entry = metrics.get(name)
+        value = entry.get("value") if isinstance(entry, dict) else None
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value) and value > 0):
+            found.append(f"metric {name} is {value!r}")
+    return found
+
+
+def main() -> int:
+    declared = [m["name"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]]
+    found = problems(sys.stdin.read(), declared)
+    for problem in found:
+        print(f"problem: {problem}")
+    if not found:
+        print(f"ok: correct, 0 failed, {len(declared)} end-to-end metrics")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

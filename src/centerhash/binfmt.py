@@ -95,7 +95,9 @@ def atomic_write(path, text: bool = False):
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         if isinstance(exc, OSError) and exc.filename == tmp:
-            exc.filename, exc.filename2 = path, None  # name the file the caller asked for
+            # name the file the caller asked for, and only it: an error's
+            # filename2 cannot be unset once set, and would print as "-> None"
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

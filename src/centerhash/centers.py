@@ -229,9 +229,9 @@ def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMa
 
     Singleton label sets take their category's center directly. Larger
     sets take the bitwise majority vote over the member centers; bits
-    where the vote is an exact draw are sampled from Bern(0.5). The
-    result is cached per distinct label set, so repeated label sets share
-    one center vector, and the tie stream is consumed in first-appearance
+    where the vote is an exact draw are sampled from Bern(0.5). The vote
+    is taken once per distinct label set, so repeated label sets share one
+    center vector, and the tie stream is consumed in first-appearance
     order.
     """
     labels = np.asarray(labels, dtype=np.uint8)
@@ -240,30 +240,25 @@ def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMa
     q = labels.shape[1]
     if q > cs.m:
         raise InsufficientCentersError(f"{q} categories but only {cs.m} centers")
+    packed = np.packbits(labels, axis=1)  # a row's bytes are its label set
+    empty = np.flatnonzero(~packed.any(axis=1))
+    if empty.size:
+        raise InvalidLabelError(f"sample {int(empty[0])} has an empty label set")
+    # one void scalar per row, so np.unique groups the rows by label set
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(len(packed))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct sets in first-appearance order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    members = (labels[first[order]] != 0).astype(np.int64)  # (sets, q)
+    votes = 2 * (members @ cs.bits[:q].astype(np.int64)) - members.sum(axis=1, keepdims=True)
+    set_vectors = (votes > 0).astype(np.uint8)
+    ties = votes == 0  # never on a singleton, whose vote is +-1 on every bit
     rng = substream(seed, "ties")
-    cache: dict[tuple, np.ndarray] = {}
-    vectors = np.empty((labels.shape[0], cs.k), dtype=np.uint8)
-    for i, row in enumerate(labels):
-        key = tuple(int(j) for j in np.flatnonzero(row))
-        if not key:
-            raise InvalidLabelError(f"sample {i} has an empty label set")
-        if key not in cache:
-            cache[key] = _centroid(cs, key, rng)
-        vectors[i] = cache[key]
-    return SemanticCenterMap(k=cs.k, vectors=vectors, by_label=cache)
-
-
-def _centroid(cs: CenterSet, key: tuple, rng) -> np.ndarray:
-    if len(key) == 1:
-        return cs.bits[key[0]].copy()
-    members = cs.bits[list(key)]
-    ones = members.sum(axis=0, dtype=np.int64)
-    votes = 2 * ones - len(key)
-    out = (votes > 0).astype(np.uint8)
-    ties = votes == 0
-    if ties.any():
-        out[ties] = rng.integers(0, 2, size=int(ties.sum()), dtype=np.uint8)
-    return out
+    for s in np.flatnonzero(ties.any(axis=1)):
+        set_vectors[s, ties[s]] = rng.integers(0, 2, size=int(ties[s].sum()), dtype=np.uint8)
+    by_label = {tuple(np.flatnonzero(row).tolist()): vec for row, vec in zip(members, set_vectors)}
+    return SemanticCenterMap(k=cs.k, vectors=set_vectors[rank[inverse]], by_label=by_label)
 
 
 def save_centers(path, cs: CenterSet) -> None:

@@ -1,8 +1,10 @@
 """Feature and label file ingestion.
 
-Features arrive pre-extracted as an (n, d) float32 matrix; labels are
-multi-hot bitmap rows over q categories. Both formats are flat,
-seekable, and language-neutral.
+Features arrive pre-extracted as an (n, d) float32 matrix and stay
+float32 in memory: load_features returns them as stored, and the model
+widens each training batch or encode block to float64 when it computes
+on it. Labels are multi-hot bitmap rows over q categories. Both formats
+are flat, seekable, and language-neutral.
 """
 
 import os
@@ -24,7 +26,7 @@ READ_BLOCK_VALUES = 1 << 20
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, d) float64 working precision
+    features: np.ndarray  # (n, d) float32 as stored (load_dataset), or any real dtype
     labels: np.ndarray  # (n, q) uint8 multi-hot
     split: str = "train"
 
@@ -82,19 +84,28 @@ class FeatureFile:
             f.seek(FEATURES_AT)
             for start in range(0, self.n, rows):
                 block = raw[: min(rows, self.n - start)]
-                got = f.readinto(block)
-                if got != block.nbytes:  # the file shrank after open_features
-                    raise FormatError(
-                        f"truncated file: wanted {block.nbytes} bytes, {got} left",
-                        offset=FEATURES_AT + 4 * start * self.d,
-                    )
-                finite = np.isfinite(block)
-                if not finite.all():
-                    row = start + int(np.flatnonzero(~finite.all(axis=1))[0])
-                    raise FormatError(
-                        f"feature row {row} is not finite", offset=FEATURES_AT + 4 * row * self.d
-                    )
+                self._read_rows(f, block, start)
                 yield block.astype(np.float64)
+
+    def _read_rows(self, f, out: np.ndarray, start: int) -> None:
+        """Read len(out) rows from f, which is positioned at row `start`, into out.
+
+        A file that shrank after open_features raises FormatError at the
+        offset of `start`; a NaN or infinite value raises it at the offset
+        of the first row holding one.
+        """
+        got = f.readinto(out)
+        if got != out.nbytes:
+            raise FormatError(
+                f"truncated file: wanted {out.nbytes} bytes, {got} left",
+                offset=FEATURES_AT + 4 * start * self.d,
+            )
+        finite = np.isfinite(out)
+        if not finite.all():
+            row = start + int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise FormatError(
+                f"feature row {row} is not finite", offset=FEATURES_AT + 4 * row * self.d
+            )
 
 
 def open_features(path) -> FeatureFile:
@@ -112,12 +123,19 @@ def open_features(path) -> FeatureFile:
 
 
 def load_features(path) -> np.ndarray:
-    """Read features into float64 working precision."""
+    """Read a feature file into an (n, d) float32 matrix, the values as stored.
+
+    Rows are read READ_BLOCK_VALUES at a time straight into the result and
+    checked as FeatureFile.blocks checks them, so beyond the matrix itself
+    only one block's finiteness mask is ever allocated.
+    """
     src = open_features(path)
-    out = np.empty(src.shape, dtype=np.float64)
+    out = np.empty(src.shape, dtype="<f4")
     rows = max(1, READ_BLOCK_VALUES // src.d)
-    for start, block in zip(range(0, src.n, rows), src.blocks(rows)):
-        out[start : start + len(block)] = block
+    with open(src.path, "rb") as f:
+        f.seek(FEATURES_AT)
+        for start in range(0, src.n, rows):
+            src._read_rows(f, out[start : start + rows], start)
     return out
 
 

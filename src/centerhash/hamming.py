@@ -34,10 +34,15 @@ def pack_matrix(bits: np.ndarray) -> np.ndarray:
     n, k = bits.shape
     if k == 0:
         raise DimensionError("codes must have at least one bit")
-    # a bool matrix (a thresholded batch) is 0/1 by construction
-    if bits.dtype != np.bool_ and not np.isin(bits, (0, 1)).all():
+    # a bool matrix (a thresholded batch) is 0/1 by construction, and an
+    # unsigned one iff its max is at most 1, a check with no temporary array
+    if bits.dtype.kind == "u":
+        valid = bits.size == 0 or bits.max() <= 1
+    else:
+        valid = bits.dtype == np.bool_ or ((bits == 0) | (bits == 1)).all()
+    if not valid:
         raise ValueError("bit matrix entries must be 0 or 1")
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
     return _bytes_to_words(packed, k)
 
 

@@ -280,15 +280,25 @@ def backward(model: HashModel, x, c, cfg: TrainConfig) -> Gradients:
     return backprop(model, x, cache, dh)
 
 
+def _real_matrix(a) -> np.ndarray:
+    """a as an array; one that is not bool, integer or float is converted to float64 now."""
+    a = np.asarray(a)
+    return a if a.dtype.kind in "biuf" else a.astype(np.float64)
+
+
 def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     """Mini-batch SGD with momentum toward the per-sample centers.
 
+    features and center_vectors keep the dtype they come in (float32
+    features and uint8 centers as loaded): each step gathers its batch
+    rows and widens only those to float64, the same values a float64 copy
+    of the whole input would hold.
     Shuffling, init, and tie streams all hang off cfg.seed, so identical
     inputs and config reproduce the trained parameters byte for byte.
     Returns the model and one loss record per epoch.
     """
-    x = np.asarray(features, dtype=np.float64)
-    c = np.asarray(center_vectors, dtype=np.float64)
+    x = _real_matrix(features)
+    c = _real_matrix(center_vectors)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"need a nonempty (n, d) feature matrix, got {x.shape}")
     if c.ndim != 2 or c.shape[0] != x.shape[0]:
@@ -309,7 +319,8 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
         sum_total = sum_central = sum_quant = 0.0
         for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
             sel = order[start : start + cfg.batch_size]
-            xb, cb = x[sel], c[sel]
+            xb = x[sel].astype(np.float64, copy=False)
+            cb = c[sel].astype(np.float64, copy=False)
             cache = _forward_cached(model, xb)
             if not np.isfinite(cache[-1]).all():
                 raise TrainingError("model output is not finite", epoch=epoch, batch=batch_idx)

@@ -73,17 +73,21 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         hamming.save_codes(paths["db_codes"], db_words, net.k)
         hamming.save_codes(paths["query_codes"], query_words, net.k)
 
+    # eval and report need only the labels and the codes: free the feature matrices
+    db_labels, query_labels = db.labels, query.labels
+    del train, db, query
+
     with _stage("eval"):
-        index = retrieval.CodeIndex(k=net.k, codes=db_words, labels=db.labels)
+        index = retrieval.CodeIndex(k=net.k, codes=db_words, labels=db_labels)
         distances = None
-        if (db.labels.sum(axis=1) == 1).all():
+        if (db_labels.sum(axis=1) == 1).all():
             # single-label database: group each code under its category's center
-            groups = db.labels.argmax(axis=1)
+            groups = db_labels.argmax(axis=1)
             distances = retrieval.center_distance_matrix(db_words, groups, center_set)
         report = retrieval.evaluate(
             index,
             query_words,
-            query.labels,
+            query_labels,
             map_n=cfg.map_n,
             center_distances=distances,
         )

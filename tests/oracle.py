@@ -11,11 +11,15 @@ package's public pieces (forward, the two losses, backward), so the fused
 model.train can be held to it byte for byte. sigmoid_reference and
 forward_reference are the hash head's output written with masks and
 fresh arrays, to hold the in-place forward pass to them bit for bit.
+assign_reference is center assignment as a loop over the rows, to hold
+the grouped assign_multi_label to it byte for byte.
 """
 
 import numpy as np
 
 from centerhash import model as M
+from centerhash.centers import SemanticCenterMap
+from centerhash.errors import InvalidLabelError
 from centerhash.seeds import substream
 
 
@@ -166,3 +170,27 @@ def forward_reference(net, x):
     a1 = np.maximum(x @ w1.T + b1, 0.0)
     a2 = np.maximum(a1 @ w2.T + b2, 0.0)
     return a1, a2, sigmoid_reference(a2 @ w3.T + b3)
+
+
+def assign_reference(cs, labels, seed=0):
+    """The per-row loop: each row's label set is looked up in a cache, and a
+    set seen for the first time takes its majority vote then, drawing its
+    tied bits from the "ties" stream."""
+    labels = np.asarray(labels, dtype=np.uint8)
+    rng = substream(seed, "ties")
+    cache = {}
+    vectors = np.empty((labels.shape[0], cs.k), dtype=np.uint8)
+    for i, row in enumerate(labels):
+        key = tuple(int(j) for j in np.flatnonzero(row))
+        if not key:
+            raise InvalidLabelError(f"sample {i} has an empty label set")
+        if key not in cache:
+            members = cs.bits[list(key)]
+            votes = 2 * members.sum(axis=0, dtype=np.int64) - len(key)
+            out = (votes > 0).astype(np.uint8)
+            ties = votes == 0
+            if ties.any():
+                out[ties] = rng.integers(0, 2, size=int(ties.sum()), dtype=np.uint8)
+            cache[key] = out
+        vectors[i] = cache[key]
+    return SemanticCenterMap(k=cs.k, vectors=vectors, by_label=cache)

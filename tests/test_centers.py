@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from centerhash import centers as C
 from centerhash import hamming
 from centerhash.errors import (
@@ -260,6 +261,61 @@ class TestAssignMultiLabel:
         a = C.assign_multi_label(cs, labels, seed=seed)
         b = C.assign_multi_label(cs, labels, seed=seed)
         assert a.vectors.tobytes() == b.vectors.tobytes()
+
+
+def random_label_sets(rng, n, q, sizes):
+    """n multi-hot rows over q categories, each naming `rng.choice(sizes)` of them."""
+    labels = np.zeros((n, q), dtype=np.uint8)
+    for row in labels:
+        row[rng.choice(q, size=rng.choice(sizes), replace=False)] = 1
+    return labels
+
+
+def assert_same_map(a, b):
+    assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert list(a.by_label) == list(b.by_label)
+    for key in a.by_label:
+        assert a.by_label[key].tobytes() == b.by_label[key].tobytes()
+
+
+class TestAssignAgainstRowLoop:
+    """assign_multi_label groups rows by label set; oracle.assign_reference walks
+    them one by one. They must agree byte for byte, tie draws included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 60),
+        st.integers(2, 20),
+        st.integers(2, 40),
+        st.sampled_from([(2,), (1, 2), (2, 4), (1, 2, 3, 4)]),
+    )
+    def test_matches_row_loop(self, seed, n, q, k, sizes):
+        rng = np.random.default_rng(seed)
+        labels = random_label_sets(rng, n, q, [s for s in sizes if s <= q])
+        labels = labels[rng.integers(0, n, size=n)]  # repeated label sets
+        cs = C.CenterSet(k=k, bits=rng.integers(0, 2, size=(q, k), dtype=np.uint8), method=None)
+        expected = oracle.assign_reference(cs, labels, seed)
+        assert_same_map(C.assign_multi_label(cs, labels, seed), expected)
+
+    @pytest.mark.parametrize("q, n, k", [(21, 5000, 48), (80, 2000, 64)],
+                             ids=["multilabel-run", "search-large"])
+    def test_matches_row_loop_on_workload_shapes(self, q, n, k):
+        labels = random_label_sets(np.random.default_rng(q), n, q, (1, 2, 3))
+        cs = C.generate_centers(q, k, seed=0)
+        assert_same_map(C.assign_multi_label(cs, labels, 0), oracle.assign_reference(cs, labels, 0))
+
+    def test_first_empty_row_is_named(self):
+        cs = C.generate_centers(4, 8, seed=0)
+        labels = np.array([multihot(4, 0, 1), multihot(4, 2), [0] * 4, multihot(4, 3), [0] * 4])
+        for assign in (C.assign_multi_label, oracle.assign_reference):
+            with pytest.raises(InvalidLabelError, match="^sample 2 has an empty label set$"):
+                assign(cs, labels, 0)
+
+    def test_nonzero_entries_count_as_members(self):
+        cs = C.generate_centers(3, 8, seed=0)
+        labels = np.array([[2, 1, 0], [1, 1, 0], [0, 7, 1]])
+        assert_same_map(C.assign_multi_label(cs, labels, 1), oracle.assign_reference(cs, labels, 1))
 
 
 class TestCenterFile:

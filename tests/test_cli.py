@@ -1,3 +1,5 @@
+import errno
+import os
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -10,6 +12,7 @@ from centerhash import cli, data_io, hamming
 from centerhash import model as M
 from centerhash.cli import main
 from centerhash.config import RunConfig
+from centerhash.pipeline import run_pipeline
 
 
 @pytest.fixture
@@ -225,6 +228,25 @@ def test_run_loads_each_feature_file_once(workdir, monkeypatch):
     assert loaded == {"blob.train.csqf": 1, "blob.query.csqf": 1}
 
 
+def test_run_holds_no_float64_copy_of_features_or_centers(workdir, monkeypatch):
+    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 256)
+    n, d, k = 8192, 64, 64
+    run_cli("synth", "--classes", 4, "--per-class", n // 4, "--dim", d, "--spread", 0.1,
+            "--query-per-class", 2, "--out-prefix", "blob")
+    cfg = RunConfig(train_features="blob.train.csqf", train_labels="blob.train.csql",
+                    query_features="blob.query.csqf", query_labels="blob.query.csql",
+                    k=k, epochs=1, map_n=10, out_dir="out")
+    tracemalloc.start()
+    try:
+        run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 features plus less than half of a float64 copy of them, or
+    # of the (n, k) centers, which is as large since k == d
+    assert peak < 4 * n * d + 8 * n * k / 2
+
+
 def encode_inputs(n, d, seed=0):
     """A random model for d-wide features and a feature file of n rows."""
     M.save_model("model.csqm", M.init_model(d, 16, seed=seed))
@@ -252,6 +274,20 @@ def test_encode_command_memory_does_not_grow_with_rows(workdir, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * d / 2  # half the float64 feature matrix
+
+
+@pytest.mark.parametrize(
+    "out, code",
+    [("nodir/x.csqc", errno.ENOENT), ("adir", errno.EISDIR)],
+    ids=["missing_directory", "directory_in_the_way"],
+)
+def test_unwritable_output_is_named_and_leaves_no_temp_file(workdir, capsys, out, code):
+    argv = encode_inputs(n=6, d=4)
+    (workdir / "adir").mkdir()
+    assert run_cli(*argv[:-1], out) == 1
+    message = f"[Errno {code}] {os.strerror(code)}: {out!r}"
+    assert capsys.readouterr().err == f"error [encode] {message}\n"
+    assert sorted(p.name for p in workdir.rglob("*")) == ["adir", "model.csqm", "x.csqf"]
 
 
 def test_encode_command_rejects_non_finite_features(workdir, capsys):

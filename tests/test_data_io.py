@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,7 @@ class TestFeatures:
         path = tmp_path / "x.csqf"
         data_io.save_features(path, x)
         loaded = data_io.load_features(path)
-        assert loaded.dtype == np.float64
+        assert loaded.dtype == np.float32
         assert np.array_equal(loaded, x.astype(np.float64))
         again = tmp_path / "y.csqf"
         data_io.save_features(again, loaded)
@@ -117,6 +119,18 @@ class TestFeatures:
         with pytest.raises(FormatError):
             data_io.load_features(path)
 
+
+    def test_load_holds_the_matrix_and_at_most_one_read_block(self, tmp_path):
+        n, d = 3000, 512  # a read block and a half
+        data_io.save_features(tmp_path / "x.csqf", np.ones((n, d), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            loaded = data_io.load_features(tmp_path / "x.csqf")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.dtype == np.float32 and loaded.shape == (n, d)
+        assert peak <= loaded.nbytes + 4 * data_io.READ_BLOCK_VALUES + 64 * 1024
 
     def test_roundtrip_across_read_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", 7)  # two rows of three per block

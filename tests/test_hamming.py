@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,41 @@ def test_pack_unpack_roundtrip_many():
         words = hamming.pack_matrix(bits)
         assert words.shape == (bits.shape[0], hamming.words_per_code(k))
         assert np.array_equal(hamming.unpack_matrix(words, k), bits)
+
+
+@pytest.mark.parametrize(
+    "bits",
+    [
+        np.array([[0, 2]], dtype=np.uint8),
+        np.array([[1, 255]], dtype=np.uint16),
+        np.array([[0, -1]], dtype=np.int8),
+        np.array([[1.0, 0.5]]),
+        np.array([[0.0, np.nan]]),
+    ],
+    ids=["uint8", "uint16", "int8", "half", "nan"],
+)
+def test_pack_matrix_rejects_non_bits(bits):
+    with pytest.raises(ValueError, match="bit matrix entries must be 0 or 1"):
+        hamming.pack_matrix(bits)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, bool])
+def test_pack_matrix_accepts_bits_of_any_real_dtype(dtype):
+    bits = np.array([[1, 0, 1], [0, 0, 1]])
+    assert np.array_equal(hamming.unpack_matrix(hamming.pack_matrix(bits.astype(dtype)), 3), bits)
+    assert hamming.pack_matrix(np.zeros((0, 3), dtype=dtype)).shape == (0, 1)
+
+
+def test_pack_matrix_makes_no_temporary_as_large_as_its_input():
+    # an assignment matrix of multilabel-run's size: 50k rows of k=48
+    bits = np.random.default_rng(0).integers(0, 2, size=(50_000, 48), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        hamming.pack_matrix(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bits.nbytes
 
 
 bit_lists = st.integers(2, 100).flatmap(

@@ -314,6 +314,24 @@ class TestFusedStep:
             assert a.tobytes() == b.tobytes()
         assert len(log) == 4 and repr(log) == repr(ref_log)
 
+    def test_stored_precision_trains_as_its_float64_copy(self, tmp_path):
+        # features as load_features returns them, centers as assign_multi_label does
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(30, 8)).astype(np.float32)
+        c = rng.integers(0, 2, size=(30, 12), dtype=np.uint8)
+        cfg = M.TrainConfig(epochs=3, seed=1, batch_size=7, learning_rate=0.05)
+        runs = {
+            "stored": M.train(x, c, cfg),
+            "float64": M.train(x.astype(np.float64), c.astype(np.float64), cfg),
+            "reference": oracle.train_reference(x, c, cfg),
+        }
+        checkpoints, logs = set(), set()
+        for name, (net, log) in runs.items():
+            M.save_model(tmp_path / f"{name}.csqm", net)
+            checkpoints.add((tmp_path / f"{name}.csqm").read_bytes())
+            logs.add(repr(log))
+        assert len(checkpoints) == 1 and len(logs) == 1
+
     def test_one_forward_pass_per_batch(self, monkeypatch):
         calls = []
         real = M._forward_cached
