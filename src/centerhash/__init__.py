@@ -16,7 +16,7 @@ from .centers import (
     validate_centers,
 )
 from .config import RunConfig, load_run_config
-from .data_io import Dataset, load_dataset, load_features, load_labels, save_features, save_labels
+from .data_io import Dataset, load_features, load_labels, save_features, save_labels
 from .hamming import load_codes, save_codes
 from .model import (
     EpochLog,

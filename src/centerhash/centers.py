@@ -63,7 +63,7 @@ class CenterSet:
         if len(lengths) != 1:
             raise DimensionError(f"centers have inconsistent bit lengths: {sorted(lengths)}")
         bits = np.asarray(rows, dtype=np.uint8)
-        if not np.isin(bits, (0, 1)).all():
+        if bits.max(initial=0) > 1:
             raise ValueError("center bits must be 0 or 1")
         return cls(k=bits.shape[1], bits=bits, method=method)
 

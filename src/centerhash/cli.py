@@ -11,16 +11,15 @@ import sys
 from dataclasses import fields
 
 from . import centers as centers_mod
-from . import binfmt, data_io, hamming, model as model_mod, retrieval, synthetic
+from . import binfmt, data_io, retrieval, synthetic
 from .config import TRAIN_FIELDS, RunConfig, load_run_config
-from .errors import CenterHashError, DimensionError, InvalidLabelError, StageError
-from .pipeline import _stage, run_pipeline
+from .errors import CenterHashError, StageError
+from .pipeline import _stage, assign, distmat, encode, evaluate, gen_centers, run_pipeline, train
 
 
 def _cmd_gen_centers(args):
     with _stage("gen-centers"):
-        cs = centers_mod.generate(args.method, args.m, args.k, args.seed)
-        centers_mod.save_centers(args.out, cs)
+        cs = gen_centers(args.method, args.m, args.k, args.seed, args.out)
     report = centers_mod.validate_centers(cs)
     print(
         f"wrote {args.out}: m={cs.m} k={cs.k} method={cs.method.value} "
@@ -30,51 +29,29 @@ def _cmd_gen_centers(args):
 
 def _cmd_assign(args):
     with _stage("assign"):
-        cs = centers_mod.load_centers(args.centers)
-        labels = data_io.load_labels(args.labels)
-        assignment = centers_mod.assign_multi_label(cs, labels, args.seed)
-        hamming.save_codes(args.out, assignment.packed(), cs.k)
+        assignment = assign(args.centers, args.labels, args.seed, args.out)
     print(f"wrote {args.out}: {assignment.n} samples, {len(assignment.by_label)} distinct label sets")
 
 
 def _cmd_train(args):
     with _stage("train"):
-        features = data_io.load_features(args.features)
-        center_words, k = hamming.load_codes(args.centers_map)
-        if args.k is not None and args.k != k:
-            raise DimensionError(f"--k {args.k} does not match centers-map k={k}")
-        if args.labels:
-            labels = data_io.load_labels(args.labels)
-            if labels.shape[0] != features.shape[0]:
-                raise DimensionError(
-                    f"{labels.shape[0]} label rows but {features.shape[0]} feature rows"
-                )
-        center_vectors = hamming.unpack_matrix(center_words, k)
         cfg = RunConfig(**{f.name: getattr(args, f.name) for f in TRAIN_FIELDS}).train_config()
-        net, log = model_mod.train(features, center_vectors, cfg)
-        model_mod.save_model(args.out_model, net)
+        net, log = train(args.features, args.centers_map, cfg, args.out_model,
+                         k=args.k, labels=args.labels)
     final = f", final loss {log[-1].total:.6f}" if log else ""
     print(f"wrote {args.out_model}: layers {net.layer_sizes}, {len(log)} epochs{final}")
 
 
 def _cmd_encode(args):
     with _stage("encode"):
-        net = model_mod.load_model(args.model)
-        words = model_mod.encode(net, data_io.open_features(args.features))
-        hamming.save_codes(args.out_codes, words, net.k)
-    print(f"wrote {args.out_codes}: {words.shape[0]} codes of {net.k} bits")
+        words, k = encode(args.model, args.features, args.out_codes)
+    print(f"wrote {args.out_codes}: {words.shape[0]} codes of {k} bits")
 
 
 def _cmd_eval(args):
     with _stage("eval"):
-        db_words, db_k = hamming.load_codes(args.db_codes)
-        db_labels = data_io.load_labels(args.db_labels)
-        query_words, query_k = hamming.load_codes(args.query_codes)
-        query_labels = data_io.load_labels(args.query_labels)
-        if db_k != query_k:
-            raise DimensionError(f"database codes have k={db_k}, queries k={query_k}")
-        index = retrieval.CodeIndex(k=db_k, codes=db_words, labels=db_labels)
-        report = retrieval.evaluate(index, query_words, query_labels, map_n=args.map_n)
+        report = evaluate(args.db_codes, args.db_labels, args.query_codes, args.query_labels,
+                          args.map_n)
         retrieval.write_report(args.out_report, report)
     print(
         f"wrote {args.out_report}: map@{args.map_n}={report.map_at_n:.6f} "
@@ -84,19 +61,10 @@ def _cmd_eval(args):
 
 def _cmd_distmat(args):
     with _stage("distmat"):
-        words, k = hamming.load_codes(args.codes)
-        cs = centers_mod.load_centers(args.centers)
-        if cs.k != k:
-            raise DimensionError(f"codes have k={k}, centers k={cs.k}")
-        assigned = data_io.load_labels(args.assignments)
-        if not (assigned.sum(axis=1) == 1).all():
-            raise InvalidLabelError("assignments must name exactly one center per code")
-        groups = assigned.argmax(axis=1)
-        matrix = retrieval.center_distance_matrix(words, groups, cs)
-        lines = retrieval.center_distance_lines(matrix)
+        matrix = distmat(args.codes, args.assignments, args.centers)
         with binfmt.atomic_write(args.out, text=True) as f:
-            f.write("\n".join(lines) + "\n")
-    print(f"wrote {args.out}: {cs.m}x{cs.m} mean-distance matrix")
+            f.write("\n".join(retrieval.center_distance_lines(matrix)) + "\n")
+    print(f"wrote {args.out}: {len(matrix)}x{len(matrix)} mean-distance matrix")
 
 
 def _cmd_synth(args):

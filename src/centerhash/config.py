@@ -69,10 +69,6 @@ class RunConfig:
         """The training fields under their TrainConfig names."""
         return TrainConfig(**{f.metadata["train"]: getattr(self, f.name) for f in TRAIN_FIELDS})
 
-    def resolve_out(self, name: str) -> str:
-        path = Path(name)
-        return str(path if path.is_absolute() else Path(self.out_dir) / path)
-
 
 # the RunConfig fields that make up a TrainConfig, in declaration order
 TRAIN_FIELDS = tuple(f for f in fields(RunConfig) if "train" in f.metadata)

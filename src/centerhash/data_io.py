@@ -26,7 +26,7 @@ READ_BLOCK_VALUES = 1 << 20
 
 @dataclass(frozen=True)
 class Dataset:
-    features: np.ndarray  # (n, d) float32 as stored (load_dataset), or any real dtype
+    features: np.ndarray  # (n, d) float32 as stored (load_features), or any real dtype
     labels: np.ndarray  # (n, q) uint8 multi-hot
     split: str = "train"
 
@@ -144,7 +144,7 @@ def save_labels(path, labels) -> None:
     y = np.asarray(labels, dtype=np.uint8)
     if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
         raise ValueError(f"need a nonempty 2-d label matrix, got shape {y.shape}")
-    if not np.isin(y, (0, 1)).all():
+    if y.max() > 1:
         raise ValueError("labels must be 0 or 1")
     if (y.sum(axis=1) == 0).any():
         raise InvalidLabelError("every sample needs at least one label")
@@ -158,11 +158,3 @@ def load_labels(path) -> np.ndarray:
     if empty.size:
         raise InvalidLabelError(f"label row {int(empty[0])} has no category set")
     return labels
-
-
-def load_dataset(features_path, labels_path, split: str = "train") -> Dataset:
-    return Dataset(
-        features=load_features(features_path),
-        labels=load_labels(labels_path),
-        split=split,
-    )

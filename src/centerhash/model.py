@@ -59,6 +59,8 @@ class TrainConfig:
             raise ValueError("momentum must be in [0, 1)")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -345,14 +347,7 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
                 vb += gb
                 w -= cfg.learning_rate * vw
                 b -= cfg.learning_rate * vb
-        log.append(
-            EpochLog(
-                epoch=epoch,
-                total=sum_total / n,
-                central=sum_central / n,
-                quant=sum_quant / n,
-            )
-        )
+        log.append(EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
     return model, log
 
 

@@ -1,12 +1,13 @@
-"""The end-to-end experiment: centers -> assignment -> training -> codes -> report.
+"""The experiment's stages: centers -> assignment -> training -> codes -> report.
 
-Every stage failure is re-raised as a StageError carrying the stage tag,
-and all artifacts are written deterministically: rerunning with the same
-config and seed reproduces every output file byte for byte.
+Each stage function reads its input files, checks them, computes and writes
+its artifact; the subcommands and `run_pipeline` call the same functions.
+Every stage failure is re-raised as a StageError carrying the stage tag, and
+the same config and seed reproduce every artifact byte for byte.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from . import centers as centers_mod
 from . import data_io, hamming, model as model_mod, retrieval
 from .config import RunConfig
-from .errors import CenterHashError, StageError
+from .errors import CenterHashError, DimensionError, InvalidLabelError, StageError
 
 
 @dataclass
@@ -34,66 +35,113 @@ def _stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
+def gen_centers(method: str, m: int, k: int, seed: int, out) -> centers_mod.CenterSet:
+    """Generate m centers of k bits and save them to `out`."""
+    cs = centers_mod.generate(method, m, k, seed)
+    centers_mod.save_centers(out, cs)
+    return cs
+
+
+def assign(centers, labels, seed: int, out) -> centers_mod.SemanticCenterMap:
+    """Give every labeled sample its semantic center; save them to `out` as codes."""
+    cs = centers_mod.load_centers(centers)
+    assignment = centers_mod.assign_multi_label(cs, data_io.load_labels(labels), seed)
+    hamming.save_codes(out, assignment.packed(), cs.k)
+    return assignment
+
+
+def train(features, centers_map, cfg: model_mod.TrainConfig, out_model, k=None, labels=""):
+    """Train the hash head toward each row's assigned center; returns (model, epoch log).
+    A given `k` must match the map's, and a given `labels` file the feature row count."""
+    x = data_io.load_features(features)
+    center_words, map_k = hamming.load_codes(centers_map)
+    if k is not None and k != map_k:
+        raise DimensionError(f"--k {k} does not match centers-map k={map_k}")
+    if labels and (n := data_io.load_labels(labels).shape[0]) != x.shape[0]:
+        raise DimensionError(f"{n} label rows but {x.shape[0]} feature rows")
+    net, log = model_mod.train(x, hamming.unpack_matrix(center_words, map_k), cfg)
+    model_mod.save_model(out_model, net)
+    return net, log
+
+
+def encode(model, features, out_codes) -> tuple[np.ndarray, int]:
+    """Binarize a feature file, streamed block by block; returns (codes, k)."""
+    net = model_mod.load_model(model)
+    words = model_mod.encode(net, data_io.open_features(features))
+    hamming.save_codes(out_codes, words, net.k)
+    return words, net.k
+
+
+def evaluate(db_codes, db_labels, query_codes, query_labels, map_n: int,
+             centers=None) -> retrieval.EvalReport:
+    """The query codes' retrieval metrics against the database codes. Given a `centers`
+    file, a single-label database's report also holds the distmat of its codes."""
+    db_words, db_k = hamming.load_codes(db_codes)
+    db_y = data_io.load_labels(db_labels)
+    query_words, query_k = hamming.load_codes(query_codes)
+    query_y = data_io.load_labels(query_labels)
+    if db_k != query_k:
+        raise DimensionError(f"database codes have k={db_k}, queries k={query_k}")
+    distances = None
+    if centers and (db_y.sum(axis=1) == 1).all():
+        distances = distmat(db_codes, db_labels, centers)
+    index = retrieval.CodeIndex(k=db_k, codes=db_words, labels=db_y)
+    return retrieval.evaluate(index, query_words, query_y, map_n, center_distances=distances)
+
+
+def distmat(codes, assignments, centers) -> np.ndarray:
+    """The (m, m) mean code-to-center distances, each code grouped under the
+    one center its row of the `assignments` label file names."""
+    words, k = hamming.load_codes(codes)
+    cs = centers_mod.load_centers(centers)
+    if cs.k != k:
+        raise DimensionError(f"codes have k={k}, centers k={cs.k}")
+    assigned = data_io.load_labels(assignments)
+    if not (assigned.sum(axis=1) == 1).all():
+        raise InvalidLabelError("assignments must name exactly one center per code")
+    return retrieval.center_distance_matrix(words, assigned.argmax(axis=1), cs)
+
+
+def _load(cfg: RunConfig) -> int:
+    """Check every input before any artifact is written: each feature file's header
+    and length (the stage that reads its rows checks them), each label file whole,
+    and that a split's two files agree on n. Returns the train labels' category count."""
+    splits = [(cfg.train_features, cfg.train_labels), (cfg.query_features, cfg.query_labels)]
+    if (cfg.db_features, cfg.db_labels) != splits[0]:
+        splits.insert(1, (cfg.db_features, cfg.db_labels))
+    categories = []
+    for features, label_file in splits:
+        n = data_io.open_features(features).n
+        labels = data_io.load_labels(label_file)
+        if labels.shape[0] != n:
+            raise DimensionError(f"{n} feature rows, {labels.shape[0]} label rows")
+        categories.append(labels.shape[1])
+    return categories[0]
+
+
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    paths = {}
+    """Every stage in order, each reading the artifacts the stages before it wrote."""
+    artifacts = ("centers", "assignments", "model", "db_codes", "query_codes", "report")
+    paths = {name: str(Path(cfg.out_dir) / getattr(cfg, f"{name}_out")) for name in artifacts}
 
     with _stage("train"):
         train_cfg = cfg.train_config()  # a bad setting fails before any artifact is written
-
     with _stage("load"):
-        train = data_io.load_dataset(cfg.train_features, cfg.train_labels, "train")
-        if (cfg.db_features, cfg.db_labels) == (cfg.train_features, cfg.train_labels):
-            db = replace(train, split="database")  # shares the train arrays, no second copy
-        else:
-            db = data_io.load_dataset(cfg.db_features, cfg.db_labels, "database")
-        query = data_io.load_dataset(cfg.query_features, cfg.query_labels, "query")
+        q = _load(cfg)
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-
     with _stage("gen-centers"):
-        m = cfg.m if cfg.m else train.q
-        center_set = centers_mod.generate(cfg.method, m, cfg.k, cfg.seed)
-        paths["centers"] = cfg.resolve_out(cfg.centers_out)
-        centers_mod.save_centers(paths["centers"], center_set)
-
+        gen_centers(cfg.method, cfg.m or q, cfg.k, cfg.seed, paths["centers"])
     with _stage("assign"):
-        assignment = centers_mod.assign_multi_label(center_set, train.labels, cfg.seed)
-        paths["assignments"] = cfg.resolve_out(cfg.assignments_out)
-        hamming.save_codes(paths["assignments"], assignment.packed(), center_set.k)
-
+        assign(paths["centers"], cfg.train_labels, cfg.seed, paths["assignments"])
     with _stage("train"):
-        net, epoch_log = model_mod.train(train.features, assignment.vectors, train_cfg)
-        paths["model"] = cfg.resolve_out(cfg.model_out)
-        model_mod.save_model(paths["model"], net)
-
+        _, epoch_log = train(cfg.train_features, paths["assignments"], train_cfg, paths["model"])
     with _stage("encode"):
-        db_words = model_mod.encode(net, db.features)
-        query_words = model_mod.encode(net, query.features)
-        paths["db_codes"] = cfg.resolve_out(cfg.db_codes_out)
-        paths["query_codes"] = cfg.resolve_out(cfg.query_codes_out)
-        hamming.save_codes(paths["db_codes"], db_words, net.k)
-        hamming.save_codes(paths["query_codes"], query_words, net.k)
-
-    # eval and report need only the labels and the codes: free the feature matrices
-    db_labels, query_labels = db.labels, query.labels
-    del train, db, query
-
+        encode(paths["model"], cfg.db_features, paths["db_codes"])
+        encode(paths["model"], cfg.query_features, paths["query_codes"])
     with _stage("eval"):
-        index = retrieval.CodeIndex(k=net.k, codes=db_words, labels=db_labels)
-        distances = None
-        if (db_labels.sum(axis=1) == 1).all():
-            # single-label database: group each code under its category's center
-            groups = db_labels.argmax(axis=1)
-            distances = retrieval.center_distance_matrix(db_words, groups, center_set)
-        report = retrieval.evaluate(
-            index,
-            query_words,
-            query_labels,
-            map_n=cfg.map_n,
-            center_distances=distances,
-        )
-
+        report = evaluate(paths["db_codes"], cfg.db_labels, paths["query_codes"],
+                          cfg.query_labels, cfg.map_n, centers=paths["centers"])
     with _stage("report"):
-        paths["report"] = cfg.resolve_out(cfg.report_out)
         retrieval.write_report(paths["report"], report)
 
     return PipelineResult(report=report, epoch_log=epoch_log, paths=paths)

@@ -184,6 +184,10 @@ class TestValidate:
         with pytest.raises(DimensionError):
             C.CenterSet.from_rows([[1, 0], [1, 0, 1]])
 
+    def test_non_binary_bit_rejected(self):
+        with pytest.raises(ValueError, match="center bits must be 0 or 1"):
+            C.CenterSet.from_rows([[1, 0], [0, 2]])
+
 
 class TestAssignSingleLabel:
     """One-hot labels: assign_multi_label maps a singleton set to its category's center."""

@@ -124,8 +124,11 @@ def test_synth_writes_both_splits(workdir):
     rc = run_cli("synth", "--classes", 3, "--per-class", 10, "--dim", 5, "--spread", 0.2,
                  "--seed", 2, "--out-prefix", "data")
     assert rc == 0
-    train = data_io.load_dataset("data.train.csqf", "data.train.csql")
-    query = data_io.load_dataset("data.query.csqf", "data.query.csql")
+    train, query = (
+        data_io.Dataset(data_io.load_features(f"data.{split}.csqf"),
+                        data_io.load_labels(f"data.{split}.csql"), split)
+        for split in ("train", "query")
+    )
     assert train.n == 30 and query.n == 3  # default query size is per-class // 10
 
 
@@ -212,20 +215,154 @@ def test_run_rejects_bad_training_setting_before_writing(workdir, capsys):
     assert list(workdir.glob("y/*")) == []
 
 
+def test_negative_seed_fails_before_any_file_is_read_or_written(workdir, capsys, monkeypatch):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=7)
+    assert run_cli("run", "--config", "run.cfg", "--seed", -1, "--out-dir", "y") == 1
+    assert capsys.readouterr().err == "error [train] seed must be non-negative, got -1\n"
+    assert not (workdir / "y").exists()
+
+    argv = small_train_inputs()
+    capsys.readouterr()
+    loaded = []
+    monkeypatch.setattr(data_io, "load_features", loaded.append)
+    assert run_cli(*argv, "--seed", -1) == 1
+    assert capsys.readouterr().err == "error [train] seed must be non-negative, got -1\n"
+    assert loaded == [] and not (workdir / "m.csqm").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "db", "query"])
+def test_run_split_length_mismatch_fails_load_and_writes_nothing(workdir, capsys, split):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    data_io.save_labels("short.csql", data_io.load_labels("blob.train.csql")[:79])
+    write_run_config(workdir / "run.cfg", seed=7)
+    flags = {"train": ["--train-labels", "short.csql"],
+             "db": ["--db-features", "blob.train.csqf", "--db-labels", "short.csql"],
+             "query": ["--query-features", "blob.train.csqf", "--query-labels", "short.csql"]}
+    assert run_cli("run", "--config", "run.cfg", *flags[split], "--out-dir", "y") == 1
+    assert capsys.readouterr().err == "error [load] 80 feature rows, 79 label rows\n"
+    assert not (workdir / "y").exists()
+
+
+@pytest.mark.parametrize(
+    "split, stage, written",
+    [("train", "train", ["assignments.csqc", "centers.csqh"]),
+     ("query", "encode", ["assignments.csqc", "centers.csqh", "db_codes.csqc", "model.csqm"])],
+)
+def test_run_non_finite_feature_fails_the_stage_that_reads_it(workdir, capsys, split, stage,
+                                                              written):
+    # the load stage checks feature headers and lengths only: a row's values are
+    # checked by the stage that reads it, after the earlier stages' artifacts
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    x = data_io.load_features(f"blob.{split}.csqf")
+    x[3, 5] = np.inf
+    data_io.save_features(f"blob.{split}.csqf", x)
+    write_run_config(workdir / "run.cfg", seed=7)
+    assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 1
+    offset = 20 + 4 * 3 * 8
+    assert capsys.readouterr().err == (
+        f"error [{stage}] feature row 3 is not finite (byte offset {offset})\n"
+    )
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == written
+
+
+def multi_label_split(rng, means, n, path):
+    labels = (rng.random((n, len(means))) < 0.3).astype(np.uint8)
+    labels[np.arange(n), rng.integers(0, len(means), n)] = 1
+    x = labels @ means + 0.1 * rng.standard_normal((n, means.shape[1]))
+    data_io.save_features(f"{path}.csqf", x)
+    data_io.save_labels(f"{path}.csql", labels)
+
+
+@pytest.mark.parametrize("single_label", [True, False], ids=["single_label", "multi_label"])
+def test_stage_commands_reproduce_run(workdir, single_label):
+    """`run` writes what its stage commands write when given the same settings."""
+    if single_label:
+        run_cli("synth", "--classes", 5, "--per-class", 16, "--dim", 8, "--spread", 0.2,
+                "--seed", 4, "--out-prefix", "blob")
+        db = "blob.train"
+    else:
+        rng = np.random.default_rng(4)
+        means = rng.standard_normal((5, 8))
+        for split, n in (("train", 80), ("db", 60), ("query", 12)):
+            multi_label_split(rng, means, n, f"blob.{split}")
+        db = "blob.db"
+    settings = ["--epochs", 3, "--batch", 8, "--lr", 0.05, "--seed", 4]
+    assert run_cli("run", "--train-features", "blob.train.csqf",
+                   "--train-labels", "blob.train.csql", "--db-features", f"{db}.csqf",
+                   "--db-labels", f"{db}.csql", "--query-features", "blob.query.csqf",
+                   "--query-labels", "blob.query.csql", "--k", 16, "--method", "bernoulli",
+                   "--map-n", 30, *settings, "--out-dir", "run") == 0
+    os.mkdir("stages")
+    commands = [
+        ["gen-centers", "--k", 16, "--m", 5, "--method", "bernoulli", "--seed", 4,
+         "--out", "stages/centers.csqh"],
+        ["assign", "--centers", "stages/centers.csqh", "--labels", "blob.train.csql",
+         "--seed", 4, "--out", "stages/assignments.csqc"],
+        ["train", "--features", "blob.train.csqf", "--labels", "blob.train.csql",
+         "--centers-map", "stages/assignments.csqc", *settings, "--out-model",
+         "stages/model.csqm"],
+        ["encode", "--model", "stages/model.csqm", "--features", f"{db}.csqf",
+         "--out-codes", "stages/db_codes.csqc"],
+        ["encode", "--model", "stages/model.csqm", "--features", "blob.query.csqf",
+         "--out-codes", "stages/query_codes.csqc"],
+        ["eval", "--db-codes", "stages/db_codes.csqc", "--db-labels", f"{db}.csql",
+         "--query-codes", "stages/query_codes.csqc", "--query-labels", "blob.query.csql",
+         "--map-n", 30, "--out-report", "stages/eval.csv"],
+    ]
+    if single_label:
+        commands.append(["distmat", "--codes", "stages/db_codes.csqc", "--assignments",
+                         f"{db}.csql", "--centers", "stages/centers.csqh",
+                         "--out", "stages/distmat.csv"])
+    for argv in commands:
+        assert run_cli(*argv) == 0
+    for name in ("centers.csqh", "assignments.csqc", "model.csqm", "db_codes.csqc",
+                 "query_codes.csqc"):
+        assert (workdir / "run" / name).read_bytes() == (workdir / "stages" / name).read_bytes()
+    expected = (workdir / "stages" / "eval.csv").read_text()
+    if single_label:
+        expected += "\n" + (workdir / "stages" / "distmat.csv").read_text()
+    assert (workdir / "run" / "report.csv").read_text() == expected
+
+
 def test_run_loads_each_feature_file_once(workdir, monkeypatch):
+    # train reads its features into memory once; encode streams the database
+    # (the train file here) and the queries through open_features
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 6, "--out-prefix", "blob")
     write_run_config(workdir / "run.cfg", seed=6)
-    loaded = Counter()
-    load_features = data_io.load_features
+    loaded, streamed, opened, encoded = Counter(), Counter(), [], []
+    load_features, open_features = data_io.load_features, data_io.open_features
+    blocks, encode = data_io.FeatureFile.blocks, M.encode
 
-    def spy(path):
+    def load_spy(path):
         loaded[str(path)] += 1
         return load_features(path)
 
-    monkeypatch.setattr(data_io, "load_features", spy)
+    def open_spy(path):
+        opened.append(open_features(path))
+        return opened[-1]
+
+    def blocks_spy(self, rows):
+        streamed[self.path] += 1
+        return blocks(self, rows)
+
+    def encode_spy(net, features):
+        encoded.append(features)
+        return encode(net, features)
+
+    monkeypatch.setattr(data_io, "load_features", load_spy)
+    monkeypatch.setattr(data_io, "open_features", open_spy)
+    monkeypatch.setattr(data_io.FeatureFile, "blocks", blocks_spy)
+    monkeypatch.setattr(M, "encode", encode_spy)
     assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 0
-    assert loaded == {"blob.train.csqf": 1, "blob.query.csqf": 1}
+    assert loaded == {"blob.train.csqf": 1}
+    assert streamed == {"blob.train.csqf": 1, "blob.query.csqf": 1}
+    assert [f.path for f in encoded] == ["blob.train.csqf", "blob.query.csqf"]
+    assert all(any(f is g for g in opened) for f in encoded)
 
 
 def test_run_holds_no_float64_copy_of_features_or_centers(workdir, monkeypatch):
