@@ -2,13 +2,19 @@
 
     python3 perfbench/run.py --workload W --seed 0 --seconds 1 --trace 0 > run.txt
     python3 scripts/check_bench_result.py < run.txt
+    python3 perfbench/run.py --workload W --seed 0 --seconds 1 --trace 1 > traced.txt
+    python3 scripts/check_bench_result.py --trace < traced.txt
 
 Reads the run's stdout and checks its last line: it must be strict JSON (no
 NaN or Infinity), with "correct" true, "failed" 0, and a positive finite
-value for every end-to-end metric that BENCHMARK.json declares. Exits 0,
-or prints what is wrong and exits 1.
+value for every end-to-end metric that BENCHMARK.json declares. With
+--trace, the result is a traced run's, and every declared per-layer metric
+must be present with a finite value of any sign: a layer the workload never
+enters reads 0, and trace.overhead_s can fall below 0. Exits 0, or prints
+what is wrong and exits 1.
 """
 
+import argparse
 import json
 import math
 import sys
@@ -21,8 +27,9 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def problems(stdout: str, declared: list) -> list:
-    """What is wrong with the last line of `stdout`; empty when it is a good result."""
+def problems(stdout: str, declared: list, positive: bool = True) -> list:
+    """What is wrong with the last line of `stdout`; empty when it is a good result.
+    Each declared metric must be finite, and also above 0 if `positive`."""
     lines = stdout.strip().splitlines()
     if not lines:
         return ["no output"]
@@ -44,18 +51,22 @@ def problems(stdout: str, declared: list) -> list:
         entry = metrics.get(name)
         value = entry.get("value") if isinstance(entry, dict) else None
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value) and value > 0):
+        if not (number and math.isfinite(value) and (value > 0 or not positive)):
             found.append(f"metric {name} is {value!r}")
     return found
 
 
-def main() -> int:
-    declared = [m["name"] for m in json.loads(BENCHMARK.read_text())["end_to_end"]]
-    found = problems(sys.stdin.read(), declared)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--trace", action="store_true", help="check a --trace 1 run's result")
+    args = parser.parse_args(argv)
+    kind = "per_layer" if args.trace else "end_to_end"
+    declared = [m["name"] for m in json.loads(BENCHMARK.read_text())[kind]]
+    found = problems(sys.stdin.read(), declared, positive=not args.trace)
     for problem in found:
         print(f"problem: {problem}")
     if not found:
-        print(f"ok: correct, 0 failed, {len(declared)} end-to-end metrics")
+        print(f"ok: correct, 0 failed, {len(declared)} {kind.replace('_', '-')} metrics")
     return 1 if found else 0
 
 

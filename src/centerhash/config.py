@@ -20,7 +20,7 @@ def _train(name: str):
 
 @dataclass
 class RunConfig:
-    # inputs; db_* default to the train files when left empty
+    # inputs; db_* are set together, or both default to the train files
     train_features: str = ""
     train_labels: str = ""
     db_features: str = ""
@@ -58,12 +58,14 @@ class RunConfig:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.map_n < 1:
             raise ValueError(f"map_n must be at least 1, got {self.map_n}")
+        if self.m < 0:
+            raise ValueError(f"m must be non-negative, got {self.m}")
         if self.method not in METHODS:
             raise ValueError(f"unknown center method {self.method!r}")
+        if bool(self.db_features) != bool(self.db_labels):
+            raise ValueError("db_features and db_labels must be set together")
         if not self.db_features:
-            self.db_features = self.train_features
-        if not self.db_labels:
-            self.db_labels = self.train_labels
+            self.db_features, self.db_labels = self.train_features, self.train_labels
 
     def train_config(self) -> TrainConfig:
         """The training fields under their TrainConfig names."""

@@ -42,7 +42,6 @@ class TrainConfig:
     seed: int = 0
     use_lc: bool = True
     use_lq: bool = True
-    hidden: tuple[int, int] | None = None  # None: derived from (d, k)
 
     def __post_init__(self):
         if not (self.use_lc or self.use_lq):
@@ -310,7 +309,7 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     n, d = x.shape
     k = c.shape[1]
 
-    model = init_model(d, k, hidden=cfg.hidden, seed=cfg.seed)
+    model = init_model(d, k, seed=cfg.seed)
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
     shuffle_rng = substream(cfg.seed, "shuffle")

@@ -15,7 +15,8 @@ import numpy as np
 from . import centers as centers_mod
 from . import data_io, hamming, model as model_mod, retrieval
 from .config import RunConfig
-from .errors import CenterHashError, DimensionError, InvalidLabelError, StageError
+from .errors import (CenterHashError, DimensionError, InsufficientCentersError,
+                     InvalidLabelError, StageError)
 
 
 @dataclass
@@ -84,7 +85,7 @@ def evaluate(db_codes, db_labels, query_codes, query_labels, map_n: int,
         raise DimensionError(f"database codes have k={db_k}, queries k={query_k}")
     distances = None
     if centers and (db_y.sum(axis=1) == 1).all():
-        distances = distmat(db_codes, db_labels, centers)
+        distances = _center_distances(db_words, db_k, db_y, centers)
     index = retrieval.CodeIndex(k=db_k, codes=db_words, labels=db_y)
     return retrieval.evaluate(index, query_words, query_y, map_n, center_distances=distances)
 
@@ -93,10 +94,13 @@ def distmat(codes, assignments, centers) -> np.ndarray:
     """The (m, m) mean code-to-center distances, each code grouped under the
     one center its row of the `assignments` label file names."""
     words, k = hamming.load_codes(codes)
+    return _center_distances(words, k, data_io.load_labels(assignments), centers)
+
+
+def _center_distances(words, k: int, assigned, centers) -> np.ndarray:
     cs = centers_mod.load_centers(centers)
     if cs.k != k:
         raise DimensionError(f"codes have k={k}, centers k={cs.k}")
-    assigned = data_io.load_labels(assignments)
     if not (assigned.sum(axis=1) == 1).all():
         raise InvalidLabelError("assignments must name exactly one center per code")
     return retrieval.center_distance_matrix(words, assigned.argmax(axis=1), cs)
@@ -128,6 +132,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         train_cfg = cfg.train_config()  # a bad setting fails before any artifact is written
     with _stage("load"):
         q = _load(cfg)
+        if 0 < cfg.m < q:  # assign's check, made before anything is written
+            raise InsufficientCentersError(f"{q} categories but only {cfg.m} centers")
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     with _stage("gen-centers"):
         gen_centers(cfg.method, cfg.m or q, cfg.k, cfg.seed, paths["centers"])

@@ -23,9 +23,6 @@ from . import binfmt, hamming
 from .centers import CenterSet
 from .errors import DimensionError
 
-# lines per write of write_report
-REPORT_CHUNK_LINES = 8192
-
 
 @dataclass(frozen=True)
 class CodeIndex:
@@ -72,7 +69,8 @@ def mean_average_precision(index: CodeIndex, query_words, query_labels, n: int) 
 
 def precision_at_n_curve(index: CodeIndex, query_words, query_labels, max_n: int) -> list:
     """[(r, mean precision in the top r)] for r = 1..max_n."""
-    return evaluate(index, query_words, query_labels, 1, pn_max=max_n).precision_at_n
+    precision = evaluate(index, query_words, query_labels, 1).precision
+    return list(zip(range(1, max_n + 1), precision[:max_n].tolist()))
 
 
 def precision_within_radius(index: CodeIndex, query_words, query_labels, radius: int = 2) -> float:
@@ -89,7 +87,8 @@ def pr_curve(index: CodeIndex, query_words, query_labels) -> list:
     A query with no relevant database item counts as fully recalled at
     every cutoff (its precision contribution is zero anyway).
     """
-    return evaluate(index, query_words, query_labels, 1).pr_curve
+    report = evaluate(index, query_words, query_labels, 1)
+    return list(zip(report.recall.tolist(), report.precision.tolist()))
 
 
 def center_distance_matrix(code_words, group_ids, cs: CenterSet) -> np.ndarray:
@@ -120,8 +119,9 @@ class EvalReport:
 
     map_at_n: float
     p_at_h2: float
-    precision_at_n: list  # [(rank, precision)]
-    pr_curve: list  # [(recall, precision)]
+    map_n: int  # the P@N section is precision[:map_n]
+    precision: np.ndarray  # (n,) mean precision in the top r, r = 1..n
+    recall: np.ndarray  # (n,) mean recall in the top r
     center_distances: np.ndarray | None = None  # (m, m), NaN for empty groups
 
 
@@ -130,7 +130,6 @@ def evaluate(
     query_words,
     query_labels,
     map_n: int,
-    pn_max: int | None = None,
     radius: int = 2,
     center_distances: np.ndarray | None = None,
 ) -> EvalReport:
@@ -138,8 +137,8 @@ def evaluate(
 
     Each query is ranked once and its ranked relevance counted once
     (``cum``); AP@map_n, the precision within the Hamming ball (whose
-    members are the first ranks) and the PR and P@N curves are all read
-    off that count. P@N covers ranks 1..pn_max, default map_n.
+    members are the first ranks) and the per-rank mean precision and
+    recall (the PR and P@N curves) are all read off that count.
     """
     query_words = np.asarray(query_words, dtype=np.uint64)
     query_labels = np.asarray(query_labels, dtype=np.uint8)
@@ -186,43 +185,35 @@ def evaluate(
     nq = query_words.shape[0]
     recall /= nq
     precision /= nq
-    pn_max = map_n if pn_max is None else pn_max
     return EvalReport(
         map_at_n=map_total / nq,
         p_at_h2=radius_total / nq,
-        precision_at_n=[(r, float(p)) for r, p in zip(range(1, pn_max + 1), precision)],
-        pr_curve=list(zip(map(float, recall), map(float, precision))),
+        map_n=map_n,
+        precision=precision,
+        recall=recall,
         center_distances=center_distances,
     )
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def center_distance_lines(matrix: np.ndarray) -> list:
     """The CSV lines of an (m, m) center-distance matrix, header first."""
-    m = matrix.shape[0]
     return ["center_i,center_j,mean_distance"] + [
-        f"{i},{j},{_fmt(matrix[i, j])}" for i in range(m) for j in range(m)
+        f"{i},{j},{d!r}" for i, row in enumerate(matrix.tolist()) for j, d in enumerate(row)
     ]
 
 
 def write_report(path, report: EvalReport) -> None:
-    """Serialize a report as CSV sections (scalars, P@N, PR, distances).
-
-    Lines are formatted and written REPORT_CHUNK_LINES at a time, so the
-    text of a long PR curve is never held whole.
-    """
+    """Serialize a report as CSV sections (scalars, P@N, PR, distances), streaming
+    its lines through the file's buffer, so the text is never held whole."""
+    precision = report.precision.tolist()
     matrix = report.center_distances
     lines = itertools.chain(
-        ["metric,value", f"map_at_n,{_fmt(report.map_at_n)}", f"p_at_h2,{_fmt(report.p_at_h2)}"],
+        ["metric,value", f"map_at_n,{report.map_at_n!r}", f"p_at_h2,{report.p_at_h2!r}"],
         ["", "rank,precision"],
-        (f"{rank},{_fmt(prec)}" for rank, prec in report.precision_at_n),
+        (f"{rank},{p!r}" for rank, p in enumerate(precision[: report.map_n], start=1)),
         ["", "recall,precision"],
-        (f"{_fmt(rec)},{_fmt(prec)}" for rec, prec in report.pr_curve),
+        (f"{r!r},{p!r}" for r, p in zip(report.recall.tolist(), precision)),
         [] if matrix is None else ["", *center_distance_lines(matrix)],
     )
     with binfmt.atomic_write(path, text=True) as f:
-        while chunk := list(itertools.islice(lines, REPORT_CHUNK_LINES)):
-            f.write("\n".join(chunk) + "\n")
+        f.writelines(line + "\n" for line in lines)

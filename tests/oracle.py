@@ -121,7 +121,7 @@ def train_reference(features, center_vectors, cfg):
     x = np.asarray(features, dtype=np.float64)
     c = np.asarray(center_vectors, dtype=np.float64)
     n = x.shape[0]
-    net = M.init_model(x.shape[1], c.shape[1], hidden=cfg.hidden, seed=cfg.seed)
+    net = M.init_model(x.shape[1], c.shape[1], seed=cfg.seed)
     vel_w = [np.zeros_like(w) for w in net.weights]
     vel_b = [np.zeros_like(b) for b in net.biases]
     shuffle_rng = substream(cfg.seed, "shuffle")

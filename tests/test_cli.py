@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from centerhash import centers as C
-from centerhash import cli, data_io, hamming
+from centerhash import cli, data_io, hamming, pipeline
 from centerhash import model as M
 from centerhash.cli import main
 from centerhash.config import RunConfig
@@ -232,6 +232,34 @@ def test_negative_seed_fails_before_any_file_is_read_or_written(workdir, capsys,
     assert loaded == [] and not (workdir / "m.csqm").exists()
 
 
+@pytest.mark.parametrize("flags, err", [
+    (["--m", 3], "error [load] 4 categories but only 3 centers\n"),
+    (["--m", -1], "error [config] m must be non-negative, got -1\n"),
+], ids=["fewer-centers-than-categories", "negative"])
+def test_run_checks_m_before_writing(workdir, capsys, flags, err):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=7)
+    capsys.readouterr()
+    assert run_cli("run", "--config", "run.cfg", *flags, "--out-dir", "y") == 1
+    assert capsys.readouterr().err == err
+    assert not (workdir / "y").exists()
+
+
+@pytest.mark.parametrize("half", [["--db-features", "blob.query.csqf"],
+                                  ["--db-labels", "blob.query.csql"]])
+def test_run_rejects_half_a_database_split(workdir, capsys, half):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=7)
+    capsys.readouterr()
+    assert run_cli("run", "--config", "run.cfg", *half, "--out-dir", "y") == 1
+    assert capsys.readouterr().err == (
+        "error [config] db_features and db_labels must be set together\n"
+    )
+    assert not (workdir / "y").exists()
+
+
 @pytest.mark.parametrize("split", ["train", "db", "query"])
 def test_run_split_length_mismatch_fails_load_and_writes_nothing(workdir, capsys, split):
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
@@ -363,6 +391,30 @@ def test_run_loads_each_feature_file_once(workdir, monkeypatch):
     assert streamed == {"blob.train.csqf": 1, "blob.query.csqf": 1}
     assert [f.path for f in encoded] == ["blob.train.csqf", "blob.query.csqf"]
     assert all(any(f is g for g in opened) for f in encoded)
+
+
+def test_eval_stage_reads_each_file_once(workdir, monkeypatch):
+    # a single-label database's center-distance section reuses the codes and
+    # labels that evaluate already loaded
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 6, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=6)
+    assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 0
+    read = Counter()
+
+    def spy(real):
+        def load(path):
+            read[path] += 1
+            return real(path)
+        return load
+
+    for module, name in ((hamming, "load_codes"), (data_io, "load_labels"), (C, "load_centers")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    report = pipeline.evaluate("out/db_codes.csqc", "blob.train.csql", "out/query_codes.csqc",
+                               "blob.query.csql", 20, centers="out/centers.csqh")
+    assert report.center_distances.shape == (4, 4)
+    assert read == {"out/db_codes.csqc": 1, "blob.train.csql": 1, "out/query_codes.csqc": 1,
+                    "blob.query.csql": 1, "out/centers.csqh": 1}
 
 
 def test_run_holds_no_float64_copy_of_features_or_centers(workdir, monkeypatch):
@@ -507,6 +559,10 @@ def run_flag(f):
     return [f"--{f.name.replace('_', '-')}", str(value)], value
 
 
+# keys that are only valid together: each is set along with its partner
+PAIRED = {"db_features": "db_labels", "db_labels": "db_features"}
+
+
 @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
 def test_every_config_key_is_a_run_flag(field, monkeypatch):
     seen = []
@@ -517,10 +573,15 @@ def test_every_config_key_is_a_run_flag(field, monkeypatch):
 
     monkeypatch.setattr(cli, "run_pipeline", stop_pipeline)
     argv, value = run_flag(field)
+    expected = {field.name: value}
+    if field.name in PAIRED:
+        partner = next(f for f in fields(RunConfig) if f.name == PAIRED[field.name])
+        partner_argv, expected[partner.name] = run_flag(partner)
+        argv += partner_argv
     with pytest.raises(_Stop):
         cli._cmd_run(cli.build_parser().parse_args(["run", *argv]))
     assert getattr(seen[0], field.name) == value
-    assert seen[0] == replace(RunConfig(), **{field.name: value})
+    assert seen[0] == replace(RunConfig(), **expected)
 
 
 def test_train_flag_defaults_match_run_config_and_train_config():

@@ -240,7 +240,7 @@ class TestTrain:
         x, c = tiny_problem()
         cfg = M.TrainConfig(epochs=0, seed=8)
         net, log = M.train(x, c, cfg)
-        init = M.init_model(x.shape[1], c.shape[1], hidden=cfg.hidden, seed=8)
+        init = M.init_model(x.shape[1], c.shape[1], seed=8)
         assert log == []
         for a, b in zip(net.weights + net.biases, init.weights + init.biases):
             assert np.array_equal(a, b)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,8 +267,9 @@ class TestReport:
         report = R.EvalReport(
             map_at_n=0.75,
             p_at_h2=0.5,
-            precision_at_n=[(1, 1.0), (2, 0.75)],
-            pr_curve=[(0.5, 1.0), (1.0, 0.75)],
+            map_n=2,
+            precision=np.array([1.0, 0.75]),
+            recall=np.array([0.5, 1.0]),
             center_distances=matrix,
         )
         path = tmp_path / "report.csv"
@@ -280,31 +283,41 @@ class TestReport:
         assert sections[3].splitlines()[0] == "center_i,center_j,mean_distance"
         assert "1,0,nan" in sections[3]
 
-    def test_chunked_writes_give_the_same_bytes(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("map_n", [7, 20])
+    def test_report_bytes(self, tmp_path, map_n):
+        # the P@N section is the first map_n ranks of the PR curve's precision
         report = R.EvalReport(
             map_at_n=1 / 3,
             p_at_h2=0.1,
-            precision_at_n=[(r, 1 / r) for r in range(1, 8)],
-            pr_curve=[(r / 9, 1 - r / 11) for r in range(1, 10)],
+            map_n=map_n,
+            precision=np.array([1 - r / 11 for r in range(1, 10)]),
+            recall=np.array([r / 9 for r in range(1, 10)]),
             center_distances=np.array([[0.5, np.nan], [2.0, 1 / 7]]),
         )
         lines = ["metric,value", f"map_at_n,{1 / 3!r}", "p_at_h2,0.1", "", "rank,precision"]
-        lines += [f"{r},{1 / r!r}" for r in range(1, 8)] + ["", "recall,precision"]
+        lines += [f"{r},{1 - r / 11!r}" for r in range(1, min(map_n, 9) + 1)]
+        lines += ["", "recall,precision"]
         lines += [f"{r / 9!r},{1 - r / 11!r}" for r in range(1, 10)]
         lines += ["", "center_i,center_j,mean_distance", "0,0,0.5", "0,1,nan", "1,0,2.0"]
         expected = ("\n".join(lines) + f"\n1,1,{1 / 7!r}\n").encode()
-        for chunk in (1, 4, 29, R.REPORT_CHUNK_LINES):
-            monkeypatch.setattr(R, "REPORT_CHUNK_LINES", chunk)
-            R.write_report(tmp_path / "report.csv", report)
-            assert (tmp_path / "report.csv").read_bytes() == expected
+        R.write_report(tmp_path / "report.csv", report)
+        assert (tmp_path / "report.csv").read_bytes() == expected
 
-    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(R, "REPORT_CHUNK_LINES", 2)
+    def test_failed_write_keeps_the_old_report(self, tmp_path):
         path = tmp_path / "report.csv"
         path.write_bytes(b"old report")
-        report = R.EvalReport(0.5, 0.5, [(1, 0.5)], [(0.5, 1.0), (1.0,)])  # a broken PR point
-        with pytest.raises(ValueError):
-            R.write_report(path, report)  # after the first chunks were written
+
+        class BrokenRecall:
+            def tolist(self):
+                yield 0.5
+                yield 1.0
+                # the report's first lines are in the temp file beside the old one
+                assert len(list(tmp_path.iterdir())) == 2
+                raise ValueError("broken recall")
+
+        report = R.EvalReport(0.5, 0.5, 1, np.array([0.5, 1.0, 0.75]), BrokenRecall())
+        with pytest.raises(ValueError, match="broken recall"):
+            R.write_report(path, report)
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
         assert path.read_bytes() == b"old report"
 
@@ -337,30 +350,32 @@ def tied_instance(rng, k, n, nq):
 
 
 @pytest.mark.parametrize("k", [1, 3, 63, 64, 65, 130, 300])
-@pytest.mark.parametrize("map_n, pn_max", [(7, None), (1000, 25)])
-def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn_max):
+@pytest.mark.parametrize("map_n, pn", [(7, 7), (1000, 25)])
+def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn):
     rng = np.random.default_rng(k)
     db_bits, db_labels, q_bits, q_labels = tied_instance(rng, k, n=40, nq=3)
     index = make_index(db_bits, db_labels)
     q_words = hamming.pack_matrix(q_bits)
-    report = R.evaluate(index, q_words, q_labels, map_n, pn_max=pn_max)
+    report = R.evaluate(index, q_words, q_labels, map_n)
+    p_at_n = list(zip(range(1, pn + 1), report.precision[:pn].tolist()))
+    pr = list(zip(report.recall.tolist(), report.precision.tolist()))
 
     db_cats = [set(np.flatnonzero(row)) for row in db_labels]
     q_cats = [set(np.flatnonzero(row)) for row in q_labels]
     db_list = [list(map(int, row)) for row in db_bits]
     q_list = [list(map(int, row)) for row in q_bits]
-    pn = map_n if pn_max is None else pn_max
 
     assert report.map_at_n == oracle.mean_average_precision(db_list, db_cats, q_list, q_cats, map_n)
     assert report.p_at_h2 == oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
-    assert report.precision_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, pn)
-    assert report.pr_curve == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
+    assert report.map_n == map_n and report.precision.shape == report.recall.shape == (40,)
+    assert p_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, pn)
+    assert pr == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
     assert report.center_distances is None
 
     assert report.map_at_n == R.mean_average_precision(index, q_words, q_labels, map_n)
     assert report.p_at_h2 == R.precision_within_radius(index, q_words, q_labels, 2)
-    assert report.precision_at_n == R.precision_at_n_curve(index, q_words, q_labels, pn)
-    assert report.pr_curve == R.pr_curve(index, q_words, q_labels)
+    assert p_at_n == R.precision_at_n_curve(index, q_words, q_labels, pn)
+    assert pr == R.pr_curve(index, q_words, q_labels)
 
 
 def test_query_without_category_and_multi_category_queries_match_oracle():
@@ -378,12 +393,34 @@ def test_query_without_category_and_multi_category_queries_match_oracle():
     q_list = [list(map(int, row)) for row in q_bits]
     assert report.map_at_n == oracle.mean_average_precision(db_list, db_cats, q_list, q_cats, 5)
     assert report.p_at_h2 == oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
-    assert report.precision_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, 5)
-    assert report.pr_curve == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
+    p_at_n = list(zip(range(1, 6), report.precision[:5].tolist()))
+    assert p_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, 5)
+    pr = list(zip(report.recall.tolist(), report.precision.tolist()))
+    assert pr == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
     index = make_index(db_bits, db_labels)
     alone = R.evaluate(index, hamming.pack_matrix(q_bits[:1]), q_labels[:1], 5)
     assert alone.map_at_n == 0.0 and alone.p_at_h2 == 0.0
-    assert {rec for rec, _ in alone.pr_curve} == {1.0} and {p for _, p in alone.pr_curve} == {0.0}
+    assert set(alone.recall.tolist()) == {1.0} and set(alone.precision.tolist()) == {0.0}
+
+
+def test_report_holds_one_float64_per_rank_and_curve():
+    # the per-rank mean precision and recall, 16 bytes per database item, are all
+    # a report grows with; n (recall, precision) tuples would cost about 104
+    rng = np.random.default_rng(4)
+    n = 50_000
+    index = make_index(rng.integers(0, 2, size=(n, 64), dtype=np.uint8),
+                       np.eye(4, dtype=np.uint8)[rng.integers(0, 4, n)])
+    words = hamming.pack_matrix(rng.integers(0, 2, size=(1, 64), dtype=np.uint8))
+    labels = np.eye(4, dtype=np.uint8)[[1]]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = R.evaluate(index, words, labels, map_n=100)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert report.precision.shape == report.recall.shape == (n,)
+    assert held <= 24 * n
 
 
 class TestEvaluateOnePass:

@@ -42,12 +42,20 @@ def bench_result(**overrides):
     return "machine: ...\nwall_s 1.5 s\n" + json.dumps(result) + "\n"
 
 
-END_TO_END = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = [m["name"] for m in BENCHMARK["end_to_end"]]
+PER_LAYER = [m["name"] for m in BENCHMARK["per_layer"]]
 
 
-def check_bench_result(stdout):
+def traced_result(values):
+    """A --trace 1 result line: its metrics are the per-layer ones."""
+    metrics = {name: {"value": value, "unit": "s"} for name, value in values.items()}
+    return bench_result(metrics=metrics)
+
+
+def check_bench_result(stdout, *flags):
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "check_bench_result.py")],
+        [sys.executable, str(ROOT / "scripts" / "check_bench_result.py"), *flags],
         input=stdout, capture_output=True, text=True, timeout=60,
     )
 
@@ -75,3 +83,29 @@ def test_check_bench_result_rejects(stdout, problem):
     proc = check_bench_result(stdout)
     assert proc.returncode == 1
     assert problem in proc.stdout
+
+
+def test_check_bench_result_accepts_a_good_traced_run():
+    # a layer the workload never enters reads 0, and the trace overhead can be negative
+    values = {name: 0.25 for name in PER_LAYER}
+    values.update({PER_LAYER[0]: 0, "trace.overhead_s": -1.02, "model.batches": 600})
+    proc = check_bench_result(traced_result(values), "--trace")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout == f"ok: correct, 0 failed, {len(PER_LAYER)} per-layer metrics\n"
+
+
+@pytest.mark.parametrize("value, shown", [(None, "None"), ("0.5", "'0.5'"), (True, "True")])
+def test_check_bench_result_rejects_a_traced_run_without_a_layer_metric(value, shown):
+    values = {name: 0.25 for name in PER_LAYER}
+    values["retrieval.pr_s"] = value
+    if value is None:
+        del values["retrieval.pr_s"]
+    proc = check_bench_result(traced_result(values), "--trace")
+    assert proc.returncode == 1
+    assert proc.stdout == f"problem: metric retrieval.pr_s is {shown}\n"
+
+
+def test_check_bench_result_rejects_an_untraced_run_as_traced():
+    proc = check_bench_result(bench_result(), "--trace")
+    assert proc.returncode == 1
+    assert f"problem: metric {PER_LAYER[0]} is None" in proc.stdout
