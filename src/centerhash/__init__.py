@@ -2,7 +2,6 @@
 function over feature vectors, and Hamming-space retrieval evaluation."""
 
 from .centers import (
-    CenterMethod,
     CenterSet,
     SemanticCenterMap,
     ValidityReport,

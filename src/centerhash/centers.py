@@ -7,7 +7,6 @@ is a power of two; random generation covers the remaining shapes.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -22,24 +21,18 @@ MAX_DUPLICATE_RETRIES = 100
 METHODS = ("hadamard", "balanced", "bernoulli")  # the names generate accepts
 
 
-class CenterMethod(str, Enum):
-    HADAMARD = "hadamard"
-    HADAMARD_2K = "hadamard2k"
-    BALANCED_RANDOM = "balanced_random"
-    BERNOULLI = "bernoulli"
-
-
 @dataclass(frozen=True)
 class CenterSet:
     """An ordered set of m binary centers of k bits each.
 
-    ``method`` records how the set was generated; it is None for sets
+    ``method`` records how the set was generated: "hadamard",
+    "hadamard2k", "balanced_random" or "bernoulli". It is None for sets
     loaded from disk, since the file format does not store it.
     """
 
     k: int
     bits: np.ndarray  # (m, k) uint8
-    method: CenterMethod | None
+    method: str | None
 
     def __post_init__(self):
         if self.bits.ndim != 2 or self.bits.shape[1] != self.k:
@@ -53,19 +46,6 @@ class CenterSet:
     @property
     def m(self) -> int:
         return self.bits.shape[0]
-
-    @classmethod
-    def from_rows(cls, rows, method: CenterMethod | None = None) -> "CenterSet":
-        rows = list(rows)
-        if not rows:
-            raise ValueError("a center set needs at least one center")
-        lengths = {len(r) for r in rows}
-        if len(lengths) != 1:
-            raise DimensionError(f"centers have inconsistent bit lengths: {sorted(lengths)}")
-        bits = np.asarray(rows, dtype=np.uint8)
-        if bits.max(initial=0) > 1:
-            raise ValueError("center bits must be 0 or 1")
-        return cls(k=bits.shape[1], bits=bits, method=method)
 
     def packed(self) -> np.ndarray:
         return hamming.pack_matrix(self.bits)
@@ -118,21 +98,16 @@ def generate(method: str, m: int, k: int, seed: int = 0) -> CenterSet:
 def generate_centers(m: int, k: int, seed: int = 0) -> CenterSet:
     """Generate m centers of k bits.
 
-    Dispatch: Hadamard rows when m <= k and k is a power of two; rows of
-    the stacked [H; -H] when k < m <= 2k; otherwise each center gets
-    exactly floor(k/2) one-bits at random positions.
+    Dispatch: when k is a power of two and m <= 2k, the first m rows of
+    the stacked [H; -H] (for m <= k, rows of H itself); otherwise each
+    center gets exactly floor(k/2) one-bits at random positions.
     """
     _check_generation_args(m, k)
-    if is_power_of_two(k) and m <= k:
-        rows = hadamard_matrix(k)[:m]
-        method = CenterMethod.HADAMARD
-    elif is_power_of_two(k) and m <= 2 * k:
-        h = hadamard_matrix(k)
-        rows = np.vstack([h, -h])[:m]
-        method = CenterMethod.HADAMARD_2K
-    else:
+    if not (is_power_of_two(k) and m <= 2 * k):
         return generate_centers_balanced(m, k, seed)
-    return CenterSet(k=k, bits=(rows > 0).astype(np.uint8), method=method)
+    h = hadamard_matrix(k)
+    bits = (np.vstack([h, -h])[:m] > 0).astype(np.uint8)
+    return CenterSet(k=k, bits=bits, method="hadamard" if m <= k else "hadamard2k")
 
 
 def generate_centers_balanced(m: int, k: int, seed: int = 0) -> CenterSet:
@@ -144,7 +119,7 @@ def generate_centers_balanced(m: int, k: int, seed: int = 0) -> CenterSet:
         row[rng.permutation(k)[: k // 2]] = 1
         return row
 
-    return _generate_random(m, k, draw, seed, CenterMethod.BALANCED_RANDOM)
+    return _generate_random(m, k, draw, seed, "balanced_random")
 
 
 def generate_centers_bernoulli(m: int, k: int, seed: int = 0) -> CenterSet:
@@ -154,7 +129,7 @@ def generate_centers_bernoulli(m: int, k: int, seed: int = 0) -> CenterSet:
     def draw(rng):
         return rng.integers(0, 2, size=k, dtype=np.uint8)
 
-    return _generate_random(m, k, draw, seed, CenterMethod.BERNOULLI)
+    return _generate_random(m, k, draw, seed, "bernoulli")
 
 
 def _generate_random(m, k, draw, seed, method) -> CenterSet:

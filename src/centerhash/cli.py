@@ -22,7 +22,7 @@ def _cmd_gen_centers(args):
         cs = gen_centers(args.method, args.m, args.k, args.seed, args.out)
     report = centers_mod.validate_centers(cs)
     print(
-        f"wrote {args.out}: m={cs.m} k={cs.k} method={cs.method.value} "
+        f"wrote {args.out}: m={cs.m} k={cs.k} method={cs.method} "
         f"mean_distance={report.mean_distance:.3f} valid={report.valid}"
     )
 

@@ -1,6 +1,6 @@
 """The hash head: a 3-layer MLP trained to pull codes onto their centers.
 
-forward maps a length-d feature vector through two ReLU layers and a
+forward maps an (n, d) batch of feature rows through two ReLU layers and a
 sigmoid output to a relaxed code in (0,1)^K. Training minimizes
 
     L = [use_lc] * L_central + lambda1 * [use_lq] * L_quant
@@ -163,34 +163,25 @@ def _forward_cached(model: HashModel, x: np.ndarray) -> tuple:
 
 
 def _check_features(model: HashModel, shape: tuple) -> None:
-    """One length-d vector or an (n, d) batch, d being the model's input width."""
-    if len(shape) not in (1, 2) or shape[-1] != model.layer_sizes[0]:
+    """An (n, d) batch, d being the model's input width."""
+    if len(shape) != 2 or shape[1] != model.layer_sizes[0]:
         raise DimensionError(
             f"features have shape {shape}, model expects dim {model.layer_sizes[0]}"
         )
 
 
 def forward(model: HashModel, x) -> np.ndarray:
-    """Relaxed codes in (0,1)^K for one feature vector or a batch."""
+    """Relaxed codes in (0,1)^K for an (n, d) batch of feature rows."""
     x = np.asarray(x, dtype=np.float64)
     _check_features(model, x.shape)
-    single = x.ndim == 1
-    h = _forward_cached(model, x[None, :] if single else x)[-1]
-    return h[0] if single else h
+    return _forward_cached(model, x)[-1]
 
 
-def _as_batches(h, c=None):
+def _codes(h) -> np.ndarray:
     h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[None, :]
-    if c is None:
-        return h, None
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim == 1:
-        c = c[None, :]
-    if c.shape != h.shape:
-        raise DimensionError(f"codes {h.shape} and centers {c.shape} differ")
-    return h, c
+    if h.ndim != 2:
+        raise DimensionError(f"codes must be an (n, k) batch, got shape {h.shape}")
+    return h
 
 
 def _bce(hc: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -200,13 +191,15 @@ def _bce(hc: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def central_loss(h, c) -> float:
     """Mean per-bit binary cross-entropy between relaxed codes and centers."""
-    h, c = _as_batches(h, c)
+    h, c = _codes(h), np.asarray(c, dtype=np.float64)
+    if c.shape != h.shape:
+        raise DimensionError(f"codes {h.shape} and centers {c.shape} differ")
     return float(_bce(np.clip(h, BCE_EPS, 1.0 - BCE_EPS), c).mean())
 
 
 def quantization_loss(h) -> float:
     """Mean over samples of sum_k logcosh(|2 h_k - 1| - 1); zero iff binary."""
-    h, _ = _as_batches(h)
+    h = _codes(h)
     if np.isnan(h).any():
         raise NumericError("relaxed code contains NaN")
     return float(_quant(np.abs(2.0 * h - 1.0) - 1.0).mean())
@@ -272,19 +265,14 @@ def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> G
 
 def backward(model: HashModel, x, c, cfg: TrainConfig) -> Gradients:
     """Exact gradients of the batch objective w.r.t. every parameter."""
-    x, _ = _as_batches(x)
-    c, _ = _as_batches(c)
+    x = np.asarray(x, dtype=np.float64)
+    _check_features(model, x.shape)
+    c = np.asarray(c, dtype=np.float64)
     if c.shape != (x.shape[0], model.k):
         raise DimensionError(f"centers {c.shape} do not match batch ({x.shape[0]}, {model.k})")
     cache = _forward_cached(model, x)
     _, _, dh = loss_and_dh(cache[-1], c, cfg)
     return backprop(model, x, cache, dh)
-
-
-def _real_matrix(a) -> np.ndarray:
-    """a as an array; one that is not bool, integer or float is converted to float64 now."""
-    a = np.asarray(a)
-    return a if a.dtype.kind in "biuf" else a.astype(np.float64)
 
 
 def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
@@ -298,8 +286,8 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     inputs and config reproduce the trained parameters byte for byte.
     Returns the model and one loss record per epoch.
     """
-    x = _real_matrix(features)
-    c = _real_matrix(center_vectors)
+    x = np.asarray(features)
+    c = np.asarray(center_vectors)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"need a nonempty (n, d) feature matrix, got {x.shape}")
     if c.ndim != 2 or c.shape[0] != x.shape[0]:
@@ -353,7 +341,7 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
 def encode(model: HashModel, features) -> np.ndarray:
     """Binary codes for feature rows, packed into (n, W) uint64 words.
 
-    `features` is one vector, an (n, d) array or a data_io.FeatureFile.
+    `features` is an (n, d) array or a data_io.FeatureFile.
     Rows pass through the head ENCODE_BLOCK_ROWS at a time, and each block
     is cast to float64 (or read from the file) only when its turn comes.
     Every block's forward pass computes into one set of buffers allocated
@@ -370,7 +358,6 @@ def encode(model: HashModel, features) -> np.ndarray:
     else:
         x = np.asarray(features)
         _check_features(model, x.shape)
-        x = x[None, :] if x.ndim == 1 else x
         n = len(x)
         blocks = (
             np.ascontiguousarray(x[s : s + rows], dtype=np.float64) for s in range(0, n, rows)

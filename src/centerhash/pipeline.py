@@ -109,18 +109,26 @@ def _center_distances(words, k: int, assigned, centers) -> np.ndarray:
 def _load(cfg: RunConfig) -> int:
     """Check every input before any artifact is written: each feature file's header
     and length (the stage that reads its rows checks them), each label file whole,
-    and that a split's two files agree on n. Returns the train labels' category count."""
-    splits = [(cfg.train_features, cfg.train_labels), (cfg.query_features, cfg.query_labels)]
-    if (cfg.db_features, cfg.db_labels) != splits[0]:
-        splits.insert(1, (cfg.db_features, cfg.db_labels))
-    categories = []
-    for features, label_file in splits:
-        n = data_io.open_features(features).n
+    that a split's two files agree on n, every split has the train split's d and
+    the query labels the database labels' q. Returns the train labels' q."""
+    splits = [("train", cfg.train_features, cfg.train_labels),
+              ("query", cfg.query_features, cfg.query_labels)]
+    if (cfg.db_features, cfg.db_labels) != (cfg.train_features, cfg.train_labels):
+        splits.insert(1, ("database", cfg.db_features, cfg.db_labels))
+    shapes = []  # (d, q) of each split; the database split is the second to last
+    for name, features, label_file in splits:
+        n, d = data_io.open_features(features).shape
         labels = data_io.load_labels(label_file)
         if labels.shape[0] != n:
             raise DimensionError(f"{n} feature rows, {labels.shape[0]} label rows")
-        categories.append(labels.shape[1])
-    return categories[0]
+        shapes.append((d, labels.shape[1]))
+        if d != shapes[0][0]:
+            raise DimensionError(f"{name} features have dim {d}, "
+                                 f"train features dim {shapes[0][0]}")
+    (_, q), (_, db_q), (_, query_q) = shapes[0], shapes[-2], shapes[-1]
+    if query_q != db_q:
+        raise DimensionError(f"query labels have {query_q} categories, database labels {db_q}")
+    return q
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:

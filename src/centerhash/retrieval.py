@@ -23,6 +23,8 @@ from . import binfmt, hamming
 from .centers import CenterSet
 from .errors import DimensionError
 
+RADIUS = 2  # the Hamming ball of p_at_h2
+
 
 @dataclass(frozen=True)
 class CodeIndex:
@@ -73,12 +75,12 @@ def precision_at_n_curve(index: CodeIndex, query_words, query_labels, max_n: int
     return list(zip(range(1, max_n + 1), precision[:max_n].tolist()))
 
 
-def precision_within_radius(index: CodeIndex, query_words, query_labels, radius: int = 2) -> float:
-    """Mean precision among database items within the Hamming ball.
+def precision_within_radius(index: CodeIndex, query_words, query_labels) -> float:
+    """Mean precision among database items within Hamming distance RADIUS.
 
     A query whose ball is empty contributes 0.
     """
-    return evaluate(index, query_words, query_labels, 1, radius=radius).p_at_h2
+    return evaluate(index, query_words, query_labels, 1).p_at_h2
 
 
 def pr_curve(index: CodeIndex, query_words, query_labels) -> list:
@@ -130,7 +132,6 @@ def evaluate(
     query_words,
     query_labels,
     map_n: int,
-    radius: int = 2,
     center_distances: np.ndarray | None = None,
 ) -> EvalReport:
     """Run the full metric battery for a query set in one ranking pass.
@@ -176,7 +177,7 @@ def evaluate(
             # plain loop does: np.sum's pairwise order changes the last bit
             at_hits = cum[: top.size][top] / ranks[: top.size][top]
             map_total += float(np.cumsum(at_hits)[-1]) / hits
-        inside = int(np.count_nonzero(dists <= radius))
+        inside = int(np.count_nonzero(dists <= RADIUS))
         if inside:
             radius_total += int(cum[inside - 1]) / inside
         # a query with no relevant item counts as fully recalled at every cutoff

@@ -58,21 +58,21 @@ def test_criterion_2_bernoulli_mean_distance():
 def test_criterion_3_multi_label_centroids():
     with criterion(3, "multi-label centroids and tie sampling", budget_s=5.0):
         # odd membership: the vote is forced, bit by bit
-        cs = C.CenterSet.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+        cs = C.CenterSet(4, np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], np.uint8), None)
         labels = np.array([[1, 1, 1]], dtype=np.uint8)
         smap = C.assign_multi_label(cs, labels, seed=0)
         assert np.array_equal(smap.vectors[0], [1, 0, 0, 0])
 
-        five = C.CenterSet.from_rows(
-            [[1, 1, 0, 0, 1], [0, 1, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 1, 1, 0], [0, 0, 1, 1, 0]]
-        )
+        five = C.CenterSet(5, np.array(
+            [[1, 1, 0, 0, 1], [0, 1, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 1, 1, 0], [0, 0, 1, 1, 0]],
+            np.uint8), None)
         smap = C.assign_multi_label(five, np.ones((1, 5), dtype=np.uint8), seed=7)
         assert np.array_equal(smap.vectors[0], [1, 1, 1, 0, 0])
 
         # two complementary centers tie on every bit; 10^4 tie draws
         k = 10_000
         pattern = np.arange(k) % 2
-        tied = C.CenterSet.from_rows([pattern, 1 - pattern])
+        tied = C.CenterSet(k, np.array([pattern, 1 - pattern], np.uint8), None)
         draws = C.assign_multi_label(tied, np.ones((1, 2), dtype=np.uint8), seed=11)
         p_one = draws.vectors[0].mean()
         assert 0.48 <= p_one <= 0.52
@@ -100,7 +100,7 @@ def test_criterion_5_loss_identities():
         c = rng.integers(0, 2, size=(4, 32)).astype(float)
         assert M.central_loss(c, c) <= 1e-6
         assert M.quantization_loss(c) == 0.0
-        assert abs(M.quantization_loss([0.5]) - math.log(math.cosh(1.0))) <= 1e-9
+        assert abs(M.quantization_loss([[0.5]]) - math.log(math.cosh(1.0))) <= 1e-9
 
 
 def test_criterion_6_metric_oracle_equivalence():
@@ -137,7 +137,7 @@ def test_criterion_6_metric_oracle_equivalence():
             assert R.precision_at_n_curve(index, q_words, q_labels, map_n) == (
                 oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, map_n)
             )
-            assert R.precision_within_radius(index, q_words, q_labels, 2) == (
+            assert R.precision_within_radius(index, q_words, q_labels) == (
                 oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
             )
             assert R.pr_curve(index, q_words, q_labels) == (

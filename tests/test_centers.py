@@ -16,6 +16,11 @@ from centerhash.errors import (
 )
 
 
+def center_set(rows):
+    bits = np.array(rows, dtype=np.uint8)
+    return C.CenterSet(bits.shape[1], bits, None)
+
+
 def pairwise(cs):
     packed = cs.packed()
     d = hamming.pairwise_distances(packed, packed)
@@ -51,14 +56,14 @@ class TestHadamardMatrix:
 class TestGenerateCenters:
     def test_hadamard_rows_mapped(self):
         cs = C.generate_centers(4, 4, seed=0)
-        assert cs.method == C.CenterMethod.HADAMARD
+        assert cs.method == "hadamard"
         expected = [[1, 1, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 0, 0, 1]]
         assert np.array_equal(cs.bits, expected)
         assert set(pairwise(cs)) == {2}
 
     def test_stacked_negation_branch(self):
         cs = C.generate_centers(8, 4, seed=0)
-        assert cs.method == C.CenterMethod.HADAMARD_2K
+        assert cs.method == "hadamard2k"
         # row 5 is the negation of row 1
         assert np.array_equal(cs.bits[4], [0, 0, 0, 0])
         d = hamming.pairwise_distances(cs.packed(), cs.packed())
@@ -66,7 +71,7 @@ class TestGenerateCenters:
 
     def test_balanced_fallback_popcount(self):
         cs = C.generate_centers(100, 48, seed=1)
-        assert cs.method == C.CenterMethod.BALANCED_RANDOM
+        assert cs.method == "balanced_random"
         assert cs.m == 100
         assert np.array_equal(cs.bits.sum(axis=1), np.full(100, 24))
 
@@ -116,7 +121,7 @@ class TestGenerateDispatch:
     def test_hadamard_falls_back_to_balanced(self, seed):
         # the multi-label benchmark (q=21, k=48) relies on this fallback
         auto = C.generate("hadamard", 21, 48, seed)
-        assert auto.method == C.CenterMethod.BALANCED_RANDOM
+        assert auto.method == "balanced_random"
         assert np.array_equal(auto.bits, C.generate("balanced", 21, 48, seed).bits)
 
     @pytest.mark.parametrize("m", [21, 64, 100])
@@ -149,7 +154,7 @@ class TestBernoulli:
         a = C.generate_centers_bernoulli(50, 64, seed=9)
         b = C.generate_centers_bernoulli(50, 64, seed=9)
         assert np.array_equal(a.bits, b.bits)
-        assert a.method == C.CenterMethod.BERNOULLI
+        assert a.method == "bernoulli"
 
     def test_seed_changes_output(self):
         a = C.generate_centers_bernoulli(50, 64, seed=9)
@@ -164,29 +169,21 @@ class TestBernoulli:
 
 class TestValidate:
     def test_two_centers_valid(self):
-        cs = C.CenterSet.from_rows([[1, 1, 1, 1], [1, 0, 1, 0]])
+        cs = center_set([[1, 1, 1, 1], [1, 0, 1, 0]])
         report = C.validate_centers(cs)
         assert (report.mean_distance, report.min_distance, report.valid) == (2.0, 2, True)
 
     def test_boundary_is_valid(self):
-        report = C.validate_centers(C.CenterSet.from_rows([[0, 0], [0, 1]]))
+        report = C.validate_centers(center_set([[0, 0], [0, 1]]))
         assert report.mean_distance == 1.0 and report.valid
 
     def test_below_half_invalid(self):
-        report = C.validate_centers(C.CenterSet.from_rows([[0, 0, 0, 0], [0, 0, 0, 1]]))
+        report = C.validate_centers(center_set([[0, 0, 0, 0], [0, 0, 0, 1]]))
         assert report.mean_distance == 1.0 and not report.valid
 
     def test_single_center_vacuous(self):
-        report = C.validate_centers(C.CenterSet.from_rows([[1, 0, 1]]))
+        report = C.validate_centers(center_set([[1, 0, 1]]))
         assert report.valid and report.mean_distance == 3.0
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(DimensionError):
-            C.CenterSet.from_rows([[1, 0], [1, 0, 1]])
-
-    def test_non_binary_bit_rejected(self):
-        with pytest.raises(ValueError, match="center bits must be 0 or 1"):
-            C.CenterSet.from_rows([[1, 0], [0, 2]])
 
 
 class TestAssignSingleLabel:
@@ -218,7 +215,7 @@ def multihot(q, *cats):
 
 class TestAssignMultiLabel:
     def test_majority_centroid(self):
-        cs = C.CenterSet.from_rows([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
+        cs = center_set([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]])
         labels = np.array([multihot(3, 0, 1, 2)])
         smap = C.assign_multi_label(cs, labels, seed=0)
         assert np.array_equal(smap.vectors[0], [1, 0, 0, 0])
@@ -230,7 +227,7 @@ class TestAssignMultiLabel:
         assert np.array_equal(smap.vectors[0], cs.bits[3])
 
     def test_tie_bits_deterministic_and_shared(self):
-        cs = C.CenterSet.from_rows([[1, 0], [0, 1]])
+        cs = center_set([[1, 0], [0, 1]])
         labels = np.array([multihot(2, 0, 1)] * 4)
         a = C.assign_multi_label(cs, labels, seed=5)
         b = C.assign_multi_label(cs, labels, seed=5)

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import tracemalloc
 from collections import Counter
@@ -38,6 +39,26 @@ def test_gen_centers_failure_is_stage_tagged(workdir, capsys):
     rc = run_cli("gen-centers", "--k", 1, "--m", 4, "--out", "c.csqh")
     assert rc != 0
     assert "error [gen-centers]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, out, sha256", [
+    (["--k", 16, "--m", 8], "m=8 k=16 method=hadamard mean_distance=8.000",
+     "c389ac91957108f9970f84bb9b9e43766ae6c76220f7821636ad8ed716ac9c13"),
+    (["--k", 16, "--m", 24], "m=24 k=16 method=hadamard2k mean_distance=8.232",
+     "173087181c8cc7dc5bf3e953f665d848af52bb844a8511d1a0dfc1f54ccb35a8"),
+    (["--k", 48, "--m", 21], "m=21 k=48 method=balanced_random mean_distance=24.076",
+     "6413f5e77ee28df3605623e8328ff976caf32e5e13d6cb595cd33ecaca83f526"),
+    (["--k", 24, "--m", 12, "--method", "bernoulli"],
+     "m=12 k=24 method=bernoulli mean_distance=12.439",
+     "78c50b822a80b8cd80747ddc69d7b862137d886b14fc5eb192ef4bd82598e199"),
+    (["--k", 24, "--m", 12, "--method", "balanced"],
+     "m=12 k=24 method=balanced_random mean_distance=12.758",
+     "e3a5ff2d7173e82713ff56c1cbf9d807ddf62e386ea863cb1c6b3242c2e39693"),
+], ids=["hadamard", "hadamard2k", "balanced-fallback", "bernoulli", "balanced"])
+def test_gen_centers_output_is_pinned(workdir, capsys, flags, out, sha256):
+    assert run_cli("gen-centers", *flags, "--out", "c.csqh") == 0
+    assert capsys.readouterr().out == f"wrote c.csqh: {out} valid=True\n"
+    assert hashlib.sha256((workdir / "c.csqh").read_bytes()).hexdigest() == sha256
 
 
 def test_assign_and_distmat(workdir, capsys):
@@ -271,6 +292,28 @@ def test_run_split_length_mismatch_fails_load_and_writes_nothing(workdir, capsys
              "query": ["--query-features", "blob.train.csqf", "--query-labels", "short.csql"]}
     assert run_cli("run", "--config", "run.cfg", *flags[split], "--out-dir", "y") == 1
     assert capsys.readouterr().err == "error [load] 80 feature rows, 79 label rows\n"
+    assert not (workdir / "y").exists()
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--query-features", "wide.query.csqf", "--query-labels", "wide.query.csql"],
+     "error [load] query features have dim 16, train features dim 8\n"),
+    (["--db-features", "wide.train.csqf", "--db-labels", "wide.train.csql"],
+     "error [load] database features have dim 16, train features dim 8\n"),
+    (["--query-labels", "five.csql"],
+     "error [load] query labels have 5 categories, database labels 4\n"),
+], ids=["query-dim", "database-dim", "query-categories"])
+def test_run_rejects_splits_that_disagree_before_writing(workdir, capsys, flags, err):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 16, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "wide")
+    labels = data_io.load_labels("blob.query.csql")
+    data_io.save_labels("five.csql", np.hstack([labels, np.zeros((len(labels), 1), np.uint8)]))
+    write_run_config(workdir / "run.cfg", seed=7)
+    capsys.readouterr()
+    assert run_cli("run", "--config", "run.cfg", *flags, "--out-dir", "y") == 1
+    assert capsys.readouterr().err == err
     assert not (workdir / "y").exists()
 
 

@@ -54,7 +54,7 @@ def gradient_relative_error(net, x, c, cfg):
 class TestForward:
     def test_all_zero_parameters_give_half(self):
         net = zero_model(3, 4, 4, 5)
-        assert np.array_equal(M.forward(net, np.zeros(3)), np.full(5, 0.5))
+        assert np.array_equal(M.forward(net, np.zeros((1, 3))), np.full((1, 5), 0.5))
 
     def test_zero_input_passes_output_bias_through(self):
         rng = np.random.default_rng(1)
@@ -63,7 +63,7 @@ class TestForward:
         net.biases[1][:] = 0.0
         b3 = rng.normal(size=6)
         net.biases[2][:] = b3
-        h = M.forward(net, np.zeros(4))
+        h = M.forward(net, np.zeros((1, 4)))
         assert np.allclose(h, 1.0 / (1.0 + np.exp(-b3)))
 
     def test_output_strictly_inside_unit_interval(self):
@@ -75,7 +75,7 @@ class TestForward:
     def test_dimension_mismatch(self):
         net = M.init_model(4, 6, seed=0)
         with pytest.raises(DimensionError):
-            M.forward(net, np.zeros(5))
+            M.forward(net, np.zeros((1, 5)))
 
     def test_sigmoid_equals_masked_reference_bitwise(self):
         special = []
@@ -95,46 +95,46 @@ class TestForward:
 
 class TestLosses:
     def test_central_loss_zero_at_center(self):
-        c = np.array([1.0, 0.0, 1.0, 1.0])
+        c = np.array([[1.0, 0.0, 1.0, 1.0]])
         assert M.central_loss(c, c) <= 1e-6
 
     def test_central_loss_half_probability(self):
-        assert M.central_loss([0.5], [1.0]) == pytest.approx(0.6931471805599453, abs=1e-12)
+        assert M.central_loss([[0.5]], [[1.0]]) == pytest.approx(0.6931471805599453, abs=1e-12)
 
     def test_central_loss_averages_bits(self):
-        got = M.central_loss([0.5, 0.5], [1.0, 0.0])
+        got = M.central_loss([[0.5, 0.5]], [[1.0, 0.0]])
         assert got == pytest.approx(0.6931471805599453, abs=1e-12)
 
     def test_central_loss_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            M.central_loss([0.5, 0.5], [1.0])
+            M.central_loss([[0.5, 0.5]], [[1.0]])
 
     def test_quantization_zero_on_binary(self):
-        assert M.quantization_loss([0.0, 1.0, 1.0, 0.0]) == 0.0
+        assert M.quantization_loss([[0.0, 1.0, 1.0, 0.0]]) == 0.0
 
     def test_quantization_at_half(self):
-        assert M.quantization_loss([0.5]) == pytest.approx(math.log(math.cosh(1.0)), abs=1e-12)
+        assert M.quantization_loss([[0.5]]) == pytest.approx(math.log(math.cosh(1.0)), abs=1e-12)
 
     def test_quantization_at_quarter(self):
-        assert M.quantization_loss([0.25]) == pytest.approx(math.log(math.cosh(0.5)), abs=1e-12)
+        assert M.quantization_loss([[0.25]]) == pytest.approx(math.log(math.cosh(0.5)), abs=1e-12)
 
     def test_quantization_rejects_nan(self):
         with pytest.raises(NumericError):
-            M.quantization_loss([0.1, float("nan")])
+            M.quantization_loss([[0.1, float("nan")]])
 
     def test_total_loss_lambda_zero(self):
         cfg = M.TrainConfig(lambda1=0.0)
-        h, c = np.array([0.3, 0.8]), np.array([0.0, 1.0])
+        h, c = np.array([[0.3, 0.8]]), np.array([[0.0, 1.0]])
         assert M.total_loss(h, c, cfg) == M.central_loss(h, c)
 
     def test_total_loss_center_term_disabled(self):
         cfg = M.TrainConfig(use_lc=False, lambda1=0.5)
-        h = np.array([0.3, 0.8])
-        assert M.total_loss(h, np.array([0.0, 1.0]), cfg) == 0.5 * M.quantization_loss(h)
+        h = np.array([[0.3, 0.8]])
+        assert M.total_loss(h, np.array([[0.0, 1.0]]), cfg) == 0.5 * M.quantization_loss(h)
 
     def test_total_loss_vanishes_at_binary_center(self):
         cfg = M.TrainConfig(lambda1=3.0)
-        c = np.array([1.0, 0.0, 0.0, 1.0])
+        c = np.array([[1.0, 0.0, 0.0, 1.0]])
         assert M.total_loss(c, c, cfg) <= 1e-6
 
     def test_both_toggles_off_rejected(self):
@@ -150,7 +150,7 @@ class TestLosses:
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24), st.data())
     def test_central_loss_nonnegative_zero_only_at_center(self, h, data):
         c = data.draw(st.lists(st.integers(0, 1), min_size=len(h), max_size=len(h)))
-        loss = M.central_loss(h, [float(b) for b in c])
+        loss = M.central_loss([h], [[float(b) for b in c]])
         assert loss >= 0.0
         clamped = np.clip(h, M.BCE_EPS, 1 - M.BCE_EPS)
         if loss == 0.0:
@@ -158,7 +158,7 @@ class TestLosses:
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=24))
     def test_quantization_loss_nonnegative_zero_only_on_binary(self, h):
-        loss = M.quantization_loss(h)
+        loss = M.quantization_loss([h])
         assert loss >= 0.0
         if all(v in (0.0, 1.0) for v in h):
             assert loss == 0.0
@@ -167,8 +167,8 @@ class TestLosses:
             assert loss > 0.0
 
     def test_losses_and_gradients_finite_at_saturation(self):
-        h = np.array([1e-300, 1.0 - 1e-16, 0.0, 1.0])
-        c = np.array([1.0, 0.0, 1.0, 0.0])
+        h = np.array([[1e-300, 1.0 - 1e-16, 0.0, 1.0]])
+        c = np.array([[1.0, 0.0, 1.0, 0.0]])
         assert math.isfinite(M.central_loss(h, c))
         assert math.isfinite(M.quantization_loss(h))
         net = zero_model(2, 3, 3, 4)
@@ -226,6 +226,19 @@ class TestBackward:
         b = M.backward(net, x, c, M.TrainConfig(use_lq=False))
         for ga, gb in zip(a.weights + a.biases, b.weights + b.biases):
             assert ga.tobytes() == gb.tobytes()
+
+
+@pytest.mark.parametrize("call", [
+    lambda net: M.forward(net, np.zeros(4)),
+    lambda net: M.encode(net, np.zeros(4)),
+    lambda net: M.central_loss(np.full(3, 0.5), np.ones(3)),
+    lambda net: M.quantization_loss(np.full(3, 0.5)),
+    lambda net: M.backward(net, np.zeros(4), np.ones(3), M.TrainConfig()),
+    lambda net: M.backward(net, np.zeros((1, 4)), np.ones(3), M.TrainConfig()),
+], ids=["forward", "encode", "central_loss", "quantization_loss", "backward-x", "backward-c"])
+def test_single_vector_input_is_rejected(call):
+    with pytest.raises(DimensionError):
+        call(M.init_model(4, 3, seed=0))
 
 
 def tiny_problem(n=24, d=6, k=4, seed=0):
@@ -372,7 +385,8 @@ class TestEncodeAndCheckpoint:
         monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
         net = M.init_model(6, 70, seed=1)  # two words per code, the second padded
         x = np.random.default_rng(n).normal(size=(n, 6))
-        expected = np.array([M.forward(net, row) >= 0.5 for row in x], dtype=np.uint8)
+        per_row = [M.forward(net, x[i : i + 1])[0] for i in range(n)]
+        expected = (np.array(per_row) >= 0.5).astype(np.uint8)
         words = M.encode(net, x)
         assert words.shape == (n, 2) and words.dtype == np.uint64
         assert np.array_equal(unpack_matrix(words, 70), expected)
@@ -381,7 +395,7 @@ class TestEncodeAndCheckpoint:
         data_io.save_features(tmp_path / "x.csqf", x32)
         from_file = M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
         assert np.array_equal(from_file, M.encode(net, x32))
-        assert np.array_equal(M.encode(net, x[0]), words[:1])
+        assert np.array_equal(M.encode(net, x[:1]), words[:1])
 
     def test_blocks_share_one_set_of_buffers(self, monkeypatch):
         monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)

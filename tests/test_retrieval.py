@@ -247,7 +247,7 @@ def test_all_metrics_match_oracle_on_random_instances():
         assert R.precision_at_n_curve(index, q_words, q_labels, map_n) == (
             oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, map_n)
         )
-        assert R.precision_within_radius(index, q_words, q_labels, 2) == (
+        assert R.precision_within_radius(index, q_words, q_labels) == (
             oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
         )
         curve = R.pr_curve(index, q_words, q_labels)
@@ -255,7 +255,7 @@ def test_all_metrics_match_oracle_on_random_instances():
 
         # range and monotonicity invariants
         assert 0.0 <= R.mean_average_precision(index, q_words, q_labels, map_n) <= 1.0
-        assert 0.0 <= R.precision_within_radius(index, q_words, q_labels, 2) <= 1.0
+        assert 0.0 <= R.precision_within_radius(index, q_words, q_labels) <= 1.0
         recalls = [rec for rec, _ in curve]
         assert all(0.0 <= rec <= 1.0 and 0.0 <= prec <= 1.0 for rec, prec in curve)
         assert recalls == sorted(recalls)
@@ -373,7 +373,7 @@ def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn):
     assert report.center_distances is None
 
     assert report.map_at_n == R.mean_average_precision(index, q_words, q_labels, map_n)
-    assert report.p_at_h2 == R.precision_within_radius(index, q_words, q_labels, 2)
+    assert report.p_at_h2 == R.precision_within_radius(index, q_words, q_labels)
     assert p_at_n == R.precision_at_n_curve(index, q_words, q_labels, pn)
     assert pr == R.pr_curve(index, q_words, q_labels)
 
