@@ -60,7 +60,7 @@ def main():
 
     db_words, _ = hamming.load_codes(result.paths["db_codes"])
     assigned, _ = hamming.load_codes(result.paths["assignments"])
-    own = hamming.popcount_words(db_words ^ assigned).sum(axis=1)
+    own = np.bitwise_count(db_words ^ assigned).sum(axis=1)
 
     print(f"mAP@{cfg.map_n}      {result.report.map_at_n:.4f}")
     print(f"P@H=2        {result.report.p_at_h2:.4f}")

@@ -93,16 +93,18 @@ def _coerce(name: str, kind, raw):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse `key = value` lines; `#` starts a comment, blanks are skipped."""
-    values = {}
+    """Parse `key = value` lines; `#` starts a comment, blanks are skipped, repeats raise."""
+    values, set_on = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if key in set_on:
+            raise ValueError(f"config line {lineno}: key {key!r} already set on line {set_on[key]}")
+        values[key], set_on[key] = value, lineno
     return values
 
 

@@ -8,7 +8,6 @@ are flat, seekable, and language-neutral.
 """
 
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ MAGIC_FEATURES = b"CSQF"
 MAGIC_LABELS = b"CSQL"
 
 FEATURES_AT = 20  # byte offset of the first feature row: magic, version, u64 n, u32 d
-# float32 values per block that load_features reads (4 MiB)
+# float32 values per block that a FeatureFile slice reads (4 MiB)
 READ_BLOCK_VALUES = 1 << 20
 
 
@@ -50,15 +49,21 @@ class Dataset:
 
 
 def save_features(path, features) -> None:
-    """Write an (n, d) feature matrix (magic CSQF, f32 row-major)."""
+    """Write an (n, d) feature matrix (magic CSQF, f32 row-major). An empty one, or
+    one with a value not finite as float32, raises ValueError before any file is made."""
     x = np.asarray(features)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
         raise ValueError(f"need a nonempty 2-d feature matrix, got shape {x.shape}")
+    with np.errstate(over="ignore"):  # past float32's range is inf, rejected below
+        x = np.ascontiguousarray(x, dtype="<f4")
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise ValueError(f"feature row {np.flatnonzero(~finite.all(axis=1))[0]} is not finite")
     with binfmt.atomic_write(path) as f:
         f.write(binfmt.header(MAGIC_FEATURES))
         f.write(binfmt.u64(x.shape[0]))
         f.write(binfmt.u32(x.shape[1]))
-        f.write(np.ascontiguousarray(x, dtype="<f4").tobytes())
+        f.write(x.tobytes())
 
 
 @dataclass(frozen=True)
@@ -73,39 +78,29 @@ class FeatureFile:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.d)
 
-    def blocks(self, rows: int) -> Iterator[np.ndarray]:
-        """Yield the rows in order as float64 blocks of at most `rows` rows.
-
-        Each block is checked before it is yielded: a NaN or infinite
-        value raises FormatError at the offset of the first row holding one.
-        """
-        raw = np.empty((min(rows, self.n), self.d), dtype="<f4")
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        """Rows [start, stop) as stored float32, read READ_BLOCK_VALUES at a time
+        straight into the result. Each block is checked as it is read: a file cut
+        after open_features raises FormatError at the block's offset, a NaN or
+        infinite value at the offset of the first row holding one. A step raises."""
+        span = range(*rows.indices(self.n))
+        if span.step != 1:
+            raise ValueError(f"feature rows are read in order, got step {span.step}")
+        out = np.empty((len(span), self.d), dtype="<f4")
+        block = max(1, READ_BLOCK_VALUES // self.d)
         with open(self.path, "rb") as f:
-            f.seek(FEATURES_AT)
-            for start in range(0, self.n, rows):
-                block = raw[: min(rows, self.n - start)]
-                self._read_rows(f, block, start)
-                yield block.astype(np.float64)
-
-    def _read_rows(self, f, out: np.ndarray, start: int) -> None:
-        """Read len(out) rows from f, which is positioned at row `start`, into out.
-
-        A file that shrank after open_features raises FormatError at the
-        offset of `start`; a NaN or infinite value raises it at the offset
-        of the first row holding one.
-        """
-        got = f.readinto(out)
-        if got != out.nbytes:
-            raise FormatError(
-                f"truncated file: wanted {out.nbytes} bytes, {got} left",
-                offset=FEATURES_AT + 4 * start * self.d,
-            )
-        finite = np.isfinite(out)
-        if not finite.all():
-            row = start + int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise FormatError(
-                f"feature row {row} is not finite", offset=FEATURES_AT + 4 * row * self.d
-            )
+            f.seek(FEATURES_AT + 4 * span.start * self.d)
+            for at in range(0, len(out), block):
+                chunk = out[at : at + block]
+                if (got := f.readinto(chunk)) != chunk.nbytes:
+                    raise FormatError(f"truncated file: wanted {chunk.nbytes} bytes, {got} left",
+                                      offset=FEATURES_AT + 4 * (span.start + at) * self.d)
+                finite = np.isfinite(chunk)
+                if not finite.all():
+                    row = span.start + at + int(np.flatnonzero(~finite.all(axis=1))[0])
+                    raise FormatError(f"feature row {row} is not finite",
+                                      offset=FEATURES_AT + 4 * row * self.d)
+        return out
 
 
 def open_features(path) -> FeatureFile:
@@ -123,20 +118,8 @@ def open_features(path) -> FeatureFile:
 
 
 def load_features(path) -> np.ndarray:
-    """Read a feature file into an (n, d) float32 matrix, the values as stored.
-
-    Rows are read READ_BLOCK_VALUES at a time straight into the result and
-    checked as FeatureFile.blocks checks them, so beyond the matrix itself
-    only one block's finiteness mask is ever allocated.
-    """
-    src = open_features(path)
-    out = np.empty(src.shape, dtype="<f4")
-    rows = max(1, READ_BLOCK_VALUES // src.d)
-    with open(src.path, "rb") as f:
-        f.seek(FEATURES_AT)
-        for start in range(0, src.n, rows):
-            src._read_rows(f, out[start : start + rows], start)
-    return out
+    """Read a feature file into an (n, d) float32 matrix, the values as stored."""
+    return open_features(path)[:]
 
 
 def save_labels(path, labels) -> None:

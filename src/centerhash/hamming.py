@@ -14,9 +14,6 @@ from .errors import DimensionError, NumericError
 
 MAGIC_CODES = b"CSQC"
 
-# XOR words per block of pairwise_distances (8 MiB of uint64)
-PAIRWISE_BLOCK_WORDS = 1 << 20
-
 
 def words_per_code(k: int) -> int:
     return (k + 63) // 64
@@ -64,26 +61,19 @@ def _words_to_bytes(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
 
 
-def popcount_words(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
-
-
 def pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All Hamming distances between rows of two packed word matrices.
-
-    Rows of ``a`` are taken in blocks so the XOR intermediate holds at
-    most about ``PAIRWISE_BLOCK_WORDS`` words, whatever the input sizes.
-    """
+    """All Hamming distances between rows of two packed word matrices: column j
+    of the (len(a), len(b)) int64 result is distances_to(b[j], a). Every caller's
+    b is a center set, so the loop over its rows is short."""
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     if a.shape[1] != b.shape[1]:
         raise DimensionError(f"word counts differ: {a.shape[1]} vs {b.shape[1]}")
-    out = np.empty((a.shape[0], b.shape[0]), dtype=np.int64)
-    rows = max(1, PAIRWISE_BLOCK_WORDS // max(1, b.size))
-    for start in range(0, a.shape[0], rows):
-        xor = a[start : start + rows, None, :] ^ b[None, :, :]
-        out[start : start + rows] = popcount_words(xor).sum(axis=2, dtype=np.int64)
-    return out
+    columns = [distances_to(row, a) for row in b]
+    if not columns:
+        return np.empty((a.shape[0], 0), dtype=np.int64)
+    # one cast after the stack: stacking straight into int64 is twice as slow
+    return np.stack(columns, axis=1).astype(np.int64)
 
 
 def distances_to(query_words: np.ndarray, db_words: np.ndarray) -> np.ndarray:
@@ -99,7 +89,7 @@ def distances_to(query_words: np.ndarray, db_words: np.ndarray) -> np.ndarray:
             f"query has {query_words.shape} words, database rows have {db_words.shape[1]}"
         )
     key = np.min_scalar_type(64 * db_words.shape[1])
-    return popcount_words(db_words ^ query_words[None, :]).sum(axis=1, dtype=key)
+    return np.bitwise_count(db_words ^ query_words[None, :]).sum(axis=1, dtype=key)
 
 
 def binarize_matrix(h: np.ndarray) -> np.ndarray:

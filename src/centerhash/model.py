@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binfmt, data_io, hamming
+from . import binfmt, hamming
 from .errors import DimensionError, FormatError, NumericError, TrainingError
 from .seeds import substream
 
@@ -341,49 +341,48 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
 def encode(model: HashModel, features) -> np.ndarray:
     """Binary codes for feature rows, packed into (n, W) uint64 words.
 
-    `features` is an (n, d) array or a data_io.FeatureFile.
-    Rows pass through the head ENCODE_BLOCK_ROWS at a time, and each block
-    is cast to float64 (or read from the file) only when its turn comes.
-    Every block's forward pass computes into one set of buffers allocated
-    here, so memory beyond the (n, W) output does not grow with n.
+    `features` is an (n, d) array or a data_io.FeatureFile: rows pass
+    through the head ENCODE_BLOCK_ROWS at a time, each block sliced (so a
+    file's block is read and checked) and cast to float64 only when its
+    turn comes. Every block's forward pass computes into one set of
+    buffers allocated here, so memory beyond the (n, W) output does not
+    grow with n.
 
     It runs in the calling thread: worker threads over the blocks were
     faster on an idle 2-CPU machine, but on a shared one their timings
     spread several times wider than one thread's.
     """
-    rows = ENCODE_BLOCK_ROWS
-    if isinstance(features, data_io.FeatureFile):
-        _check_features(model, features.shape)
-        n, blocks = features.n, features.blocks(rows)
-    else:
-        x = np.asarray(features)
-        _check_features(model, x.shape)
-        n = len(x)
-        blocks = (
-            np.ascontiguousarray(x[s : s + rows], dtype=np.float64) for s in range(0, n, rows)
-        )
+    shape = np.shape(features)
+    _check_features(model, shape)
+    n, rows = shape[0], ENCODE_BLOCK_ROWS
     buffers = _buffers(model, min(rows, n))
     words = np.empty((n, hamming.words_per_code(model.k)), dtype=np.uint64)
-    for start, block in zip(range(0, n, rows), blocks):
+    for start in range(0, n, rows):
+        block = np.ascontiguousarray(features[start : start + rows], dtype=np.float64)
         h = _forward_into(model, block, buffers)[-1]
         words[start : start + len(h)] = hamming.binarize_matrix(h)
     return words
 
 
 def save_model(path, model: HashModel) -> None:
-    """Write a checkpoint (magic CSQM): layer sizes, then f64 params."""
+    """Write a checkpoint (magic CSQM): layer sizes, then f64 params. A parameter
+    that is not finite raises ValueError before any file is created."""
+    params = [np.ascontiguousarray(p, dtype="<f8")
+              for layer in zip(model.weights, model.biases) for p in layer]
+    if not all(np.isfinite(p).all() for p in params):
+        raise ValueError("model parameters must be finite")
     sizes = model.layer_sizes
     with binfmt.atomic_write(path) as f:
         f.write(binfmt.header(MAGIC_MODEL))
         f.write(binfmt.u32(len(sizes)))
         for s in sizes:
             f.write(binfmt.u32(s))
-        for w, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        for p in params:
+            f.write(p.tobytes())
 
 
 def load_model(path) -> HashModel:
+    """Read a checkpoint; a parameter that is not finite raises FormatError at its offset."""
     r = binfmt.read_file(path)
     r.expect_magic(MAGIC_MODEL)
     count = r.u32()
@@ -394,9 +393,16 @@ def load_model(path) -> HashModel:
         raise FormatError(f"bad layer sizes {sizes}", offset=12)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = np.frombuffer(r.take(8 * fan_out * fan_in), dtype="<f8")
-        weights.append(w.reshape(fan_out, fan_in).astype(np.float64))
-        b = np.frombuffer(r.take(8 * fan_out), dtype="<f8")
-        biases.append(b.astype(np.float64))
+        weights.append(_finite_params(r, fan_out * fan_in).reshape(fan_out, fan_in))
+        biases.append(_finite_params(r, fan_out))
     r.expect_end()
     return HashModel(weights=weights, biases=biases)
+
+
+def _finite_params(r: binfmt.Reader, count: int) -> np.ndarray:
+    """The next `count` f64 values of r; a value that is not finite raises FormatError."""
+    at = r.offset
+    values = np.frombuffer(r.take(8 * count), dtype="<f8")
+    if (bad := np.flatnonzero(~np.isfinite(values))).size:
+        raise FormatError("model parameter is not finite", offset=at + 8 * int(bad[0]))
+    return values.astype(np.float64)

@@ -180,7 +180,7 @@ def test_criterion_7_end_to_end_synthetic_run(tmp_path):
 
         db_words, k = hamming.load_codes(result.paths["db_codes"])
         assigned_words, _ = hamming.load_codes(result.paths["assignments"])
-        own = hamming.popcount_words(db_words ^ assigned_words).sum(axis=1)
+        own = np.bitwise_count(db_words ^ assigned_words).sum(axis=1)
         assert own.mean() <= 2.0
 
         matrix = result.report.center_distances

@@ -14,6 +14,7 @@ from centerhash import model as M
 from centerhash.cli import main
 from centerhash.config import RunConfig
 from centerhash.pipeline import run_pipeline
+from test_data_io import write_features_unchecked
 
 
 @pytest.fixture
@@ -330,7 +331,7 @@ def test_run_non_finite_feature_fails_the_stage_that_reads_it(workdir, capsys, s
             "--seed", 7, "--out-prefix", "blob")
     x = data_io.load_features(f"blob.{split}.csqf")
     x[3, 5] = np.inf
-    data_io.save_features(f"blob.{split}.csqf", x)
+    write_features_unchecked(f"blob.{split}.csqf", x)
     write_run_config(workdir / "run.cfg", seed=7)
     assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 1
     offset = 20 + 4 * 3 * 8
@@ -400,14 +401,16 @@ def test_stage_commands_reproduce_run(workdir, single_label):
 
 
 def test_run_loads_each_feature_file_once(workdir, monkeypatch):
-    # train reads its features into memory once; encode streams the database
-    # (the train file here) and the queries through open_features
+    # train reads its features into memory once, as one whole-file slice; encode
+    # streams the database (the train file here) and the queries through
+    # open_features, each as ascending slices that cover the file once
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 6, "--out-prefix", "blob")
     write_run_config(workdir / "run.cfg", seed=6)
-    loaded, streamed, opened, encoded = Counter(), Counter(), [], []
+    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 3)  # the 8 queries take three blocks
+    loaded, sliced, opened, encoded = Counter(), {}, [], []
     load_features, open_features = data_io.load_features, data_io.open_features
-    blocks, encode = data_io.FeatureFile.blocks, M.encode
+    getitem, encode = data_io.FeatureFile.__getitem__, M.encode
 
     def load_spy(path):
         loaded[str(path)] += 1
@@ -417,9 +420,9 @@ def test_run_loads_each_feature_file_once(workdir, monkeypatch):
         opened.append(open_features(path))
         return opened[-1]
 
-    def blocks_spy(self, rows):
-        streamed[self.path] += 1
-        return blocks(self, rows)
+    def getitem_spy(self, rows):
+        sliced.setdefault(self.path, []).append(rows.indices(self.n)[:2])
+        return getitem(self, rows)
 
     def encode_spy(net, features):
         encoded.append(features)
@@ -427,13 +430,20 @@ def test_run_loads_each_feature_file_once(workdir, monkeypatch):
 
     monkeypatch.setattr(data_io, "load_features", load_spy)
     monkeypatch.setattr(data_io, "open_features", open_spy)
-    monkeypatch.setattr(data_io.FeatureFile, "blocks", blocks_spy)
+    monkeypatch.setattr(data_io.FeatureFile, "__getitem__", getitem_spy)
     monkeypatch.setattr(M, "encode", encode_spy)
     assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 0
     assert loaded == {"blob.train.csqf": 1}
-    assert streamed == {"blob.train.csqf": 1, "blob.query.csqf": 1}
     assert [f.path for f in encoded] == ["blob.train.csqf", "blob.query.csqf"]
     assert all(any(f is g for g in opened) for f in encoded)
+    n = {f.path: f.n for f in encoded}
+    assert sliced.keys() == n.keys()
+    assert sliced["blob.train.csqf"][0] == (0, n["blob.train.csqf"])  # the train stage
+    for path, spans in (("blob.train.csqf", sliced["blob.train.csqf"][1:]),
+                        ("blob.query.csqf", sliced["blob.query.csqf"])):
+        assert len(spans) > 1  # several encode blocks
+        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+        assert spans[-1][1] == n[path]
 
 
 def test_eval_stage_reads_each_file_once(workdir, monkeypatch):
@@ -526,10 +536,22 @@ def test_encode_command_rejects_non_finite_features(workdir, capsys):
     argv = encode_inputs(n=6, d=4)
     x = data_io.load_features("x.csqf")
     x[3, 1] = np.nan
-    data_io.save_features("x.csqf", x)
+    write_features_unchecked("x.csqf", x)
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert "error [encode]" in err and "feature row 3 is not finite" in err
+    assert not (workdir / "c.csqc").exists()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_encode_command_rejects_a_non_finite_checkpoint(workdir, capsys, value):
+    argv = encode_inputs(n=6, d=4)
+    with open("model.csqm", "r+b") as f:
+        f.seek(28 + 8 * 5)  # the sixth weight of the first layer
+        f.write(np.array([value], dtype="<f8").tobytes())
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error [encode] model parameter is not finite (byte offset 68)\n"
     assert not (workdir / "c.csqc").exists()
 
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from centerhash import binfmt, config, data_io, synthetic
 from centerhash.errors import DimensionError, FormatError, InvalidLabelError
@@ -54,9 +56,17 @@ def csqf_header(n, d):
     return binfmt.header(data_io.MAGIC_FEATURES) + binfmt.u64(n) + binfmt.u32(d)
 
 
-def read_blocks(path, rows=2):
-    """All rows of a feature file through the block reader."""
-    return np.concatenate(list(data_io.open_features(path).blocks(rows)))
+def write_features_unchecked(path, x):
+    """A feature file holding x as float32, written without save_features' checks."""
+    x = np.asarray(x, dtype="<f4")
+    with open(path, "wb") as f:
+        f.write(csqf_header(*x.shape) + x.tobytes())
+
+
+def read_slices(path, rows=2):
+    """All rows of a feature file, read as consecutive slices of `rows` rows."""
+    src = data_io.open_features(path)
+    return np.concatenate([src[s : s + rows] for s in range(0, src.n, rows)])
 
 
 def three_by_four():
@@ -138,14 +148,41 @@ class TestFeatures:
         path = tmp_path / "x.csqf"
         data_io.save_features(path, x)
         assert np.array_equal(data_io.load_features(path), x.astype(np.float64))
+        src = data_io.open_features(path)
         for rows in (1, 2, 4, 5, 9):
-            blocks = list(data_io.open_features(path).blocks(rows))
+            blocks = [src[s : s + rows] for s in range(0, src.n, rows)]
             assert [len(b) for b in blocks[:-1]] == [rows] * (len(blocks) - 1)
-            assert all(b.dtype == np.float64 for b in blocks)
+            assert all(b.dtype == np.float32 for b in blocks)
             assert np.array_equal(np.concatenate(blocks), x.astype(np.float64))
 
-    @pytest.mark.parametrize("read", [data_io.load_features, read_blocks],
-                             ids=["load_features", "blocks"])
+    @given(start=st.integers(-8, 8) | st.none(), stop=st.integers(-8, 8) | st.none())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_slice_equals_the_loaded_rows(self, tmp_path, monkeypatch, start, stop):
+        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", 7)  # two rows of three per block
+        x = np.arange(15, dtype=np.float32).reshape(5, 3) / 7
+        path = tmp_path / "x.csqf"
+        data_io.save_features(path, x)
+        got = data_io.open_features(path)[start:stop]  # empty and out-of-range bounds too
+        assert got.dtype == np.float32 and got.shape[1] == 3
+        assert np.array_equal(got, data_io.load_features(path)[start:stop])
+
+    @pytest.mark.parametrize("step", [2, -1])
+    def test_slice_with_a_step_raises(self, tmp_path, step):
+        data_io.save_features(tmp_path / "x.csqf", np.ones((4, 2)))
+        with pytest.raises(ValueError, match=f"got step {step}"):
+            data_io.open_features(tmp_path / "x.csqf")[::step]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])  # 1e39: inf as float32
+    def test_save_rejects_a_non_finite_value_before_writing(self, tmp_path, value):
+        x = np.ones((4, 3))
+        x[2, 1] = value
+        with pytest.raises(ValueError, match="feature row 2 is not finite"):
+            data_io.save_features(tmp_path / "x.csqf", x)
+        assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
+
+    @pytest.mark.parametrize("read", [data_io.load_features, read_slices],
+                             ids=["load_features", "slices"])
     @pytest.mark.parametrize("case", sorted(BAD_FEATURE_FILES))
     def test_bad_file_error_is_the_same_through_both_readers(self, tmp_path, case, read):
         data, message, offset = BAD_FEATURE_FILES[case]
@@ -156,24 +193,28 @@ class TestFeatures:
         assert str(err.value) == f"{message} (byte offset {offset})"
         assert err.value.offset == offset
 
-    def test_file_cut_after_open_is_truncated(self, tmp_path):
+    # rows 4-5 read from the middle of the file, or rows 0-5 as two read blocks of four
+    @pytest.mark.parametrize("block_values, rows", [(data_io.READ_BLOCK_VALUES, slice(4, None)),
+                                                    (8, slice(None))], ids=["mid-file", "blocks"])
+    def test_file_cut_after_open_is_truncated(self, tmp_path, monkeypatch, block_values, rows):
+        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", block_values)
         path = tmp_path / "x.csqf"
         data_io.save_features(path, np.ones((6, 2), dtype=np.float32))
         src = data_io.open_features(path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(FormatError, match="wanted 16 bytes, 12 left") as err:
-            list(src.blocks(4))
+            src[rows]
         assert err.value.offset == 20 + 4 * 4 * 2
 
-    @pytest.mark.parametrize("read", [data_io.load_features, read_blocks],
-                             ids=["load_features", "blocks"])
+    @pytest.mark.parametrize("read", [data_io.load_features, read_slices],
+                             ids=["load_features", "slices"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_its_row(self, tmp_path, read, value):
         x = np.ones((8, 3), dtype=np.float32)
         x[5, 2] = value
         x[7, 0] = value
         path = tmp_path / "x.csqf"
-        data_io.save_features(path, x)
+        write_features_unchecked(path, x)
         with pytest.raises(FormatError) as err:
             read(path)
         assert "feature row 5 is not finite" in str(err.value)
@@ -306,3 +347,7 @@ class TestConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError):
             config.parse_config_text("k 32\n")
+
+    def test_repeated_key_rejected_naming_both_lines(self):
+        with pytest.raises(ValueError, match="config line 3: key 'epochs' already set on line 1"):
+            config.parse_config_text("epochs = 5\nk = 32\n epochs=7  # again\n")

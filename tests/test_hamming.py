@@ -217,17 +217,15 @@ def test_save_codes_rejects_what_load_codes_would(tmp_path, words, k):
     assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
 
 
-def test_pairwise_distances_blocked_matches_oracle(monkeypatch):
+@pytest.mark.parametrize("k", [13, 64, 70, 130])  # one word, one full word, two, three
+@pytest.mark.parametrize("m", [4, 0])  # m=0: no centers, no columns
+def test_pairwise_distances_matches_oracle(k, m):
     rng = np.random.default_rng(11)
-    k = 70
     a = rng.integers(0, 2, size=(9, k), dtype=np.uint8)
-    b = rng.integers(0, 2, size=(4, k), dtype=np.uint8)
-    # b is 4 rows of 2 words: 8 words per block is one row of a, 20 is two
-    for block_words in (8, 20, hamming.PAIRWISE_BLOCK_WORDS):
-        monkeypatch.setattr(hamming, "PAIRWISE_BLOCK_WORDS", block_words)
-        got = hamming.pairwise_distances(hamming.pack_matrix(a), hamming.pack_matrix(b))
-        assert got.dtype == np.int64
-        assert got.tolist() == [[oracle.dist(x, y) for y in b] for x in a]
+    b = rng.integers(0, 2, size=(m, k), dtype=np.uint8)
+    got = hamming.pairwise_distances(hamming.pack_matrix(a), hamming.pack_matrix(b))
+    assert got.dtype == np.int64 and got.shape == (9, m)
+    assert got.tolist() == [[oracle.dist(x, y) for y in b] for x in a]
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from centerhash import data_io
 from centerhash import model as M
 from centerhash.errors import DimensionError, FormatError, NumericError, TrainingError
 from centerhash.hamming import unpack_matrix
+from test_data_io import write_features_unchecked
 
 
 def zero_model(d, w1, w2, k):
@@ -431,11 +432,11 @@ class TestEncodeAndCheckpoint:
         x = np.zeros((8, 2), dtype=np.float32)
         x[2] = 1e30  # block 1 overflows
         x[4, 0] = np.nan  # block 2 does not read
-        data_io.save_features(tmp_path / "x.csqf", x)
+        write_features_unchecked(tmp_path / "x.csqf", x)
         with pytest.raises(NumericError):
             M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
         x[2] = 0.0
-        data_io.save_features(tmp_path / "x.csqf", x)
+        write_features_unchecked(tmp_path / "x.csqf", x)
         with pytest.raises(FormatError, match="feature row 4 is not finite"):
             M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
 
@@ -461,11 +462,33 @@ class TestEncodeAndCheckpoint:
         path = tmp_path / "model.csqm"
         path.write_bytes(b"old")
         net = M.init_model(3, 4, hidden=(3, 3), seed=0)
-        net.biases[2] = object()  # the last layer fails after the first two are written
+        net.biases[2] = object()  # the last layer is no array of floats
         with pytest.raises(TypeError):
             M.save_model(path, net)
         assert [p.name for p in tmp_path.iterdir()] == ["model.csqm"]
         assert path.read_bytes() == b"old"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_rejects_a_non_finite_parameter_before_writing(self, tmp_path, value):
+        net = M.init_model(3, 4, hidden=(3, 3), seed=0)
+        net.biases[1][2] = value
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            M.save_model(tmp_path / "model.csqm", net)
+        assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, 17, 38])  # w1[0, 0], w2[1, 2], b3[2] in file order
+    def test_load_rejects_a_non_finite_parameter_at_its_offset(self, tmp_path, value, index):
+        path = tmp_path / "model.csqm"
+        M.save_model(path, M.init_model(3, 4, hidden=(3, 3), seed=0))
+        data = bytearray(path.read_bytes())
+        offset = 28 + 8 * index  # magic, version, count, four sizes; then the f64 params
+        data[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
+        data[-8:] = np.array([np.nan], dtype="<f8").tobytes()  # a later one, not reported
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError) as err:
+            M.load_model(path)
+        assert str(err.value) == f"model parameter is not finite (byte offset {offset})"
 
     def test_checkpoint_truncation_rejected(self, tmp_path):
         net = M.init_model(3, 4, hidden=(3, 3), seed=0)

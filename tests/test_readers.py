@@ -17,8 +17,10 @@ from centerhash import binfmt, centers, data_io, hamming, model
 from centerhash.errors import FormatError, InvalidLabelError
 
 
-def blocks(path):
-    return list(data_io.open_features(path).blocks(2))
+def slices(path):
+    """The rows from row 1 on, two at a time: reads that start mid-file."""
+    src = data_io.open_features(path)
+    return [src[s : s + 2] for s in range(1, src.n, 2)]
 
 
 # reader name -> (read function, the magic its files start with)
@@ -28,7 +30,7 @@ READERS = {
     "load_labels": (data_io.load_labels, data_io.MAGIC_LABELS),
     "load_model": (model.load_model, model.MAGIC_MODEL),
     "load_features": (data_io.load_features, data_io.MAGIC_FEATURES),
-    "blocks": (blocks, data_io.MAGIC_FEATURES),
+    "slices": (slices, data_io.MAGIC_FEATURES),
 }
 
 
@@ -109,7 +111,7 @@ def hostile(name):
     head = binfmt.header(READERS[name][1])
     if name == "load_model":
         return head + binfmt.u32(4) + b"".join(binfmt.u32(1 << 20) for _ in range(4)) + bytes(64)
-    width = 2 if name in ("load_features", "blocks") else 13
+    width = 2 if name in ("load_features", "slices") else 13
     return head + binfmt.u64(1 << 40) + binfmt.u32(width) + bytes(64)
 
 
