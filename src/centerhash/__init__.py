@@ -28,7 +28,6 @@ from .model import (
     load_model,
     quantization_loss,
     save_model,
-    total_loss,
     train,
 )
 from .pipeline import PipelineResult, run_pipeline

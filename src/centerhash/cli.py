@@ -7,6 +7,7 @@ exits nonzero.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 
@@ -72,16 +73,13 @@ def _cmd_synth(args):
         query_per_class = args.query_per_class
         if query_per_class is None:
             query_per_class = max(1, args.per_class // 10)
-        train = synthetic.make_synthetic_blobs(
-            args.classes, args.per_class, args.dim, args.spread, args.seed, split="train"
-        )
-        query = synthetic.make_synthetic_blobs(
-            args.classes, query_per_class, args.dim, args.spread, args.seed, split="query"
-        )
-        written = []
-        for ds in (train, query):
-            fpath = f"{args.out_prefix}.{ds.split}.csqf"
-            lpath = f"{args.out_prefix}.{ds.split}.csql"
+        splits = [(split, synthetic.make_synthetic_blobs(
+                       args.classes, per_class, args.dim, args.spread, args.seed, split=split))
+                  for split, per_class in (("train", args.per_class), ("query", query_per_class))]
+        written = []  # both splits are generated before either is written
+        for split, ds in splits:
+            fpath = f"{args.out_prefix}.{split}.csqf"
+            lpath = f"{args.out_prefix}.{split}.csql"
             data_io.save_features(fpath, ds.features)
             data_io.save_labels(lpath, ds.labels)
             written += [fpath, lpath]
@@ -101,7 +99,7 @@ def _cmd_run(args):
 
 _METHOD_HELP = (
     "hadamard (the default) is automatic: Hadamard rows when k is a power of two "
-    "and m <= 2k, otherwise balanced random"
+    "and there are at most 2k centers, otherwise balanced random"
 )
 
 _FLAG_HELP = {
@@ -127,11 +125,13 @@ def _add_config_flags(p, config_fields, defaults: bool) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # flags are spelled in full: what a prefix would match changes as flags come and go
+    strict_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = strict_parser(
         prog="centerhash",
         description="Hash centers, central-similarity training, and Hamming retrieval evaluation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict_parser)
 
     p = sub.add_parser("gen-centers", help="generate and save a hash center set")
     p.add_argument("--k", type=int, required=True, help="code length in bits")

@@ -27,19 +27,12 @@ class RunConfig:
     db_labels: str = ""
     query_features: str = ""
     query_labels: str = ""
-    # outputs, resolved against out_dir when relative
+    # the directory that receives pipeline.ARTIFACTS
     out_dir: str = "."
-    centers_out: str = "centers.csqh"
-    assignments_out: str = "assignments.csqc"
-    model_out: str = "model.csqm"
-    db_codes_out: str = "db_codes.csqc"
-    query_codes_out: str = "query_codes.csqc"
-    report_out: str = "report.csv"
-    # centers
+    # centers: one per category found in the training labels
     k: int = 16
-    m: int = 0  # 0: one center per category found in the training labels
-    # one of centers.METHODS; hadamard is automatic: Hadamard rows when k is
-    # a power of two and m <= 2k, otherwise balanced random centers
+    # one of centers.METHODS; hadamard is automatic: Hadamard rows when k is a
+    # power of two and there are at most 2k categories, otherwise balanced random
     method: str = "hadamard"
     # training
     lambda1: float = _train("lambda1")
@@ -58,8 +51,6 @@ class RunConfig:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.map_n < 1:
             raise ValueError(f"map_n must be at least 1, got {self.map_n}")
-        if self.m < 0:
-            raise ValueError(f"m must be non-negative, got {self.m}")
         if self.method not in METHODS:
             raise ValueError(f"unknown center method {self.method!r}")
         if bool(self.db_features) != bool(self.db_labels):

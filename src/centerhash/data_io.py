@@ -27,25 +27,12 @@ READ_BLOCK_VALUES = 1 << 20
 class Dataset:
     features: np.ndarray  # (n, d) float32 as stored (load_features), or any real dtype
     labels: np.ndarray  # (n, q) uint8 multi-hot
-    split: str = "train"
 
     def __post_init__(self):
         if self.features.shape[0] != self.labels.shape[0]:
             raise DimensionError(
                 f"{self.features.shape[0]} feature rows, {self.labels.shape[0]} label rows"
             )
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.labels.shape[1]
 
 
 def save_features(path, features) -> None:

@@ -205,15 +205,6 @@ def quantization_loss(h) -> float:
     return float(_quant(np.abs(2.0 * h - 1.0) - 1.0).mean())
 
 
-def total_loss(h, c, cfg: TrainConfig) -> float:
-    loss = 0.0
-    if cfg.use_lc:
-        loss += central_loss(h, c)
-    if cfg.use_lq and cfg.lambda1 != 0.0:
-        loss += cfg.lambda1 * quantization_loss(h)
-    return loss
-
-
 def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
     """Both loss terms of an (n, k) batch of relaxed codes, and dL/dh.
 

@@ -15,8 +15,12 @@ import numpy as np
 from . import centers as centers_mod
 from . import data_io, hamming, model as model_mod, retrieval
 from .config import RunConfig
-from .errors import (CenterHashError, DimensionError, InsufficientCentersError,
-                     InvalidLabelError, StageError)
+from .errors import CenterHashError, DimensionError, InvalidLabelError, StageError
+
+# each artifact `run_pipeline` writes, and its file name under the config's out_dir
+ARTIFACTS = {"centers": "centers.csqh", "assignments": "assignments.csqc", "model": "model.csqm",
+             "db_codes": "db_codes.csqc", "query_codes": "query_codes.csqc",
+             "report": "report.csv"}
 
 
 @dataclass
@@ -107,14 +111,19 @@ def _center_distances(words, k: int, assigned, centers) -> np.ndarray:
 
 
 def _load(cfg: RunConfig) -> int:
-    """Check every input before any artifact is written: each feature file's header
-    and length (the stage that reads its rows checks them), each label file whole,
-    that a split's two files agree on n, every split has the train split's d and
-    the query labels the database labels' q. Returns the train labels' q."""
+    """Check every input before any artifact is written: that every split's files
+    are set (before any is opened), each feature file's header and length (the
+    stage that reads its rows checks them), each label file whole, that a split's
+    two files agree on n, every split has the train split's d and the query labels
+    the database labels' q. Returns the train labels' q."""
     splits = [("train", cfg.train_features, cfg.train_labels),
               ("query", cfg.query_features, cfg.query_labels)]
     if (cfg.db_features, cfg.db_labels) != (cfg.train_features, cfg.train_labels):
         splits.insert(1, ("database", cfg.db_features, cfg.db_labels))
+    for name, *files in splits:
+        unset = [kind for kind, path in zip(("features", "labels"), files) if not path]
+        if unset:
+            raise ValueError(f"{name} {' and '.join(unset)} are not set")
     shapes = []  # (d, q) of each split; the database split is the second to last
     for name, features, label_file in splits:
         n, d = data_io.open_features(features).shape
@@ -132,19 +141,17 @@ def _load(cfg: RunConfig) -> int:
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """Every stage in order, each reading the artifacts the stages before it wrote."""
-    artifacts = ("centers", "assignments", "model", "db_codes", "query_codes", "report")
-    paths = {name: str(Path(cfg.out_dir) / getattr(cfg, f"{name}_out")) for name in artifacts}
+    """Every stage in order, each reading the artifacts the stages before it wrote.
+    The centers are one per category of the training labels."""
+    paths = {name: str(Path(cfg.out_dir) / file) for name, file in ARTIFACTS.items()}
 
     with _stage("train"):
         train_cfg = cfg.train_config()  # a bad setting fails before any artifact is written
     with _stage("load"):
         q = _load(cfg)
-        if 0 < cfg.m < q:  # assign's check, made before anything is written
-            raise InsufficientCentersError(f"{q} categories but only {cfg.m} centers")
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     with _stage("gen-centers"):
-        gen_centers(cfg.method, cfg.m or q, cfg.k, cfg.seed, paths["centers"])
+        gen_centers(cfg.method, q, cfg.k, cfg.seed, paths["centers"])
     with _stage("assign"):
         assign(paths["centers"], cfg.train_labels, cfg.seed, paths["assignments"])
     with _stage("train"):

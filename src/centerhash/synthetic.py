@@ -35,4 +35,4 @@ def make_synthetic_blobs(
 
     labels = np.zeros((n, classes), dtype=np.uint8)
     labels[np.arange(n), np.repeat(np.arange(classes), per_class)] = 1
-    return Dataset(features=features, labels=labels, split=split)
+    return Dataset(features=features, labels=labels)

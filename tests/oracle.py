@@ -6,6 +6,8 @@ indices: no packing, no vectorization, no shared code with the package.
 Kept deliberately slow and literal so they can serve as an independent
 check of the fast paths.
 
+total_loss is the training objective as the sum of the two public loss
+terms, the function the finite-difference gradient checks differentiate.
 train_reference is the two-pass training step written out from the
 package's public pieces (forward, the two losses, backward), so the fused
 model.train can be held to it byte for byte. sigmoid_reference and
@@ -113,6 +115,16 @@ def center_distance_matrix(code_bits, group_ids, center_bits):
         for j in range(m):
             out[i][j] = sum(dist(code, center_bits[j]) for code in members) / len(members)
     return out
+
+
+def total_loss(h, c, cfg):
+    """L_central + lambda1 * L_quant, each term only when cfg enables it."""
+    loss = 0.0
+    if cfg.use_lc:
+        loss += M.central_loss(h, c)
+    if cfg.use_lq and cfg.lambda1 != 0.0:
+        loss += cfg.lambda1 * M.quantization_loss(h)
+    return loss
 
 
 def train_reference(features, center_vectors, cfg):

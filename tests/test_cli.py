@@ -1,9 +1,11 @@
 import errno
 import hashlib
 import os
+import shlex
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from centerhash import centers as C
 from centerhash import cli, data_io, hamming, pipeline
 from centerhash import model as M
 from centerhash.cli import main
-from centerhash.config import RunConfig
+from centerhash.config import RunConfig, build_run_config, parse_config_text
 from centerhash.pipeline import run_pipeline
 from test_data_io import write_features_unchecked
 
@@ -148,10 +150,20 @@ def test_synth_writes_both_splits(workdir):
     assert rc == 0
     train, query = (
         data_io.Dataset(data_io.load_features(f"data.{split}.csqf"),
-                        data_io.load_labels(f"data.{split}.csql"), split)
+                        data_io.load_labels(f"data.{split}.csql"))
         for split in ("train", "query")
     )
-    assert train.n == 30 and query.n == 3  # default query size is per-class // 10
+    # default query size is per-class // 10
+    assert train.features.shape[0] == 30 and query.features.shape[0] == 3
+
+
+def test_synth_bad_query_size_writes_neither_split(workdir, capsys):
+    rc = run_cli("synth", "--classes", 3, "--per-class", 10, "--dim", 5, "--spread", 0.2,
+                 "--query-per-class", 0, "--out-prefix", "data")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error [synth] classes, per_class, and d must all be positive\n")
+    assert list(workdir.iterdir()) == []
 
 
 def write_run_config(path, seed):
@@ -178,9 +190,9 @@ def test_run_subcommand_and_flag_override(workdir, capsys):
     write_run_config(workdir / "run.cfg", seed=5)
     rc = run_cli("run", "--config", "run.cfg", "--epochs", 2)
     assert rc == 0
-    for name in ("centers.csqh", "assignments.csqc", "model.csqm",
-                 "db_codes.csqc", "query_codes.csqc", "report.csv"):
-        assert (workdir / "out" / name).exists()
+    assert sorted(path.name for path in (workdir / "out").iterdir()) == [
+        "assignments.csqc", "centers.csqh", "db_codes.csqc", "model.csqm",
+        "query_codes.csqc", "report.csv"]
 
 
 def test_run_is_byte_reproducible(workdir):
@@ -254,18 +266,57 @@ def test_negative_seed_fails_before_any_file_is_read_or_written(workdir, capsys,
     assert loaded == [] and not (workdir / "m.csqm").exists()
 
 
-@pytest.mark.parametrize("flags, err", [
-    (["--m", 3], "error [load] 4 categories but only 3 centers\n"),
-    (["--m", -1], "error [config] m must be non-negative, got -1\n"),
-], ids=["fewer-centers-than-categories", "negative"])
-def test_run_checks_m_before_writing(workdir, capsys, flags, err):
+def spy_on_input_reads(monkeypatch):
+    """The paths the run stages open through data_io, recorded as each is opened."""
+    opened = []
+    for name in ("open_features", "load_labels"):
+        real = getattr(data_io, name)
+        monkeypatch.setattr(data_io, name, lambda path, real=real: opened.append(path) or real(path))
+    return opened
+
+
+@pytest.mark.parametrize("flags", [["--m", "3"], ["--report-out", "r.csv"], ["--epoch", "1"]],
+                         ids=["removed-m", "removed-output-name", "abbreviation"])
+def test_run_rejects_removed_and_abbreviated_flags(workdir, capsys, flags):
+    write_run_config(workdir / "run.cfg", seed=7)
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("run", "--config", "run.cfg", *flags, "--out-dir", "y")
+    assert exit_info.value.code == 2
+    assert f"error: unrecognized arguments: {' '.join(flags)}\n" in capsys.readouterr().err
+    assert not (workdir / "y").exists()
+
+
+@pytest.mark.parametrize("line, key", [("m = 3", "m"), ("report_out = r.csv", "report_out")],
+                         ids=["m", "report_out"])
+def test_run_rejects_removed_config_keys_before_reading_or_writing(workdir, capsys, monkeypatch,
+                                                                  line, key):
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 7, "--out-prefix", "blob")
     write_run_config(workdir / "run.cfg", seed=7)
+    with open(workdir / "run.cfg", "a") as f:
+        f.write(f"\n{line}\n")
+    opened = spy_on_input_reads(monkeypatch)
+    capsys.readouterr()
+    assert run_cli("run", "--config", "run.cfg", "--out-dir", "y") == 1
+    assert capsys.readouterr().err == f"error [config] unknown config key {key!r}\n"
+    assert opened == [] and not (workdir / "y").exists()
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--train-features", ""], "error [load] train features are not set\n"),
+    (["--query-features", "", "--query-labels", ""],
+     "error [load] query features and labels are not set\n"),
+], ids=["train", "query"])
+def test_run_names_an_unset_split_before_reading_or_writing(workdir, capsys, monkeypatch, flags,
+                                                            err):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=7)
+    opened = spy_on_input_reads(monkeypatch)
     capsys.readouterr()
     assert run_cli("run", "--config", "run.cfg", *flags, "--out-dir", "y") == 1
     assert capsys.readouterr().err == err
-    assert not (workdir / "y").exists()
+    assert opened == [] and not (workdir / "y").exists()
 
 
 @pytest.mark.parametrize("half", [["--db-features", "blob.query.csqf"],
@@ -680,3 +731,25 @@ def test_train_flags_reach_train_config(workdir, monkeypatch):
     expected = M.TrainConfig(**{TRAIN_KEYS[key]: v for key, v in values.items()})
     assert seen == [expected]
     assert RunConfig(**values).train_config() == expected
+
+
+def readme_blocks():
+    """The README's fenced blocks, each a list of lines with `\\` continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [block.replace("\\\n", " ").splitlines() for block in text.split("```")[1::2]]
+
+
+def test_readme_commands_parse_and_its_config_builds():
+    parser, blocks = cli.build_parser(), readme_blocks()
+    commands = [shlex.split(line)[1:] for block in blocks for line in block
+                if line.startswith("centerhash ")]
+    assert len(commands) == 8
+    for argv in commands:
+        parser.parse_args(argv)
+
+    quick_start = next(block for block in blocks if "cat > run.cfg <<'EOF'" in block)
+    start = quick_start.index("cat > run.cfg <<'EOF'") + 1
+    text = "\n".join(quick_start[start : quick_start.index("EOF", start)])
+    cfg = build_run_config(parse_config_text(text))
+    assert (cfg.train_features, cfg.query_labels, cfg.k, cfg.out_dir) == (
+        "blobs.train.csqf", "blobs.query.csql", 16, "out")

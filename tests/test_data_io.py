@@ -299,7 +299,7 @@ class TestSyntheticBlobs:
 
     def test_sample_count(self):
         ds = synthetic.make_synthetic_blobs(8, 100, 4, 0.1, seed=0)
-        assert ds.n == 800 and ds.q == 8
+        assert ds.features.shape[0] == 800 and ds.labels.shape[1] == 8
 
     def test_means_on_unit_sphere(self):
         ds = synthetic.make_synthetic_blobs(5, 2, 16, 0.0, seed=3)

