@@ -41,9 +41,7 @@ def main():
             seed=args.seed, epochs=args.epochs, use_lc=use_lc, use_lq=use_lq
         )
         net, _ = model.train(train.features, smap.vectors, cfg)
-        index = retrieval.CodeIndex(
-            k=args.k, codes=model.encode(net, train.features), labels=train.labels
-        )
+        index = retrieval.CodeIndex(codes=model.encode(net, train.features), labels=train.labels)
         q_words = model.encode(net, query.features)
         report = retrieval.evaluate(index, q_words, query.labels, args.per_class)
         print(f"{name:<24} {report.map_at_n:>8.4f} {report.p_at_h2:>8.4f}")

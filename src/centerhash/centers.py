@@ -30,15 +30,12 @@ class CenterSet:
     loaded from disk, since the file format does not store it.
     """
 
-    k: int
     bits: np.ndarray  # (m, k) uint8
     method: str | None
 
     def __post_init__(self):
-        if self.bits.ndim != 2 or self.bits.shape[1] != self.k:
-            raise DimensionError(
-                f"center matrix shape {self.bits.shape} does not match k={self.k}"
-            )
+        if self.bits.ndim != 2:
+            raise DimensionError(f"center matrix must be (m, k), got shape {self.bits.shape}")
         if self.bits.shape[0] < 1:
             raise ValueError("a center set needs at least one center")
         self.bits.flags.writeable = False
@@ -46,6 +43,10 @@ class CenterSet:
     @property
     def m(self) -> int:
         return self.bits.shape[0]
+
+    @property
+    def k(self) -> int:
+        return self.bits.shape[1]
 
     def packed(self) -> np.ndarray:
         return hamming.pack_matrix(self.bits)
@@ -107,7 +108,7 @@ def generate_centers(m: int, k: int, seed: int = 0) -> CenterSet:
         return generate_centers_balanced(m, k, seed)
     h = hadamard_matrix(k)
     bits = (np.vstack([h, -h])[:m] > 0).astype(np.uint8)
-    return CenterSet(k=k, bits=bits, method="hadamard" if m <= k else "hadamard2k")
+    return CenterSet(bits=bits, method="hadamard" if m <= k else "hadamard2k")
 
 
 def generate_centers_balanced(m: int, k: int, seed: int = 0) -> CenterSet:
@@ -137,7 +138,7 @@ def _generate_random(m, k, draw, seed, method) -> CenterSet:
     # redraw the whole set when an unlucky draw falls short (rare beyond tiny m)
     rng = substream(seed, "centers")
     for _ in range(1 + MAX_DUPLICATE_RETRIES):
-        cs = CenterSet(k=k, bits=_draw_distinct(m, draw, rng), method=method)
+        cs = CenterSet(bits=_draw_distinct(m, draw, rng), method=method)
         if validate_centers(cs).valid:
             return cs
     raise GenerationError(
@@ -184,7 +185,6 @@ def validate_centers(cs: CenterSet) -> ValidityReport:
 class SemanticCenterMap:
     """The per-sample center vectors plus the distinct-label cache."""
 
-    k: int
     vectors: np.ndarray  # (n, k) uint8
     by_label: dict  # tuple of sorted category indices -> (k,) uint8 vector
 
@@ -233,7 +233,7 @@ def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMa
     for s in np.flatnonzero(ties.any(axis=1)):
         set_vectors[s, ties[s]] = rng.integers(0, 2, size=int(ties[s].sum()), dtype=np.uint8)
     by_label = {tuple(np.flatnonzero(row).tolist()): vec for row, vec in zip(members, set_vectors)}
-    return SemanticCenterMap(k=cs.k, vectors=set_vectors[rank[inverse]], by_label=by_label)
+    return SemanticCenterMap(vectors=set_vectors[rank[inverse]], by_label=by_label)
 
 
 def save_centers(path, cs: CenterSet) -> None:
@@ -245,5 +245,4 @@ def save_centers(path, cs: CenterSet) -> None:
 def load_centers(path) -> CenterSet:
     """Read a center file. The generation method is not stored on disk."""
     rows, k = binfmt.load_bit_rows(path, MAGIC_CENTERS, "empty center file (m={n}, k={k})")
-    bits = np.unpackbits(rows, axis=1, count=k, bitorder="little")
-    return CenterSet(k=k, bits=bits, method=None)
+    return CenterSet(bits=np.unpackbits(rows, axis=1, count=k, bitorder="little"), method=None)

@@ -37,8 +37,7 @@ def _cmd_assign(args):
 def _cmd_train(args):
     with _stage("train"):
         cfg = RunConfig(**{f.name: getattr(args, f.name) for f in TRAIN_FIELDS}).train_config()
-        net, log = train(args.features, args.centers_map, cfg, args.out_model,
-                         k=args.k, labels=args.labels)
+        net, log = train(args.features, args.centers_map, cfg, args.out_model)
     final = f", final loss {log[-1].total:.6f}" if log else ""
     print(f"wrote {args.out_model}: layers {net.layer_sizes}, {len(log)} epochs{final}")
 
@@ -151,9 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the hash head on features and assigned centers")
     p.add_argument("--features", required=True)
-    p.add_argument("--labels", default="", help="optional, checked against the feature count")
     p.add_argument("--centers-map", required=True, dest="centers_map")
-    p.add_argument("--k", type=int, default=None, help="optional, checked against the map")
     _add_config_flags(p, TRAIN_FIELDS, defaults=True)
     p.add_argument("--out-model", required=True, dest="out_model")
     p.set_defaults(func=_cmd_train)

@@ -294,38 +294,40 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     shuffle_rng = substream(cfg.seed, "shuffle")
 
     log: list[EpochLog] = []
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        sum_total = sum_central = sum_quant = 0.0
-        for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            sel = order[start : start + cfg.batch_size]
-            xb = x[sel].astype(np.float64, copy=False)
-            cb = c[sel].astype(np.float64, copy=False)
-            cache = _forward_cached(model, xb)
-            if not np.isfinite(cache[-1]).all():
-                raise TrainingError("model output is not finite", epoch=epoch, batch=batch_idx)
-            lc, lq, dh = loss_and_dh(cache[-1], cb, cfg)
-            batch_loss = lc + cfg.lambda1 * lq
-            if not math.isfinite(batch_loss):
-                raise TrainingError("loss is not finite", epoch=epoch, batch=batch_idx)
-            sum_total += batch_loss * len(sel)
-            sum_central += lc * len(sel)
-            sum_quant += lq * len(sel)
+    # overflow turns into inf/NaN, which the checks below raise as TrainingError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(n)
+            sum_total = sum_central = sum_quant = 0.0
+            for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
+                sel = order[start : start + cfg.batch_size]
+                xb = x[sel].astype(np.float64, copy=False)
+                cb = c[sel].astype(np.float64, copy=False)
+                cache = _forward_cached(model, xb)
+                if not np.isfinite(cache[-1]).all():
+                    raise TrainingError("model output is not finite", epoch=epoch, batch=batch_idx)
+                lc, lq, dh = loss_and_dh(cache[-1], cb, cfg)
+                batch_loss = lc + cfg.lambda1 * lq
+                if not math.isfinite(batch_loss):
+                    raise TrainingError("loss is not finite", epoch=epoch, batch=batch_idx)
+                sum_total += batch_loss * len(sel)
+                sum_central += lc * len(sel)
+                sum_quant += lq * len(sel)
 
-            try:
-                grads = backprop(model, xb, cache, dh)
-            except NumericError as exc:
-                raise TrainingError(str(exc), epoch=epoch, batch=batch_idx) from exc
-            for w, b, gw, gb, vw, vb in zip(
-                model.weights, model.biases, grads.weights, grads.biases, vel_w, vel_b
-            ):
-                vw *= cfg.momentum
-                vw += gw
-                vb *= cfg.momentum
-                vb += gb
-                w -= cfg.learning_rate * vw
-                b -= cfg.learning_rate * vb
-        log.append(EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
+                try:
+                    grads = backprop(model, xb, cache, dh)
+                except NumericError as exc:
+                    raise TrainingError(str(exc), epoch=epoch, batch=batch_idx) from exc
+                for w, b, gw, gb, vw, vb in zip(
+                    model.weights, model.biases, grads.weights, grads.biases, vel_w, vel_b
+                ):
+                    vw *= cfg.momentum
+                    vw += gw
+                    vb *= cfg.momentum
+                    vb += gb
+                    w -= cfg.learning_rate * vw
+                    b -= cfg.learning_rate * vb
+            log.append(EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
     return model, log
 
 
@@ -348,10 +350,12 @@ def encode(model: HashModel, features) -> np.ndarray:
     n, rows = shape[0], ENCODE_BLOCK_ROWS
     buffers = _buffers(model, min(rows, n))
     words = np.empty((n, hamming.words_per_code(model.k)), dtype=np.uint64)
-    for start in range(0, n, rows):
-        block = np.ascontiguousarray(features[start : start + rows], dtype=np.float64)
-        h = _forward_into(model, block, buffers)[-1]
-        words[start : start + len(h)] = hamming.binarize_matrix(h)
+    # overflow turns into inf/NaN, which binarize_matrix raises as NumericError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, rows):
+            block = np.ascontiguousarray(features[start : start + rows], dtype=np.float64)
+            h = _forward_into(model, block, buffers)[-1]
+            words[start : start + len(h)] = hamming.binarize_matrix(h)
     return words
 
 

@@ -55,16 +55,12 @@ def assign(centers, labels, seed: int, out) -> centers_mod.SemanticCenterMap:
     return assignment
 
 
-def train(features, centers_map, cfg: model_mod.TrainConfig, out_model, k=None, labels=""):
+def train(features, centers_map, cfg: model_mod.TrainConfig, out_model):
     """Train the hash head toward each row's assigned center; returns (model, epoch log).
-    A given `k` must match the map's, and a given `labels` file the feature row count."""
+    The map gives k, and must have one row per feature row."""
     x = data_io.load_features(features)
-    center_words, map_k = hamming.load_codes(centers_map)
-    if k is not None and k != map_k:
-        raise DimensionError(f"--k {k} does not match centers-map k={map_k}")
-    if labels and (n := data_io.load_labels(labels).shape[0]) != x.shape[0]:
-        raise DimensionError(f"{n} label rows but {x.shape[0]} feature rows")
-    net, log = model_mod.train(x, hamming.unpack_matrix(center_words, map_k), cfg)
+    center_words, k = hamming.load_codes(centers_map)
+    net, log = model_mod.train(x, hamming.unpack_matrix(center_words, k), cfg)
     model_mod.save_model(out_model, net)
     return net, log
 
@@ -87,11 +83,11 @@ def evaluate(db_codes, db_labels, query_codes, query_labels, map_n: int,
     query_y = data_io.load_labels(query_labels)
     if db_k != query_k:
         raise DimensionError(f"database codes have k={db_k}, queries k={query_k}")
-    distances = None
+    report = retrieval.evaluate(retrieval.CodeIndex(codes=db_words, labels=db_y),
+                                query_words, query_y, map_n)
     if centers and (db_y.sum(axis=1) == 1).all():
-        distances = _center_distances(db_words, db_k, db_y, centers)
-    index = retrieval.CodeIndex(k=db_k, codes=db_words, labels=db_y)
-    return retrieval.evaluate(index, query_words, query_y, map_n, center_distances=distances)
+        report.center_distances = _center_distances(db_words, db_k, db_y, centers)
+    return report
 
 
 def distmat(codes, assignments, centers) -> np.ndarray:

@@ -30,7 +30,6 @@ RADIUS = 2  # the Hamming ball of p_at_h2
 class CodeIndex:
     """A searchable database: packed codes aligned with multi-hot labels."""
 
-    k: int
     codes: np.ndarray  # (n, W) uint64
     labels: np.ndarray  # (n, q) uint8
 
@@ -38,11 +37,6 @@ class CodeIndex:
         if self.codes.shape[0] != self.labels.shape[0]:
             raise DimensionError(
                 f"{self.codes.shape[0]} codes but {self.labels.shape[0]} label rows"
-            )
-        if self.codes.shape[1] != hamming.words_per_code(self.k):
-            raise DimensionError(
-                f"codes have {self.codes.shape[1]} words, k={self.k} needs "
-                f"{hamming.words_per_code(self.k)}"
             )
 
     @property
@@ -127,13 +121,7 @@ class EvalReport:
     center_distances: np.ndarray | None = None  # (m, m), NaN for empty groups
 
 
-def evaluate(
-    index: CodeIndex,
-    query_words,
-    query_labels,
-    map_n: int,
-    center_distances: np.ndarray | None = None,
-) -> EvalReport:
+def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalReport:
     """Run the full metric battery for a query set in one ranking pass.
 
     Each query is ranked once and its ranked relevance counted once
@@ -192,7 +180,6 @@ def evaluate(
         map_n=map_n,
         precision=precision,
         recall=recall,
-        center_distances=center_distances,
     )
 
 

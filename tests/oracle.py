@@ -205,4 +205,4 @@ def assign_reference(cs, labels, seed=0):
                 out[ties] = rng.integers(0, 2, size=int(ties.sum()), dtype=np.uint8)
             cache[key] = out
         vectors[i] = cache[key]
-    return SemanticCenterMap(k=cs.k, vectors=vectors, by_label=cache)
+    return SemanticCenterMap(vectors=vectors, by_label=cache)

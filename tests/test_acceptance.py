@@ -58,12 +58,12 @@ def test_criterion_2_bernoulli_mean_distance():
 def test_criterion_3_multi_label_centroids():
     with criterion(3, "multi-label centroids and tie sampling", budget_s=5.0):
         # odd membership: the vote is forced, bit by bit
-        cs = C.CenterSet(4, np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], np.uint8), None)
+        cs = C.CenterSet(np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], np.uint8), None)
         labels = np.array([[1, 1, 1]], dtype=np.uint8)
         smap = C.assign_multi_label(cs, labels, seed=0)
         assert np.array_equal(smap.vectors[0], [1, 0, 0, 0])
 
-        five = C.CenterSet(5, np.array(
+        five = C.CenterSet(np.array(
             [[1, 1, 0, 0, 1], [0, 1, 1, 0, 1], [1, 0, 1, 0, 0], [1, 1, 1, 1, 0], [0, 0, 1, 1, 0]],
             np.uint8), None)
         smap = C.assign_multi_label(five, np.ones((1, 5), dtype=np.uint8), seed=7)
@@ -72,7 +72,7 @@ def test_criterion_3_multi_label_centroids():
         # two complementary centers tie on every bit; 10^4 tie draws
         k = 10_000
         pattern = np.arange(k) % 2
-        tied = C.CenterSet(k, np.array([pattern, 1 - pattern], np.uint8), None)
+        tied = C.CenterSet(np.array([pattern, 1 - pattern], np.uint8), None)
         draws = C.assign_multi_label(tied, np.ones((1, 2), dtype=np.uint8), seed=11)
         p_one = draws.vectors[0].mean()
         assert 0.48 <= p_one <= 0.52
@@ -124,7 +124,7 @@ def test_criterion_6_metric_oracle_equivalence():
             q_bits = rng.integers(0, 2, size=(nq, k), dtype=np.uint8)
             q_labels = multihot(nq)
 
-            index = R.CodeIndex(k=k, codes=hamming.pack_matrix(db_bits), labels=db_labels)
+            index = R.CodeIndex(codes=hamming.pack_matrix(db_bits), labels=db_labels)
             q_words = hamming.pack_matrix(q_bits)
             db_list = [list(map(int, row)) for row in db_bits]
             q_list = [list(map(int, row)) for row in q_bits]
@@ -201,7 +201,7 @@ def test_criterion_8_ablation_direction(tmp_path):
         def run(use_lc, use_lq):
             cfg = M.TrainConfig(seed=seed, use_lc=use_lc, use_lq=use_lq)
             net, _ = M.train(train.features, smap.vectors, cfg)
-            index = R.CodeIndex(k=16, codes=M.encode(net, train.features), labels=train.labels)
+            index = R.CodeIndex(codes=M.encode(net, train.features), labels=train.labels)
             return R.mean_average_precision(index, M.encode(net, query.features), query.labels, 100)
 
         map_full = run(True, True)

@@ -18,7 +18,7 @@ from centerhash.errors import (
 
 def center_set(rows):
     bits = np.array(rows, dtype=np.uint8)
-    return C.CenterSet(bits.shape[1], bits, None)
+    return C.CenterSet(bits, None)
 
 
 def pairwise(cs):
@@ -295,7 +295,7 @@ class TestAssignAgainstRowLoop:
         rng = np.random.default_rng(seed)
         labels = random_label_sets(rng, n, q, [s for s in sizes if s <= q])
         labels = labels[rng.integers(0, n, size=n)]  # repeated label sets
-        cs = C.CenterSet(k=k, bits=rng.integers(0, 2, size=(q, k), dtype=np.uint8), method=None)
+        cs = C.CenterSet(bits=rng.integers(0, 2, size=(q, k), dtype=np.uint8), method=None)
         expected = oracle.assign_reference(cs, labels, seed)
         assert_same_map(C.assign_multi_label(cs, labels, seed), expected)
 

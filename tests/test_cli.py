@@ -2,6 +2,8 @@ import errno
 import hashlib
 import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
@@ -98,9 +100,8 @@ def full_pipeline_files(workdir, seed=3):
     rc = run_cli("assign", "--centers", "c.csqh", "--labels", "blob.train.csql",
                  "--seed", seed, "--out", "map.csqc")
     assert rc == 0
-    rc = run_cli("train", "--features", "blob.train.csqf", "--labels", "blob.train.csql",
-                 "--centers-map", "map.csqc", "--k", 8, "--epochs", 15,
-                 "--seed", seed, "--out-model", "model.csqm")
+    rc = run_cli("train", "--features", "blob.train.csqf", "--centers-map", "map.csqc",
+                 "--epochs", 15, "--seed", seed, "--out-model", "model.csqm")
     assert rc == 0
     rc = run_cli("encode", "--model", "model.csqm", "--features", "blob.train.csqf",
                  "--out-codes", "db.csqc")
@@ -120,16 +121,30 @@ def test_stagewise_pipeline(workdir, capsys):
     assert text.startswith("metric,value\nmap_at_n,")
 
 
-def test_train_k_mismatch_rejected(workdir, capsys):
+def test_train_rejects_a_map_of_other_row_count(workdir, capsys):
+    # the map has one row per label row, so this is also the labels/features check
     run_cli("synth", "--classes", 2, "--per-class", 4, "--dim", 4, "--spread", 0.1,
             "--seed", 0, "--out-prefix", "blob")
     run_cli("gen-centers", "--k", 8, "--m", 2, "--out", "c.csqh")
-    run_cli("assign", "--centers", "c.csqh", "--labels", "blob.train.csql",
+    run_cli("assign", "--centers", "c.csqh", "--labels", "blob.query.csql",
             "--out", "map.csqc")
+    capsys.readouterr()
     rc = run_cli("train", "--features", "blob.train.csqf", "--centers-map", "map.csqc",
-                 "--k", 16, "--epochs", 1, "--out-model", "m.csqm")
+                 "--epochs", 1, "--out-model", "m.csqm")
     assert rc == 1
-    assert "error [train]" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error [train] center map covers 2 samples, features have 8\n")
+    assert not (workdir / "m.csqm").exists()
+
+
+@pytest.mark.parametrize("flag", ["--k", "--labels"])
+def test_train_has_no_k_or_labels_flag(workdir, capsys, flag):
+    # k is the map's, and the map has one row per label row
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--features", "x.csqf", "--centers-map", "map.csqc", flag, "8",
+                "--out-model", "m.csqm")
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
 
 
 def test_eval_k_mismatch_rejected(workdir, capsys):
@@ -238,6 +253,24 @@ def test_run_rejects_non_finite_learning_rate(workdir, capsys):
     assert run_cli("run", "--config", "run.cfg", "--lr", "nan") == 1
     err = capsys.readouterr().err
     assert "error [train]" in err and "learning_rate" in err
+
+
+def test_diverging_run_writes_one_error_line(workdir):
+    # a separate process, so its stderr is what a user sees: no numpy warning ahead of the error
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 1, "--out-prefix", "blob")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(C.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "centerhash.cli", "run", "--train-features", "blob.train.csqf",
+         "--train-labels", "blob.train.csql", "--query-features", "blob.query.csqf",
+         "--query-labels", "blob.query.csql", "--k", "16", "--epochs", "2", "--map-n", "5",
+         "--lr", "1e200"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error [train] model output is not finite (epoch 0, batch 1)\n"
 
 
 def test_run_rejects_bad_training_setting_before_writing(workdir, capsys):
@@ -425,9 +458,8 @@ def test_stage_commands_reproduce_run(workdir, single_label):
          "--out", "stages/centers.csqh"],
         ["assign", "--centers", "stages/centers.csqh", "--labels", "blob.train.csql",
          "--seed", 4, "--out", "stages/assignments.csqc"],
-        ["train", "--features", "blob.train.csqf", "--labels", "blob.train.csql",
-         "--centers-map", "stages/assignments.csqc", *settings, "--out-model",
-         "stages/model.csqm"],
+        ["train", "--features", "blob.train.csqf", "--centers-map", "stages/assignments.csqc",
+         *settings, "--out-model", "stages/model.csqm"],
         ["encode", "--model", "stages/model.csqm", "--features", f"{db}.csqf",
          "--out-codes", "stages/db_codes.csqc"],
         ["encode", "--model", "stages/model.csqm", "--features", "blob.query.csqf",
@@ -753,3 +785,9 @@ def test_readme_commands_parse_and_its_config_builds():
     cfg = build_run_config(parse_config_text(text))
     assert (cfg.train_features, cfg.query_labels, cfg.k, cfg.out_dir) == (
         "blobs.train.csqf", "blobs.query.csql", 16, "out")
+
+
+def test_readme_library_example_runs(capsys):
+    block = next(block for block in readme_blocks() if block[0] == "python")
+    exec("\n".join(block[1:]), {})
+    assert capsys.readouterr().out == "1.0\n"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ class TestTrain:
     def test_divergence_raises_training_error(self):
         x, c = tiny_problem(n=32)
         x[5, 0] = np.inf  # mixed-sign weights turn this into NaN activations
-        with pytest.raises(TrainingError) as err, np.errstate(invalid="ignore"):
+        with pytest.raises(TrainingError) as err:
             M.train(x, c, M.TrainConfig(epochs=3, seed=0))
         assert err.value.epoch == 0 and err.value.batch >= 0
 
@@ -415,7 +416,6 @@ class TestEncodeAndCheckpoint:
         M.encode(M.init_model(3, 5, seed=0), np.ones((3, 3)))
         assert [c[:2] for c in calls] == [(3, 3)]  # never more rows than n
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     def test_non_finite_output_raises(self, monkeypatch):
         monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
         net = M.init_model(6, 8, seed=0)
@@ -423,7 +423,17 @@ class TestEncodeAndCheckpoint:
         with pytest.raises(NumericError):
             M.encode(net, np.random.default_rng(0).normal(size=(9, 6)))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_saturated_codes_encode_without_warnings(self):
+        # rows that overflow to +-inf before the sigmoid still get finite 0/1 bits
+        net = M.init_model(2, 4, hidden=(3, 3), seed=0)
+        net.weights[0][:] = 1e300
+        net.weights[1][:] = 1.0
+        net.weights[2][:] = [[1.0] * 3, [-1.0] * 3] * 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            words = M.encode(net, np.full((3, 2), 1e10))
+        assert np.array_equal(unpack_matrix(words, 4), [[1, 0, 1, 0]] * 3)
+
     def test_errors_surface_in_row_order(self, monkeypatch, tmp_path):
         monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 2)
         net = M.init_model(2, 4, hidden=(3, 3), seed=0)

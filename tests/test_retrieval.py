@@ -12,7 +12,7 @@ from centerhash.errors import DimensionError
 def make_index(bit_rows, label_rows):
     bits = np.asarray(bit_rows, dtype=np.uint8)
     labels = np.asarray(label_rows, dtype=np.uint8)
-    return R.CodeIndex(k=bits.shape[1], codes=hamming.pack_matrix(bits), labels=labels)
+    return R.CodeIndex(codes=hamming.pack_matrix(bits), labels=labels)
 
 
 def one_hot(q, j):
@@ -454,7 +454,7 @@ class TestEvaluateOnePass:
         assert distance_calls == []
 
     def test_empty_database_rejected(self):
-        index = R.CodeIndex(k=8, codes=np.zeros((0, 1), np.uint64), labels=np.zeros((0, 2), np.uint8))
+        index = R.CodeIndex(codes=np.zeros((0, 1), np.uint64), labels=np.zeros((0, 2), np.uint8))
         words = hamming.pack_matrix(np.zeros((1, 8), dtype=np.uint8))
         labels = np.array([[1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="database is empty"):
