@@ -31,15 +31,13 @@ def main():
     smap = centers.assign_multi_label(cs, train.labels, args.seed)
 
     variants = [
-        ("center + quantization", True, True),
-        ("center only", True, False),
-        ("quantization only", False, True),
+        ("center + quantization", {}),
+        ("center only", {"lambda1": 0.0}),
+        ("quantization only", {"use_lc": False}),
     ]
     print(f"{'variant':<24} {'mAP':>8} {'P@H=2':>8}")
-    for name, use_lc, use_lq in variants:
-        cfg = model.TrainConfig(
-            seed=args.seed, epochs=args.epochs, use_lc=use_lc, use_lq=use_lq
-        )
+    for name, loss_terms in variants:
+        cfg = model.TrainConfig(seed=args.seed, epochs=args.epochs, **loss_terms)
         net, _ = model.train(train.features, smap.vectors, cfg)
         index = retrieval.CodeIndex(codes=model.encode(net, train.features), labels=train.labels)
         q_words = model.encode(net, query.features)

@@ -104,7 +104,7 @@ _METHOD_HELP = (
 _FLAG_HELP = {
     "method": _METHOD_HELP,
     "use_lc": "drop the center-similarity loss",
-    "use_lq": "drop the quantization loss",
+    "lambda1": "weight of the quantization loss; 0 drops the quantization loss",
 }
 
 

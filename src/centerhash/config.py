@@ -41,7 +41,6 @@ class RunConfig:
     batch: int = _train("batch_size")
     epochs: int = _train("epochs")
     use_lc: bool = _train("use_lc")
-    use_lq: bool = _train("use_lq")
     # evaluation
     map_n: int = 100
     seed: int = _train("seed")

@@ -28,11 +28,9 @@ class NumericError(CenterHashError, ArithmeticError):
 class FormatError(CenterHashError, ValueError):
     """A serialized file is malformed. Carries the offending byte offset."""
 
-    def __init__(self, message: str, offset: int | None = None):
+    def __init__(self, message: str, offset: int):
         self.offset = offset
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
+        super().__init__(f"{message} (byte offset {offset})")
 
 
 class TrainingError(CenterHashError, RuntimeError):

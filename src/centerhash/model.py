@@ -3,14 +3,15 @@
 forward maps an (n, d) batch of feature rows through two ReLU layers and a
 sigmoid output to a relaxed code in (0,1)^K. Training minimizes
 
-    L = [use_lc] * L_central + lambda1 * [use_lq] * L_quant
+    L = [use_lc] * L_central + lambda1 * L_quant
 
 where L_central is the per-bit binary cross-entropy between the relaxed
 code and its assigned binary center, and L_quant is a log-cosh penalty
-that pushes every output toward {0, 1}. A training step runs one forward
-pass: loss_and_dh turns its output into both loss terms and dL/dh, and
-backprop carries dL/dh through the same cached activations. All math is
-float64 and every random draw is seeded, so training is bit-reproducible.
+that pushes every output toward {0, 1}; lambda1 = 0 drops it. A training
+step is one call of backward: one forward pass, then loss_and_dh turns its
+output into both loss terms and dL/dh, and backprop carries dL/dh through
+the same cached activations. All math is float64 and every random draw is
+seeded, so training is bit-reproducible.
 encode runs the same forward pass on blocks of rows in reused buffers.
 """
 
@@ -41,17 +42,16 @@ class TrainConfig:
     epochs: int = 100
     seed: int = 0
     use_lc: bool = True
-    use_lq: bool = True
 
     def __post_init__(self):
-        if not (self.use_lc or self.use_lq):
-            raise ValueError("at least one loss term must be enabled")
         # nan passes every comparison below, so test finiteness first
         for name in ("lambda1", "learning_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lambda1 < 0:
             raise ValueError("lambda1 must be non-negative")
+        if not self.use_lc and self.lambda1 == 0:
+            raise ValueError("at least one loss term must be enabled")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if not 0 <= self.momentum < 1:
@@ -220,7 +220,7 @@ def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, 
         central = float(_bce(hc, c).mean())
         inside = (h > BCE_EPS) & (h < 1.0 - BCE_EPS)
         dh += np.where(inside, -(c / hc - (1.0 - c) / (1.0 - hc)) / (n * k), 0.0)
-    if cfg.use_lq and cfg.lambda1 != 0.0:
+    if cfg.lambda1 != 0.0:
         s = 2.0 * h - 1.0
         u = np.abs(s) - 1.0
         quant = float(_quant(u).mean())
@@ -254,20 +254,30 @@ def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> G
     return grads
 
 
-def backward(model: HashModel, x, c, cfg: TrainConfig) -> Gradients:
-    """Exact gradients of the batch objective w.r.t. every parameter."""
+def backward(model: HashModel, x, c, cfg: TrainConfig) -> tuple[float, float, Gradients]:
+    """One training step's math on a batch: (L_central, L_quant, gradients).
+
+    The gradients are exact, of the batch objective w.r.t. every parameter,
+    from one forward pass. Raises NumericError if the model output, the loss
+    or a gradient is not finite.
+    """
     x = np.asarray(x, dtype=np.float64)
     _check_features(model, x.shape)
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (x.shape[0], model.k):
         raise DimensionError(f"centers {c.shape} do not match batch ({x.shape[0]}, {model.k})")
     cache = _forward_cached(model, x)
-    _, _, dh = loss_and_dh(cache[-1], c, cfg)
-    return backprop(model, x, cache, dh)
+    if not np.isfinite(cache[-1]).all():
+        raise NumericError("model output is not finite")
+    central, quant, dh = loss_and_dh(cache[-1], c, cfg)
+    if not math.isfinite(central + cfg.lambda1 * quant):
+        raise NumericError("loss is not finite")
+    return central, quant, backprop(model, x, cache, dh)
 
 
 def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
-    """Mini-batch SGD with momentum toward the per-sample centers.
+    """Mini-batch SGD with momentum toward the per-sample centers: one
+    backward call per batch, then the momentum update.
 
     features and center_vectors keep the dtype they come in (float32
     features and uint8 centers as loaded): each step gathers its batch
@@ -289,12 +299,12 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     k = c.shape[1]
 
     model = init_model(d, k, seed=cfg.seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
+    params = model.weights + model.biases
+    velocity = [np.zeros_like(p) for p in params]
     shuffle_rng = substream(cfg.seed, "shuffle")
 
     log: list[EpochLog] = []
-    # overflow turns into inf/NaN, which the checks below raise as TrainingError
+    # overflow turns into inf/NaN, which backward's checks raise, here as TrainingError
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = shuffle_rng.permutation(n)
@@ -303,30 +313,17 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
                 sel = order[start : start + cfg.batch_size]
                 xb = x[sel].astype(np.float64, copy=False)
                 cb = c[sel].astype(np.float64, copy=False)
-                cache = _forward_cached(model, xb)
-                if not np.isfinite(cache[-1]).all():
-                    raise TrainingError("model output is not finite", epoch=epoch, batch=batch_idx)
-                lc, lq, dh = loss_and_dh(cache[-1], cb, cfg)
-                batch_loss = lc + cfg.lambda1 * lq
-                if not math.isfinite(batch_loss):
-                    raise TrainingError("loss is not finite", epoch=epoch, batch=batch_idx)
-                sum_total += batch_loss * len(sel)
-                sum_central += lc * len(sel)
-                sum_quant += lq * len(sel)
-
                 try:
-                    grads = backprop(model, xb, cache, dh)
+                    lc, lq, grads = backward(model, xb, cb, cfg)
                 except NumericError as exc:
                     raise TrainingError(str(exc), epoch=epoch, batch=batch_idx) from exc
-                for w, b, gw, gb, vw, vb in zip(
-                    model.weights, model.biases, grads.weights, grads.biases, vel_w, vel_b
-                ):
-                    vw *= cfg.momentum
-                    vw += gw
-                    vb *= cfg.momentum
-                    vb += gb
-                    w -= cfg.learning_rate * vw
-                    b -= cfg.learning_rate * vb
+                sum_total += (lc + cfg.lambda1 * lq) * len(sel)
+                sum_central += lc * len(sel)
+                sum_quant += lq * len(sel)
+                for p, g, v in zip(params, grads.weights + grads.biases, velocity):
+                    v *= cfg.momentum
+                    v += g
+                    p -= cfg.learning_rate * v
             log.append(EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
     return model, log
 

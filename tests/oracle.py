@@ -122,7 +122,7 @@ def total_loss(h, c, cfg):
     loss = 0.0
     if cfg.use_lc:
         loss += M.central_loss(h, c)
-    if cfg.use_lq and cfg.lambda1 != 0.0:
+    if cfg.lambda1 != 0.0:
         loss += cfg.lambda1 * M.quantization_loss(h)
     return loss
 
@@ -146,12 +146,12 @@ def train_reference(features, center_vectors, cfg):
             xb, cb = x[sel], c[sel]
             h = M.forward(net, xb)
             lc = M.central_loss(h, cb) if cfg.use_lc else 0.0
-            lq = M.quantization_loss(h) if cfg.use_lq and cfg.lambda1 != 0.0 else 0.0
+            lq = M.quantization_loss(h) if cfg.lambda1 != 0.0 else 0.0
             batch_loss = lc + cfg.lambda1 * lq
             sum_total += batch_loss * len(sel)
             sum_central += lc * len(sel)
             sum_quant += lq * len(sel)
-            grads = M.backward(net, xb, cb, cfg)
+            _, _, grads = M.backward(net, xb, cb, cfg)
             for w, b, gw, gb, vw, vb in zip(
                 net.weights, net.biases, grads.weights, grads.biases, vel_w, vel_b
             ):

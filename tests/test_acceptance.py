@@ -81,7 +81,7 @@ def test_criterion_3_multi_label_centroids():
 def test_criterion_4_gradient_check():
     with criterion(4, "analytic gradients vs finite differences", budget_s=10.0):
         rng = np.random.default_rng(2024)
-        cfg = M.TrainConfig(lambda1=1e-4, use_lc=True, use_lq=True)
+        cfg = M.TrainConfig(lambda1=1e-4, use_lc=True)
         for trial in range(20):
             d = int(rng.integers(2, 9))
             hidden = (int(rng.integers(2, 11)), int(rng.integers(2, 11)))
@@ -198,15 +198,15 @@ def test_criterion_8_ablation_direction(tmp_path):
         cs = C.generate_centers(8, 16, seed=seed)
         smap = C.assign_multi_label(cs, train.labels, seed=seed)
 
-        def run(use_lc, use_lq):
-            cfg = M.TrainConfig(seed=seed, use_lc=use_lc, use_lq=use_lq)
+        def run(**loss_terms):
+            cfg = M.TrainConfig(seed=seed, **loss_terms)
             net, _ = M.train(train.features, smap.vectors, cfg)
             index = R.CodeIndex(codes=M.encode(net, train.features), labels=train.labels)
             return R.mean_average_precision(index, M.encode(net, query.features), query.labels, 100)
 
-        map_full = run(True, True)
-        map_lc = run(True, False)
-        map_lq = run(False, True)
+        map_full = run()
+        map_lc = run(lambda1=0.0)
+        map_lq = run(use_lc=False)
         assert abs(map_lc - map_full) <= 0.05
         assert map_lq < map_lc and map_lq < map_full
 

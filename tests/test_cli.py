@@ -137,14 +137,15 @@ def test_train_rejects_a_map_of_other_row_count(workdir, capsys):
     assert not (workdir / "m.csqm").exists()
 
 
-@pytest.mark.parametrize("flag", ["--k", "--labels"])
-def test_train_has_no_k_or_labels_flag(workdir, capsys, flag):
-    # k is the map's, and the map has one row per label row
+# k is the map's, and the map has one row per label row; --lambda1 0 drops the quantization loss
+@pytest.mark.parametrize("flags", [["--k", "8"], ["--labels", "8"], ["--no-lq"]],
+                         ids=["--k", "--labels", "--no-lq"])
+def test_train_rejects_removed_flags(workdir, capsys, flags):
     with pytest.raises(SystemExit) as exc:
-        run_cli("train", "--features", "x.csqf", "--centers-map", "map.csqc", flag, "8",
+        run_cli("train", "--features", "x.csqf", "--centers-map", "map.csqc", *flags,
                 "--out-model", "m.csqm")
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 8" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_eval_k_mismatch_rejected(workdir, capsys):
@@ -235,15 +236,23 @@ def test_run_missing_features_stage_tagged(workdir, capsys):
     assert "error [load]" in capsys.readouterr().err
 
 
-def test_ablation_flags(workdir, capsys):
+def test_ablation_flags(workdir):
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 7, "--out-prefix", "blob")
     write_run_config(workdir / "run.cfg", seed=7)
-    assert run_cli("run", "--config", "run.cfg", "--no-lq", "--epochs", 2) == 0
+    assert run_cli("run", "--config", "run.cfg", "--lambda1", 0, "--epochs", 2) == 0
     assert run_cli("run", "--config", "run.cfg", "--no-lc", "--epochs", 2) == 0
-    err = run_cli("run", "--config", "run.cfg", "--no-lc", "--no-lq", "--epochs", 2)
-    assert err == 1
-    assert "error [train]" in capsys.readouterr().err
+
+
+def test_run_without_a_loss_term_fails_before_reading_or_writing(workdir, capsys, monkeypatch):
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    write_run_config(workdir / "run.cfg", seed=7)
+    opened = spy_on_input_reads(monkeypatch)
+    capsys.readouterr()
+    assert run_cli("run", "--config", "run.cfg", "--no-lc", "--lambda1", 0, "--out-dir", "y") == 1
+    assert capsys.readouterr().err == "error [train] at least one loss term must be enabled\n"
+    assert opened == [] and not (workdir / "y").exists()
 
 
 def test_run_rejects_non_finite_learning_rate(workdir, capsys):
@@ -308,8 +317,9 @@ def spy_on_input_reads(monkeypatch):
     return opened
 
 
-@pytest.mark.parametrize("flags", [["--m", "3"], ["--report-out", "r.csv"], ["--epoch", "1"]],
-                         ids=["removed-m", "removed-output-name", "abbreviation"])
+@pytest.mark.parametrize("flags", [["--m", "3"], ["--report-out", "r.csv"], ["--no-lq"],
+                                   ["--epoch", "1"]],
+                         ids=["removed-m", "removed-output-name", "removed-no-lq", "abbreviation"])
 def test_run_rejects_removed_and_abbreviated_flags(workdir, capsys, flags):
     write_run_config(workdir / "run.cfg", seed=7)
     with pytest.raises(SystemExit) as exit_info:
@@ -319,8 +329,9 @@ def test_run_rejects_removed_and_abbreviated_flags(workdir, capsys, flags):
     assert not (workdir / "y").exists()
 
 
-@pytest.mark.parametrize("line, key", [("m = 3", "m"), ("report_out = r.csv", "report_out")],
-                         ids=["m", "report_out"])
+@pytest.mark.parametrize("line, key", [("m = 3", "m"), ("report_out = r.csv", "report_out"),
+                                       ("use_lq = false", "use_lq")],
+                         ids=["m", "report_out", "use_lq"])
 def test_run_rejects_removed_config_keys_before_reading_or_writing(workdir, capsys, monkeypatch,
                                                                   line, key):
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
@@ -662,7 +673,7 @@ def small_train_inputs():
         (["--lr", "inf"], "learning_rate must be finite"),
         (["--lambda1", "nan"], "lambda1 must be finite"),
         (["--lambda1", "inf"], "lambda1 must be finite"),
-        (["--no-lc", "--no-lq"], "at least one loss term"),
+        (["--no-lc", "--lambda1", "0"], "at least one loss term"),
     ],
 )
 def test_train_rejects_bad_hyperparameters(workdir, capsys, flags, message):
@@ -689,7 +700,7 @@ def test_distmat_matches_report_section(workdir):
 # RunConfig training keys and the TrainConfig fields they set
 TRAIN_KEYS = {
     "lambda1": "lambda1", "lr": "learning_rate", "momentum": "momentum", "batch": "batch_size",
-    "epochs": "epochs", "seed": "seed", "use_lc": "use_lc", "use_lq": "use_lq",
+    "epochs": "epochs", "seed": "seed", "use_lc": "use_lc",
 }
 
 
@@ -756,7 +767,7 @@ def test_train_flags_reach_train_config(workdir, monkeypatch):
 
     monkeypatch.setattr(M, "train", stop_training)
     values = {"lambda1": 0.5, "lr": 0.25, "momentum": 0.125, "batch": 3, "epochs": 4,
-              "seed": 9, "use_lc": False, "use_lq": True}
+              "seed": 9, "use_lc": False}
     with pytest.raises(_Stop):
         run_cli(*argv, "--lambda1", 0.5, "--lr", 0.25, "--momentum", 0.125, "--batch", 3,
                 "--epochs", 4, "--seed", 9, "--no-lc")

@@ -46,7 +46,7 @@ def finite_difference(net, x, c, cfg, eps=1e-5):
 
 
 def gradient_relative_error(net, x, c, cfg):
-    grads = M.backward(net, x, c, cfg)
+    _, _, grads = M.backward(net, x, c, cfg)
     analytic = np.concatenate([g.ravel() for g in grads.weights + grads.biases])
     numeric = np.concatenate([g.ravel() for g in finite_difference(net, x, c, cfg)])
     denom = np.linalg.norm(analytic) + np.linalg.norm(numeric)
@@ -140,8 +140,8 @@ class TestLosses:
         assert oracle.total_loss(c, c, cfg) <= 1e-6
 
     def test_both_toggles_off_rejected(self):
-        with pytest.raises(ValueError):
-            M.TrainConfig(use_lc=False, use_lq=False)
+        with pytest.raises(ValueError, match="at least one loss term must be enabled"):
+            M.TrainConfig(use_lc=False, lambda1=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["learning_rate", "lambda1"])
@@ -175,7 +175,7 @@ class TestLosses:
         assert math.isfinite(M.quantization_loss(h))
         net = zero_model(2, 3, 3, 4)
         net.biases[2][:] = np.array([-800.0, 800.0, -800.0, 800.0])  # h: exact 0/1
-        grads = M.backward(net, np.zeros((1, 2)), c, M.TrainConfig())
+        _, _, grads = M.backward(net, np.zeros((1, 2)), c, M.TrainConfig())
         for g in grads.weights + grads.biases:
             assert np.isfinite(g).all()
 
@@ -194,7 +194,7 @@ class TestBackward:
         net = M.init_model(4, 4, hidden=(5, 5), seed=4)
         x = rng.normal(size=(2, 4))
         c = rng.integers(0, 2, size=(2, 4)).astype(float)
-        for cfg in (M.TrainConfig(use_lq=False), M.TrainConfig(use_lc=False, lambda1=0.3)):
+        for cfg in (M.TrainConfig(lambda1=0.0), M.TrainConfig(use_lc=False, lambda1=0.3)):
             assert gradient_relative_error(net, x, c, cfg) <= 1e-4
 
     def test_saturated_at_center_gives_zero_gradient(self):
@@ -202,7 +202,7 @@ class TestBackward:
         net = zero_model(2, 3, 3, 4)
         c = np.array([[1.0, 0.0, 1.0, 0.0]])
         net.biases[2][:] = np.where(c[0] == 1, 40.0, -40.0)
-        grads = M.backward(net, np.zeros((1, 2)), c, M.TrainConfig(use_lq=False))
+        _, _, grads = M.backward(net, np.zeros((1, 2)), c, M.TrainConfig(lambda1=0.0))
         for g in grads.weights + grads.biases:
             assert np.all(g == 0.0)
 
@@ -219,15 +219,12 @@ class TestBackward:
         with pytest.raises(NumericError, match="non-finite gradient"), np.errstate(invalid="ignore"):
             M.backward(net, x, c, M.TrainConfig())
 
-    def test_lambda_zero_bitwise_equals_disabled_quantization(self):
-        rng = np.random.default_rng(5)
-        net = M.init_model(6, 4, hidden=(5, 4), seed=5)
-        x = rng.normal(size=(4, 6))
-        c = rng.integers(0, 2, size=(4, 4)).astype(float)
-        a = M.backward(net, x, c, M.TrainConfig(lambda1=0.0))
-        b = M.backward(net, x, c, M.TrainConfig(use_lq=False))
-        for ga, gb in zip(a.weights + a.biases, b.weights + b.biases):
-            assert ga.tobytes() == gb.tobytes()
+    def test_non_finite_output_raises(self):
+        net = M.init_model(4, 3, seed=0)
+        x = np.array([[np.inf, 0.0, 0.0, 0.0]])  # mixed-sign weights: inf - inf in layer 2
+        with pytest.raises(NumericError, match="model output is not finite"), \
+                np.errstate(invalid="ignore", over="ignore"):
+            M.backward(net, x, np.ones((1, 3)), M.TrainConfig())
 
 
 @pytest.mark.parametrize("call", [
@@ -314,7 +311,6 @@ class TestFusedStep:
         [
             {},
             {"use_lc": False, "lambda1": 0.3},
-            {"use_lq": False},
             {"lambda1": 0.0},
             {"batch_size": 7},  # does not divide n
             {"batch_size": 50},  # larger than n
@@ -359,6 +355,23 @@ class TestFusedStep:
         x, c = tiny_problem(n=24)
         M.train(x, c, M.TrainConfig(epochs=3, batch_size=8, seed=0))
         assert calls == [8] * 9
+
+    def test_one_backward_call_per_batch(self, monkeypatch):
+        x, c = tiny_problem(n=30)
+        cfg = M.TrainConfig(epochs=3, batch_size=8, seed=0)
+        plain, _ = M.train(x, c, cfg)
+        calls = []
+        real = M.backward
+
+        def spy(model, xb, cb, cfg):
+            calls.append(len(xb))
+            return real(model, xb, cb, cfg)
+
+        monkeypatch.setattr(M, "backward", spy)
+        spied, _ = M.train(x, c, cfg)
+        assert calls == [8, 8, 8, 6] * 3  # epochs * ceil(n / batch_size) calls
+        for a, b in zip(plain.weights + plain.biases, spied.weights + spied.biases):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize(
         "cfg",
