@@ -6,10 +6,10 @@ wrong magic, unknown versions, truncation, and trailing garbage, and
 report the byte offset of the problem. Writers go through atomic_write,
 so a crashed writer never leaves a half-written file behind.
 
-Centers (CSQH), codes (CSQC) and labels (CSQL) are all bit rows: a u64
-row count, a u32 width k, then the rows, each ceil(k/8) bytes with bit i
-at bit i % 8 of byte i // 8 and the padding bits past k zero.
-save_bit_rows and load_bit_rows are the one writer and reader of it.
+Features (CSQF), centers, codes and labels (CSQH, CSQC, CSQL) are row files:
+a u64 count n, a u32 width, then n rows from ROWS_AT (rows_header, check_rows).
+A feature row is width float32s; a bit row (save_bit_rows, load_bit_rows) is
+ceil(k/8) bytes, bit i at bit i % 8 of byte i // 8, the padding past k zero.
 """
 
 import contextlib
@@ -23,6 +23,7 @@ import numpy as np
 from .errors import FormatError
 
 VERSION = 1
+ROWS_AT = 20  # byte offset of a row file's first row: magic, version, u64 n, u32 width
 
 
 class Reader:
@@ -76,6 +77,12 @@ def read_file(path) -> Reader:
     return Reader(Path(path).read_bytes())
 
 
+def read_head(path) -> Reader:
+    """A row file's first ROWS_AT bytes, checked against the length of the whole file."""
+    with open(path, "rb") as f:
+        return Reader(f.read(ROWS_AT), size=os.fstat(f.fileno()).st_size)
+
+
 @contextlib.contextmanager
 def atomic_write(path, text: bool = False):
     """A new file that replaces `path` only if the with-block finishes.
@@ -113,6 +120,23 @@ def u64(value: int) -> bytes:
     return struct.pack("<Q", value)
 
 
+def rows_header(magic: bytes, n: int, width: int) -> bytes:
+    return header(magic) + u64(n) + u32(width)
+
+
+def check_rows(r: Reader, magic: bytes, unit_bits: int, empty: str) -> tuple[int, int]:
+    """(n, width) of a row file whose header and length, n rows of width units of unit_bits
+    bits padded to whole bytes, are checked; `empty` (with n and k) names a zero n or width."""
+    r.expect_magic(magic)
+    n = r.u64()
+    width = r.u32()
+    if n == 0 or width == 0:
+        raise FormatError(empty.format(n=n, k=width), offset=8)
+    r.skip(n * ((width * unit_bits + 7) // 8))
+    r.expect_end()
+    return n, width
+
+
 def save_bit_rows(path, magic: bytes, rows, k: int) -> None:
     """Write (count, ceil(k/8)) uint8 rows of k bits each under `magic`.
 
@@ -125,7 +149,7 @@ def save_bit_rows(path, magic: bytes, rows, k: int) -> None:
     if k % 8 and (rows[:, -1] >> k % 8).any():
         raise ValueError(f"nonzero padding bits past k={k}")
     with atomic_write(path) as f:
-        f.write(header(magic) + u64(rows.shape[0]) + u32(k))
+        f.write(rows_header(magic, rows.shape[0], k))
         f.write(rows.tobytes())
 
 
@@ -134,17 +158,9 @@ def load_bit_rows(path, magic: bytes, empty: str) -> tuple[np.ndarray, int]:
 
     `empty` is the message for a zero count or width, formatted with n and k.
     """
-    r = read_file(path)
-    r.expect_magic(magic)
-    n = r.u64()
-    k = r.u32()
-    if n == 0 or k == 0:
-        raise FormatError(empty.format(n=n, k=k), offset=8)
-    row_bytes = (k + 7) // 8
-    rows_at = r.offset
-    raw = r.take(n * row_bytes)
-    r.expect_end()
-    rows = np.frombuffer(raw, dtype=np.uint8).reshape(n, row_bytes)
+    data = Path(path).read_bytes()
+    n, k = check_rows(Reader(data), magic, 1, empty)
+    rows = np.frombuffer(data, dtype=np.uint8, offset=ROWS_AT).reshape(n, (k + 7) // 8)
     if k % 8 and (rows[:, -1] >> k % 8).any():
-        raise FormatError("nonzero padding bits", offset=rows_at)
+        raise FormatError("nonzero padding bits", offset=ROWS_AT)
     return rows, k

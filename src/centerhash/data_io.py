@@ -7,7 +7,6 @@ on it. Labels are multi-hot bitmap rows over q categories. Both formats
 are flat, seekable, and language-neutral.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,7 @@ from .errors import DimensionError, FormatError, InvalidLabelError
 
 MAGIC_FEATURES = b"CSQF"
 MAGIC_LABELS = b"CSQL"
-
-FEATURES_AT = 20  # byte offset of the first feature row: magic, version, u64 n, u32 d
+EMPTY_LABELS = "empty label file (n={n}, q={k})"
 # float32 values per block that a FeatureFile slice reads (4 MiB)
 READ_BLOCK_VALUES = 1 << 20
 
@@ -47,9 +45,7 @@ def save_features(path, features) -> None:
     if not finite.all():
         raise ValueError(f"feature row {np.flatnonzero(~finite.all(axis=1))[0]} is not finite")
     with binfmt.atomic_write(path) as f:
-        f.write(binfmt.header(MAGIC_FEATURES))
-        f.write(binfmt.u64(x.shape[0]))
-        f.write(binfmt.u32(x.shape[1]))
+        f.write(binfmt.rows_header(MAGIC_FEATURES, *x.shape))
         f.write(x.tobytes())
 
 
@@ -76,31 +72,24 @@ class FeatureFile:
         out = np.empty((len(span), self.d), dtype="<f4")
         block = max(1, READ_BLOCK_VALUES // self.d)
         with open(self.path, "rb") as f:
-            f.seek(FEATURES_AT + 4 * span.start * self.d)
+            f.seek(binfmt.ROWS_AT + 4 * span.start * self.d)
             for at in range(0, len(out), block):
                 chunk = out[at : at + block]
                 if (got := f.readinto(chunk)) != chunk.nbytes:
                     raise FormatError(f"truncated file: wanted {chunk.nbytes} bytes, {got} left",
-                                      offset=FEATURES_AT + 4 * (span.start + at) * self.d)
+                                      offset=binfmt.ROWS_AT + 4 * (span.start + at) * self.d)
                 finite = np.isfinite(chunk)
                 if not finite.all():
                     row = span.start + at + int(np.flatnonzero(~finite.all(axis=1))[0])
                     raise FormatError(f"feature row {row} is not finite",
-                                      offset=FEATURES_AT + 4 * row * self.d)
+                                      offset=binfmt.ROWS_AT + 4 * row * self.d)
         return out
 
 
 def open_features(path) -> FeatureFile:
     """Check a feature file's header and length (magic CSQF) without reading its rows."""
-    with open(path, "rb") as f:
-        r = binfmt.Reader(f.read(FEATURES_AT), size=os.fstat(f.fileno()).st_size)
-    r.expect_magic(MAGIC_FEATURES)
-    n = r.u64()
-    d = r.u32()
-    if n == 0 or d == 0:
-        raise FormatError(f"empty feature file (n={n}, d={d})", offset=8)
-    r.skip(4 * n * d)
-    r.expect_end()
+    n, d = binfmt.check_rows(binfmt.read_head(path), MAGIC_FEATURES, 32,
+                             "empty feature file (n={n}, d={k})")
     return FeatureFile(str(path), n, d)
 
 
@@ -121,8 +110,13 @@ def save_labels(path, labels) -> None:
     binfmt.save_bit_rows(path, MAGIC_LABELS, np.packbits(y, axis=1, bitorder="little"), y.shape[1])
 
 
+def label_shape(path) -> tuple[int, int]:
+    """(n, q) of a label file whose header and length are checked, its rows not read."""
+    return binfmt.check_rows(binfmt.read_head(path), MAGIC_LABELS, 1, EMPTY_LABELS)
+
+
 def load_labels(path) -> np.ndarray:
-    rows, q = binfmt.load_bit_rows(path, MAGIC_LABELS, "empty label file (n={n}, q={k})")
+    rows, q = binfmt.load_bit_rows(path, MAGIC_LABELS, EMPTY_LABELS)
     labels = np.unpackbits(rows, axis=1, count=q, bitorder="little")
     empty = np.flatnonzero(labels.sum(axis=1) == 0)
     if empty.size:

@@ -88,8 +88,12 @@ def distances_to(query_words: np.ndarray, db_words: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"query has {query_words.shape} words, database rows have {db_words.shape[1]}"
         )
-    key = np.min_scalar_type(64 * db_words.shape[1])
-    return np.bitwise_count(db_words ^ query_words[None, :]).sum(axis=1, dtype=key)
+    counts = np.bitwise_count(db_words ^ query_words[None, :])
+    # adding the word columns is about twice as fast as .sum(axis=1) from two words on
+    out = counts[:, 0].astype(np.min_scalar_type(64 * db_words.shape[1]))
+    for column in counts.T[1:]:
+        out += column
+    return out
 
 
 def binarize_matrix(h: np.ndarray) -> np.ndarray:

@@ -108,10 +108,10 @@ def _center_distances(words, k: int, assigned, centers) -> np.ndarray:
 
 def _load(cfg: RunConfig) -> int:
     """Check every input before any artifact is written: that every split's files
-    are set (before any is opened), each feature file's header and length (the
-    stage that reads its rows checks them), each label file whole, that a split's
-    two files agree on n, every split has the train split's d and the query labels
-    the database labels' q. Returns the train labels' q."""
+    are set (before any is opened), each feature and label file's header and length
+    (the stage that reads its rows checks them), that a split's two files agree on
+    n, every split has the train split's d and the query labels the database
+    labels' q. Returns the train labels' q."""
     splits = [("train", cfg.train_features, cfg.train_labels),
               ("query", cfg.query_features, cfg.query_labels)]
     if (cfg.db_features, cfg.db_labels) != (cfg.train_features, cfg.train_labels):
@@ -123,10 +123,10 @@ def _load(cfg: RunConfig) -> int:
     shapes = []  # (d, q) of each split; the database split is the second to last
     for name, features, label_file in splits:
         n, d = data_io.open_features(features).shape
-        labels = data_io.load_labels(label_file)
-        if labels.shape[0] != n:
-            raise DimensionError(f"{n} feature rows, {labels.shape[0]} label rows")
-        shapes.append((d, labels.shape[1]))
+        label_n, q = data_io.label_shape(label_file)
+        if label_n != n:
+            raise DimensionError(f"{n} feature rows, {label_n} label rows")
+        shapes.append((d, q))
         if d != shapes[0][0]:
             raise DimensionError(f"{name} features have dim {d}, "
                                  f"train features dim {shapes[0][0]}")

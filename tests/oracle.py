@@ -13,9 +13,14 @@ package's public pieces (forward, the two losses, backward), so the fused
 model.train can be held to it byte for byte. sigmoid_reference and
 forward_reference are the hash head's output written with masks and
 fresh arrays, to hold the in-place forward pass to them bit for bit.
+backward_reference is the chain rule one sample and one parameter at a
+time, on forward_reference's activations: an independent check of the
+gradients model.backward returns.
 assign_reference is center assignment as a loop over the rows, to hold
 the grouped assign_multi_label to it byte for byte.
 """
+
+import math
 
 import numpy as np
 
@@ -182,6 +187,44 @@ def forward_reference(net, x):
     a1 = np.maximum(x @ w1.T + b1, 0.0)
     a2 = np.maximum(a1 @ w2.T + b2, 0.0)
     return a1, a2, sigmoid_reference(a2 @ w3.T + b3)
+
+
+BCE_EPS = 1e-7  # the central loss clamps its log arguments to [BCE_EPS, 1 - BCE_EPS]
+
+
+def backward_reference(net, x, c, cfg):
+    """(weight gradients, bias gradients) of the batch objective, per layer, by the
+    chain rule one sample at a time. The rules are those loss_and_dh documents: a
+    bit clamped by the cross-entropy epsilon has no central gradient, and the
+    subderivative of |.| at 0 is 0."""
+    x = np.asarray(x, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    n, k = c.shape
+    _, w2, w3 = net.weights
+    gw = [np.zeros_like(w) for w in net.weights]
+    gb = [np.zeros_like(b) for b in net.biases]
+    for i in range(n):
+        a1, a2, h = (row[0].tolist() for row in forward_reference(net, x[i : i + 1]))
+        dz3 = []
+        for j in range(k):
+            dh = 0.0
+            if cfg.use_lc and BCE_EPS < h[j] < 1.0 - BCE_EPS:
+                dh -= (c[i, j] / h[j] - (1.0 - c[i, j]) / (1.0 - h[j])) / (n * k)
+            if cfg.lambda1 != 0.0:
+                s = 2.0 * h[j] - 1.0
+                sign = (s > 0) - (s < 0)
+                dh += cfg.lambda1 * 2.0 * sign * math.tanh(abs(s) - 1.0) / n
+            dz3.append(dh * h[j] * (1.0 - h[j]))
+        dz2 = [sum(dz3[j] * w3[j, u] for j in range(k)) if a2[u] > 0 else 0.0
+               for u in range(len(a2))]
+        dz1 = [sum(dz2[u] * w2[u, v] for u in range(len(a2))) if a1[v] > 0 else 0.0
+               for v in range(len(a1))]
+        for layer, (dz, inputs) in enumerate(((dz1, x[i]), (dz2, a1), (dz3, a2))):
+            for j, g in enumerate(dz):
+                gb[layer][j] += g
+                for u, value in enumerate(inputs):
+                    gw[layer][j, u] += g * value
+    return gw, gb
 
 
 def assign_reference(cs, labels, seed=0):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from centerhash import centers as C
-from centerhash import cli, data_io, hamming, pipeline
+from centerhash import binfmt, cli, data_io, hamming, pipeline
 from centerhash import model as M
 from centerhash.cli import main
 from centerhash.config import RunConfig, build_run_config, parse_config_text
@@ -436,6 +436,28 @@ def test_run_non_finite_feature_fails_the_stage_that_reads_it(workdir, capsys, s
     assert sorted(p.name for p in (workdir / "out").iterdir()) == written
 
 
+@pytest.mark.parametrize(
+    "split, stage, written",
+    [("train", "assign", ["centers.csqh"]),
+     ("query", "eval", ["assignments.csqc", "centers.csqh", "db_codes.csqc", "model.csqm",
+                        "query_codes.csqc"])],
+)
+def test_run_empty_label_row_fails_the_stage_that_reads_it(workdir, capsys, split, stage,
+                                                           written):
+    # the load stage checks label headers and lengths only: a row's categories are
+    # checked by the stage that reads it, after the earlier stages' artifacts
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    labels = data_io.load_labels(f"blob.{split}.csql")
+    labels[3] = 0
+    rows = np.packbits(labels, axis=1, bitorder="little")
+    binfmt.save_bit_rows(f"blob.{split}.csql", data_io.MAGIC_LABELS, rows, labels.shape[1])
+    write_run_config(workdir / "run.cfg", seed=7)
+    assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 1
+    assert capsys.readouterr().err == f"error [{stage}] label row 3 has no category set\n"
+    assert sorted(p.name for p in (workdir / "out").iterdir()) == written
+
+
 def multi_label_split(rng, means, n, path):
     labels = (rng.random((n, len(means))) < 0.3).astype(np.uint8)
     labels[np.arange(n), rng.integers(0, len(means), n)] = 1
@@ -796,6 +818,14 @@ def test_readme_commands_parse_and_its_config_builds():
     cfg = build_run_config(parse_config_text(text))
     assert (cfg.train_features, cfg.query_labels, cfg.k, cfg.out_dir) == (
         "blobs.train.csqf", "blobs.query.csql", 16, "out")
+
+
+def test_readme_script_commands_name_existing_scripts():
+    root = Path(__file__).resolve().parents[1]
+    scripts = [shlex.split(line)[1] for block in readme_blocks() for line in block
+               if line.startswith("python scripts/")]
+    assert scripts == ["scripts/experiment.py"]
+    assert all((root / script).is_file() for script in scripts)
 
 
 def test_readme_library_example_runs(capsys):

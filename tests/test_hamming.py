@@ -217,7 +217,7 @@ def test_save_codes_rejects_what_load_codes_would(tmp_path, words, k):
     assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
 
 
-@pytest.mark.parametrize("k", [13, 64, 70, 130])  # one word, one full word, two, three
+@pytest.mark.parametrize("k", [13, 64, 70, 128, 130])  # 1, 1 full, 2, 2 full and 3 words
 @pytest.mark.parametrize("m", [4, 0])  # m=0: no centers, no columns
 def test_pairwise_distances_matches_oracle(k, m):
     rng = np.random.default_rng(11)

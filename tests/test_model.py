@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -225,6 +225,40 @@ class TestBackward:
         with pytest.raises(NumericError, match="model output is not finite"), \
                 np.errstate(invalid="ignore", over="ignore"):
             M.backward(net, x, np.ones((1, 3)), M.TrainConfig())
+
+
+# each bit of the output layer: free, or pinned by a zero weight row and a bias
+# to exactly 0.5 (the |.| kink), exactly 1.0 or below the clamp (4e-18)
+PINNED_BIAS = {"half": 0.0, "high": 40.0, "low": -40.0}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 6),
+                    st.integers(1, 6), st.integers(1, 8)),
+    seed=st.integers(0, 2**32 - 1),
+    use_lc=st.booleans(),
+    lambda1=st.sampled_from([0.0, 1e-4, 0.3, 2.0]),
+    data=st.data(),
+)
+def test_backward_matches_per_sample_chain_rule(shape, seed, use_lc, lambda1, data):
+    assume(use_lc or lambda1 != 0.0)
+    n, d, w1, w2, k = shape
+    rng = np.random.default_rng(seed)
+    net = M.init_model(d, k, hidden=(w1, w2), seed=seed % 1000)
+    pins = data.draw(st.lists(st.sampled_from(["free", *PINNED_BIAS]), min_size=k, max_size=k))
+    for j, pin in enumerate(pins):
+        if pin != "free":
+            net.weights[2][j] = 0.0
+            net.biases[2][j] = PINNED_BIAS[pin]
+    x = rng.normal(size=(n, d))
+    c = rng.integers(0, 2, size=(n, k)).astype(float)
+    cfg = M.TrainConfig(use_lc=use_lc, lambda1=lambda1)
+    _, _, grads = M.backward(net, x, c, cfg)
+    ref_weights, ref_biases = oracle.backward_reference(net, x, c, cfg)
+    # relative to each array's largest entry: the two sum in different orders
+    for got, ref in zip(grads.weights + grads.biases, ref_weights + ref_biases):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("call", [

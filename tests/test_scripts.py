@@ -11,23 +11,23 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize(
-    "script, args",
-    [
-        ("ablation.py", ["--per-class", "10", "--epochs", "2"]),
-        ("run_synthetic_experiment.py",
-         ["--per-class", "10", "--query-per-class", "2", "--epochs", "2", "--out-dir", "run"]),
-    ],
-)
-def test_script_runs(tmp_path, script, args):
+def test_experiment_prints_one_row_per_variant(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
+        [sys.executable, str(ROOT / "scripts" / "experiment.py"), "--per-class", "10",
+         "--query-per-class", "2", "--epochs", "2", "--out-dir", "run"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "mAP" in proc.stdout
+    lines = proc.stdout.splitlines()
+    header = lines.index("variant         mAP@10   P@H=2     own    diag     off")
+    rows = [line.split() for line in lines[header + 1 :]]
+    assert [row[0] for row in rows] == ["center+quant", "center", "quant"]
+    assert all(len(row) == 6 for row in rows)
+    report = (tmp_path / "run" / "center+quant" / "report.csv").read_text()
+    map_at_n = next(line for line in report.splitlines() if line.startswith("map_at_n,"))
+    assert rows[0][1] == f"{float(map_at_n.split(',')[1]):.4f}"
 
 
 def bench_result(**overrides):
