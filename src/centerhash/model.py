@@ -28,9 +28,11 @@ MAGIC_MODEL = b"CSQM"
 
 BCE_EPS = 1e-7  # clamp for log arguments
 
-# rows per block of encode: its float64 input and activations never hold
-# more than ENCODE_BLOCK_ROWS * sum(layer_sizes) values, whatever n is
-ENCODE_BLOCK_ROWS = 2048
+# bytes of one encode block's float64 working set: its input rows and their
+# activations, d + w1 + w2 + 2k values a row (the sigmoid's scratch is the
+# second k). Rows per block follow from the head's widths, so the working set
+# stays about this size for any n and any head.
+ENCODE_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -332,8 +334,9 @@ def encode(model: HashModel, features) -> np.ndarray:
     """Binary codes for feature rows, packed into (n, W) uint64 words.
 
     `features` is an (n, d) array or a data_io.FeatureFile: rows pass
-    through the head ENCODE_BLOCK_ROWS at a time, each block sliced (so a
-    file's block is read and checked) and cast to float64 only when its
+    through the head in blocks of as many rows as fit in ENCODE_BLOCK_BYTES
+    of float64 input and activations (at least one), each block sliced (so
+    a file's block is read and checked) and cast to float64 only when its
     turn comes. Every block's forward pass computes into one set of
     buffers allocated here, so memory beyond the (n, W) output does not
     grow with n.
@@ -344,7 +347,8 @@ def encode(model: HashModel, features) -> np.ndarray:
     """
     shape = np.shape(features)
     _check_features(model, shape)
-    n, rows = shape[0], ENCODE_BLOCK_ROWS
+    n = shape[0]
+    rows = max(1, ENCODE_BLOCK_BYTES // (8 * (sum(model.layer_sizes) + model.k)))
     buffers = _buffers(model, min(rows, n))
     words = np.empty((n, hamming.words_per_code(model.k)), dtype=np.uint64)
     # overflow turns into inf/NaN, which binarize_matrix raises as NumericError
@@ -352,6 +356,7 @@ def encode(model: HashModel, features) -> np.ndarray:
         for start in range(0, n, rows):
             block = np.ascontiguousarray(features[start : start + rows], dtype=np.float64)
             h = _forward_into(model, block, buffers)[-1]
+            del block  # freed now, so two blocks are never held at once
             words[start : start + len(h)] = hamming.binarize_matrix(h)
     return words
 

@@ -10,7 +10,9 @@ import hashlib
 import numpy as np
 
 
-def substream(seed: int, name: str) -> np.random.Generator:
+# quoted, so importing this module does not load numpy.random (about 2.6 MB
+# resident): only commands that draw random numbers pay for it
+def substream(seed: int, name: str) -> "np.random.Generator":
     """Return the generator for the named stream of a master seed."""
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -19,6 +19,7 @@ from centerhash.cli import main
 from centerhash.config import RunConfig, build_run_config, parse_config_text
 from centerhash.pipeline import run_pipeline
 from test_data_io import write_features_unchecked
+from test_model import block_bytes
 
 
 @pytest.fixture
@@ -523,7 +524,8 @@ def test_run_loads_each_feature_file_once(workdir, monkeypatch):
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 6, "--out-prefix", "blob")
     write_run_config(workdir / "run.cfg", seed=6)
-    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 3)  # the 8 queries take three blocks
+    # the 8 queries take three blocks
+    monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(8, 8), 3))
     loaded, sliced, opened, encoded = Counter(), {}, [], []
     load_features, open_features = data_io.load_features, data_io.open_features
     getitem, encode = data_io.FeatureFile.__getitem__, M.encode
@@ -587,8 +589,8 @@ def test_eval_stage_reads_each_file_once(workdir, monkeypatch):
 
 
 def test_run_holds_no_float64_copy_of_features_or_centers(workdir, monkeypatch):
-    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 256)
     n, d, k = 8192, 64, 64
+    monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(d, k), 256))
     run_cli("synth", "--classes", 4, "--per-class", n // 4, "--dim", d, "--spread", 0.1,
             "--query-per-class", 2, "--out-prefix", "blob")
     cfg = RunConfig(train_features="blob.train.csqf", train_labels="blob.train.csql",
@@ -614,7 +616,7 @@ def encode_inputs(n, d, seed=0):
 
 
 def test_encode_command_matches_encode_of_loaded_features(workdir, monkeypatch):
-    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(5, 16), 4))
     assert run_cli(*encode_inputs(n=11, d=5)) == 0
     net = M.load_model("model.csqm")
     hamming.save_codes("expected.csqc", M.encode(net, data_io.load_features("x.csqf")), net.k)
@@ -622,8 +624,8 @@ def test_encode_command_matches_encode_of_loaded_features(workdir, monkeypatch):
 
 
 def test_encode_command_memory_does_not_grow_with_rows(workdir, monkeypatch):
-    monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 64)
     n, d = 4096, 128
+    monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(d, 16), 64))
     argv = encode_inputs(n, d)
     tracemalloc.start()
     try:
@@ -632,6 +634,35 @@ def test_encode_command_memory_does_not_grow_with_rows(workdir, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * d / 2  # half the float64 feature matrix
+
+
+def test_encode_and_eval_never_load_numpy_random(workdir):
+    # importing numpy.random costs about 2.6 MB of RSS, and serving draws nothing
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 3, "--out-prefix", "blob")
+    M.save_model("model.csqm", M.init_model(8, 16, seed=0))
+    commands = [
+        ["encode", "--model", "model.csqm", "--features", f"blob.{split}.csqf",
+         "--out-codes", f"{split}.csqc"] for split in ("train", "query")
+    ] + [["eval", "--db-codes", "train.csqc", "--db-labels", "blob.train.csql",
+          "--query-codes", "query.csqc", "--query-labels", "blob.query.csql",
+          "--map-n", "10", "--out-report", "report.csv"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(C.__file__).parents[1]), env.get("PYTHONPATH")]))
+
+    def loads_numpy_random(code):
+        probe = f"import sys\n{code}\nprint('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1] == "True"
+
+    if loads_numpy_random("import numpy"):
+        pytest.skip(f"a bare import of numpy {np.__version__} already loads numpy.random")
+    serve = f"import centerhash.cli\nassert [centerhash.cli.main(a) for a in {commands!r}] == [0] * 3"
+    assert not loads_numpy_random(serve)
+    assert (workdir / "report.csv").is_file()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,11 @@ def zero_model(d, w1, w2, k):
         weights=[np.zeros((w1, d)), np.zeros((w2, w1)), np.zeros((k, w2))],
         biases=[np.zeros(w1), np.zeros(w2), np.zeros(k)],
     )
+
+
+def block_bytes(net, rows):
+    """The ENCODE_BLOCK_BYTES that makes encode run net in blocks of `rows` rows."""
+    return rows * 8 * (sum(net.layer_sizes) + net.k)
 
 
 def finite_difference(net, x, c, cfg, eps=1e-5):
@@ -431,8 +437,8 @@ class TestEncodeAndCheckpoint:
 
     @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])  # blocks of B=4: 1, B-1, B, B+1, 2B+1
     def test_blocked_encode_matches_per_row_forward(self, monkeypatch, tmp_path, n):
-        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
         net = M.init_model(6, 70, seed=1)  # two words per code, the second padded
+        monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(net, 4))
         x = np.random.default_rng(n).normal(size=(n, 6))
         per_row = [M.forward(net, x[i : i + 1])[0] for i in range(n)]
         expected = (np.array(per_row) >= 0.5).astype(np.uint8)
@@ -447,7 +453,7 @@ class TestEncodeAndCheckpoint:
         assert np.array_equal(M.encode(net, x[:1]), words[:1])
 
     def test_blocks_share_one_set_of_buffers(self, monkeypatch):
-        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
+        monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(3, 5), 4))
         calls = []
         real = M._forward_into
 
@@ -464,8 +470,8 @@ class TestEncodeAndCheckpoint:
         assert [c[:2] for c in calls] == [(3, 3)]  # never more rows than n
 
     def test_non_finite_output_raises(self, monkeypatch):
-        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 4)
         net = M.init_model(6, 8, seed=0)
+        monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(net, 4))
         net.weights[1][0, 0] = np.inf
         with pytest.raises(NumericError):
             M.encode(net, np.random.default_rng(0).normal(size=(9, 6)))
@@ -482,8 +488,8 @@ class TestEncodeAndCheckpoint:
         assert np.array_equal(unpack_matrix(words, 4), [[1, 0, 1, 0]] * 3)
 
     def test_errors_surface_in_row_order(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(M, "ENCODE_BLOCK_ROWS", 2)
         net = M.init_model(2, 4, hidden=(3, 3), seed=0)
+        monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(net, 2))
         net.weights[0][:] = 1e300
         net.weights[1][:] = [[1.0, -1.0, 1.0]] * 3  # inf - inf: NaN from an overflowed row
         x = np.zeros((8, 2), dtype=np.float32)
@@ -496,6 +502,25 @@ class TestEncodeAndCheckpoint:
         write_features_unchecked(tmp_path / "x.csqf", x)
         with pytest.raises(FormatError, match="feature row 4 is not finite"):
             M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
+
+    def test_wide_head_encodes_within_the_block_budget(self, monkeypatch):
+        # d = 1024 takes the default 1024/512 head, 195 rows a block: the float64
+        # input and activations of one block are all encode holds beyond its output
+        net = M.init_model(1024, 64, seed=0)
+        assert net.layer_sizes == [1024, 1024, 512, 64]
+        for n in (1000, 400):
+            x = np.random.default_rng(n).normal(size=(n, 1024)).astype(np.float32)
+            tracemalloc.start()
+            try:
+                words = M.encode(net, x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - words.nbytes < 1.25 * M.ENCODE_BLOCK_BYTES
+        # one row a block, and 7 rows, which do not divide n
+        for rows in (1, 7):
+            monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(net, rows))
+            assert M.encode(net, x).tobytes() == words.tobytes()
 
     def test_encode_rejects_wrong_width_before_any_block(self, monkeypatch):
         monkeypatch.setattr(M, "forward", None)  # never reached

@@ -109,3 +109,65 @@ def test_check_bench_result_rejects_an_untraced_run_as_traced():
     proc = check_bench_result(bench_result(), "--trace")
     assert proc.returncode == 1
     assert f"problem: metric {PER_LAYER[0]} is None" in proc.stdout
+
+
+def git_head():
+    proc = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+needs_git = pytest.mark.skipif(git_head() is None, reason="not a git checkout with a commit")
+
+
+@needs_git
+def test_bench_record_writes_a_run_of_head(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--tag", "smoke",
+         "--seeds", "1", "--workload", "train-medium", "--seconds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert (record["head"], record["parent"], record["seeds"]) == (git_head(), None, [1])
+    assert record["machine"].startswith("machine: ")
+    [workload] = record["workloads"].items()
+    assert workload[0] == "train-medium" and list(workload[1]) == ["head"]
+    [run] = workload[1]["head"]["runs"]
+    assert (run["seed"], run["correct"], run["failed"]) == (1, True, 0)
+    assert list(run["metrics"]) == END_TO_END
+    for name, value in run["metrics"].items():
+        assert workload[1]["head"]["summary"][name] == {"median": value, "q1": value, "q3": value}
+
+
+@needs_git
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        ((0, bench_result(correct=False), ""), "correct is False"),
+        ((0, bench_result(failed=1), ""), "failed is 1"),
+        ((1, "", "error: set-up failed"), "exited 1: error: set-up failed"),
+    ],
+    ids=["incorrect", "failed", "crashed"],
+)
+def test_bench_record_refuses_to_write_after_a_bad_run(tmp_path, monkeypatch, capsys, bad,
+                                                       problem):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_record
+
+    # seed 1 runs HEAD then the parent, seed 2 the parent then HEAD: the bad run is the last
+    results = [(0, bench_result(), "")] * 3 + [bad]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((os.path.basename(checkout), seed))
+        return subprocess.CompletedProcess([], *results[len(calls) - 1])
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--tag", "t", "--seeds", "1-2", "--workload", "search-large", "--parent", "HEAD"]
+    assert bench_record.main(argv) == 1
+    assert calls == [("head", 1), ("parent", 1), ("parent", 2), ("head", 2)]
+    assert f"refused: search-large seed 2 on head ({git_head()[:12]}): {problem}" in (
+        capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
