@@ -100,16 +100,15 @@ def main(argv=None) -> int:
             for i, seed in enumerate(args.seeds):
                 for side in list(revs) if i % 2 == 0 else list(revs)[::-1]:
                     proc = run_once(dirs[side], w, seed, args.seconds)
-                    stdout = proc.stdout
-                    found = (problems(stdout, list(metrics)) if proc.returncode == 0 else
+                    found = (problems(proc.stdout, list(metrics)) if proc.returncode == 0 else
                              [f"exited {proc.returncode}: {proc.stderr.strip()[-500:]}"])
                     if found:
                         print(f"refused: {w} seed {seed} on {side} ({revs[side][:12]}): "
                               + "; ".join(found), file=sys.stderr)
                         return 1
-                    result = json.loads(stdout.strip().splitlines()[-1])
-                    machines.update(line for line in stdout.splitlines()
-                                    if line.startswith("machine: "))
+                    lines = proc.stdout.strip().splitlines()
+                    result = json.loads(lines[-1])
+                    machines.update(line for line in lines if line.startswith("machine: "))
                     runs[w][side].append({
                         "seed": seed, "correct": result["correct"], "failed": result["failed"],
                         "attempted": result["attempted"],
