@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 
 
-# quoted, so importing this module does not load numpy.random (about 2.6 MB
+# quoted, so importing this module does not load numpy.random (about 2 MB
 # resident): only commands that draw random numbers pay for it
 def substream(seed: int, name: str) -> "np.random.Generator":
     """Return the generator for the named stream of a master seed."""

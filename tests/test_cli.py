@@ -637,7 +637,7 @@ def test_encode_command_memory_does_not_grow_with_rows(workdir, monkeypatch):
 
 
 def test_encode_and_eval_never_load_numpy_random(workdir):
-    # importing numpy.random costs about 2.6 MB of RSS, and serving draws nothing
+    # importing numpy.random costs about 2 MB of RSS, and serving draws nothing
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 3, "--out-prefix", "blob")
     M.save_model("model.csqm", M.init_model(8, 16, seed=0))
