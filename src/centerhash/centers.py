@@ -25,9 +25,9 @@ METHODS = ("hadamard", "balanced", "bernoulli")  # the names generate accepts
 class CenterSet:
     """An ordered set of m binary centers of k bits each.
 
-    ``method`` records how the set was generated: "hadamard",
-    "hadamard2k", "balanced_random" or "bernoulli". It is None for sets
-    loaded from disk, since the file format does not store it.
+    ``method`` is the METHODS name that rebuilds the set: generate(method,
+    m, k, seed) gives the same bits. It is None for sets loaded from disk,
+    since the file format does not store it.
     """
 
     bits: np.ndarray  # (m, k) uint8
@@ -99,16 +99,16 @@ def generate(method: str, m: int, k: int, seed: int = 0) -> CenterSet:
 def generate_centers(m: int, k: int, seed: int = 0) -> CenterSet:
     """Generate m centers of k bits.
 
-    Dispatch: when k is a power of two and m <= 2k, the first m rows of
-    the stacked [H; -H] (for m <= k, rows of H itself); otherwise each
-    center gets exactly floor(k/2) one-bits at random positions.
+    Dispatch: when k is a power of two and m <= 2k, the first m rows of the
+    stacked [H; -H] (for m <= k, rows of H itself), method "hadamard";
+    otherwise generate_centers_balanced's set, method "balanced".
     """
     _check_generation_args(m, k)
     if not (is_power_of_two(k) and m <= 2 * k):
         return generate_centers_balanced(m, k, seed)
     h = hadamard_matrix(k)
     bits = (np.vstack([h, -h])[:m] > 0).astype(np.uint8)
-    return CenterSet(bits=bits, method="hadamard" if m <= k else "hadamard2k")
+    return CenterSet(bits=bits, method="hadamard")
 
 
 def generate_centers_balanced(m: int, k: int, seed: int = 0) -> CenterSet:
@@ -120,7 +120,7 @@ def generate_centers_balanced(m: int, k: int, seed: int = 0) -> CenterSet:
         row[rng.permutation(k)[: k // 2]] = 1
         return row
 
-    return _generate_random(m, k, draw, seed, "balanced_random")
+    return _generate_random(m, k, draw, seed, "balanced")
 
 
 def generate_centers_bernoulli(m: int, k: int, seed: int = 0) -> CenterSet:

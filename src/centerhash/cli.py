@@ -98,7 +98,7 @@ def _cmd_run(args):
 
 _METHOD_HELP = (
     "hadamard (the default) is automatic: Hadamard rows when k is a power of two "
-    "and there are at most 2k centers, otherwise balanced random"
+    "and there are at most 2k centers, otherwise balanced"
 )
 
 _FLAG_HELP = {

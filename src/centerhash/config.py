@@ -32,7 +32,7 @@ class RunConfig:
     # centers: one per category found in the training labels
     k: int = 16
     # one of centers.METHODS; hadamard is automatic: Hadamard rows when k is a
-    # power of two and there are at most 2k categories, otherwise balanced random
+    # power of two and there are at most 2k categories, otherwise balanced
     method: str = "hadamard"
     # training
     lambda1: float = _train("lambda1")

@@ -81,12 +81,6 @@ class HashModel:
 
 
 @dataclass
-class Gradients:
-    weights: list
-    biases: list
-
-
-@dataclass
 class EpochLog:
     epoch: int
     total: float
@@ -230,8 +224,9 @@ def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, 
     return central, quant, dh
 
 
-def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> Gradients:
-    """Parameter gradients from dL/dh through cache = _forward_cached(model, x).
+def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> list:
+    """Parameter gradients from dL/dh through cache = _forward_cached(model, x),
+    in model.weights + model.biases order: [dw1, dw2, dw3, db1, db2, db3].
 
     Raises NumericError on any non-finite gradient: an activation that
     overflowed to inf leaves h exactly 0 or 1 and the loss finite, but its
@@ -249,15 +244,15 @@ def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> G
     dw1 = dz1.T @ x
     db1 = dz1.sum(axis=0)
 
-    grads = Gradients(weights=[dw1, dw2, dw3], biases=[db1, db2, db3])
-    for g in grads.weights + grads.biases:
+    grads = [dw1, dw2, dw3, db1, db2, db3]
+    for g in grads:
         if not np.isfinite(g).all():
             raise NumericError("non-finite gradient")
     return grads
 
 
-def backward(model: HashModel, x, c, cfg: TrainConfig) -> tuple[float, float, Gradients]:
-    """One training step's math on a batch: (L_central, L_quant, gradients).
+def backward(model: HashModel, x, c, cfg: TrainConfig) -> tuple[float, float, list]:
+    """One training step's math on a batch: (L_central, L_quant, backprop's gradients).
 
     The gradients are exact, of the batch objective w.r.t. every parameter,
     from one forward pass. Raises NumericError if the model output, the loss
@@ -322,7 +317,7 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
                 sum_total += (lc + cfg.lambda1 * lq) * len(sel)
                 sum_central += lc * len(sel)
                 sum_quant += lq * len(sel)
-                for p, g, v in zip(params, grads.weights + grads.biases, velocity):
+                for p, g, v in zip(params, grads, velocity):
                     v *= cfg.momentum
                     v += g
                     p -= cfg.learning_rate * v

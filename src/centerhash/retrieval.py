@@ -34,6 +34,9 @@ class CodeIndex:
     labels: np.ndarray  # (n, q) uint8
 
     def __post_init__(self):
+        if self.codes.ndim != 2 or self.labels.ndim != 2:
+            raise DimensionError(f"codes {self.codes.shape} and labels {self.labels.shape} "
+                                 "must be (n, W) and (n, q) matrices")
         if self.codes.shape[0] != self.labels.shape[0]:
             raise DimensionError(
                 f"{self.codes.shape[0]} codes but {self.labels.shape[0]} label rows"
@@ -131,8 +134,8 @@ def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalRep
     """
     query_words = np.asarray(query_words, dtype=np.uint64)
     query_labels = np.asarray(query_labels, dtype=np.uint8)
-    if query_words.ndim != 2 or query_words.shape[0] != query_labels.shape[0]:
-        raise DimensionError("query codes and labels must align")
+    if query_labels.ndim != 2 or query_words.ndim != 2 or len(query_words) != len(query_labels):
+        raise DimensionError("query codes and labels must be aligned (n, .) matrices")
     if query_words.shape[0] == 0:
         raise ValueError("query set is empty")
     if index.n == 0:

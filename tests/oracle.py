@@ -8,6 +8,9 @@ check of the fast paths.
 
 total_loss is the training objective as the sum of the two public loss
 terms, the function the finite-difference gradient checks differentiate.
+central_loss_reference and quant_loss_reference are the two loss terms
+written as loops over the samples and bits, with math's scalar functions,
+to hold the package's loss values to them.
 train_reference is the two-pass training step written out from the
 package's public pieces (forward, the two losses, backward), so the fused
 model.train can be held to it byte for byte. sigmoid_reference and
@@ -158,7 +161,7 @@ def train_reference(features, center_vectors, cfg):
             sum_quant += lq * len(sel)
             _, _, grads = M.backward(net, xb, cb, cfg)
             for w, b, gw, gb, vw, vb in zip(
-                net.weights, net.biases, grads.weights, grads.biases, vel_w, vel_b
+                net.weights, net.biases, grads[:3], grads[3:], vel_w, vel_b
             ):
                 vw *= cfg.momentum
                 vw += gw
@@ -190,6 +193,28 @@ def forward_reference(net, x):
 
 
 BCE_EPS = 1e-7  # the central loss clamps its log arguments to [BCE_EPS, 1 - BCE_EPS]
+
+
+def central_loss_reference(h, c):
+    """L_central: each sample's mean over its bits of the cross-entropy between the
+    clamped code value and the center bit, averaged over the samples."""
+    total = 0.0
+    for h_row, c_row in zip(h, c):
+        sample = 0.0
+        for hj, cj in zip(h_row, c_row):
+            hj = min(max(hj, BCE_EPS), 1.0 - BCE_EPS)
+            sample -= cj * math.log(hj) + (1.0 - cj) * math.log1p(-hj)
+        total += sample / len(h_row)
+    return total / len(h)
+
+
+def quant_loss_reference(h):
+    """L_quant: each sample's sum over its bits of log cosh(|2h - 1| - 1), averaged
+    over the samples."""
+    total = 0.0
+    for h_row in h:
+        total += sum(math.log(math.cosh(abs(2.0 * hj - 1.0) - 1.0)) for hj in h_row)
+    return total / len(h)
 
 
 def backward_reference(net, x, c, cfg):

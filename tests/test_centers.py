@@ -63,7 +63,7 @@ class TestGenerateCenters:
 
     def test_stacked_negation_branch(self):
         cs = C.generate_centers(8, 4, seed=0)
-        assert cs.method == "hadamard2k"
+        assert cs.method == "hadamard"
         # row 5 is the negation of row 1
         assert np.array_equal(cs.bits[4], [0, 0, 0, 0])
         d = hamming.pairwise_distances(cs.packed(), cs.packed())
@@ -71,7 +71,7 @@ class TestGenerateCenters:
 
     def test_balanced_fallback_popcount(self):
         cs = C.generate_centers(100, 48, seed=1)
-        assert cs.method == "balanced_random"
+        assert cs.method == "balanced"
         assert cs.m == 100
         assert np.array_equal(cs.bits.sum(axis=1), np.full(100, 24))
 
@@ -121,7 +121,7 @@ class TestGenerateDispatch:
     def test_hadamard_falls_back_to_balanced(self, seed):
         # the multi-label benchmark (q=21, k=48) relies on this fallback
         auto = C.generate("hadamard", 21, 48, seed)
-        assert auto.method == "balanced_random"
+        assert auto.method == "balanced"
         assert np.array_equal(auto.bits, C.generate("balanced", 21, 48, seed).bits)
 
     @pytest.mark.parametrize("m", [21, 64, 100])
@@ -143,6 +143,22 @@ class TestGenerateDispatch:
             cs = C.generate(method, 12, 24, seed=7)
             assert cs.method == expected.method
             assert np.array_equal(cs.bits, expected.bits)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(C.METHODS),
+        m=st.integers(1, 140),
+        k=st.one_of(st.sampled_from([2, 4, 8, 16, 32, 64]), st.integers(2, 70)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_recorded_method_rebuilds_the_set(self, method, m, k, seed):
+        # every branch: Hadamard rows of H and of [H; -H], and the balanced fallback
+        try:
+            cs = C.generate(method, m, k, seed)
+        except GenerationError:
+            return  # tiny k can run out of distinct rows
+        assert cs.method in C.METHODS
+        assert np.array_equal(C.generate(cs.method, m, k, seed).bits, cs.bits)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown center method"):

@@ -47,22 +47,33 @@ def test_gen_centers_failure_is_stage_tagged(workdir, capsys):
     assert "error [gen-centers]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, out, sha256", [
+GEN_CENTERS_PINS = pytest.mark.parametrize("flags, out, sha256", [
     (["--k", 16, "--m", 8], "m=8 k=16 method=hadamard mean_distance=8.000",
      "c389ac91957108f9970f84bb9b9e43766ae6c76220f7821636ad8ed716ac9c13"),
-    (["--k", 16, "--m", 24], "m=24 k=16 method=hadamard2k mean_distance=8.232",
+    (["--k", 16, "--m", 24], "m=24 k=16 method=hadamard mean_distance=8.232",
      "173087181c8cc7dc5bf3e953f665d848af52bb844a8511d1a0dfc1f54ccb35a8"),
-    (["--k", 48, "--m", 21], "m=21 k=48 method=balanced_random mean_distance=24.076",
+    (["--k", 48, "--m", 21], "m=21 k=48 method=balanced mean_distance=24.076",
      "6413f5e77ee28df3605623e8328ff976caf32e5e13d6cb595cd33ecaca83f526"),
     (["--k", 24, "--m", 12, "--method", "bernoulli"],
      "m=12 k=24 method=bernoulli mean_distance=12.439",
      "78c50b822a80b8cd80747ddc69d7b862137d886b14fc5eb192ef4bd82598e199"),
     (["--k", 24, "--m", 12, "--method", "balanced"],
-     "m=12 k=24 method=balanced_random mean_distance=12.758",
+     "m=12 k=24 method=balanced mean_distance=12.758",
      "e3a5ff2d7173e82713ff56c1cbf9d807ddf62e386ea863cb1c6b3242c2e39693"),
 ], ids=["hadamard", "hadamard2k", "balanced-fallback", "bernoulli", "balanced"])
+
+
+@GEN_CENTERS_PINS
 def test_gen_centers_output_is_pinned(workdir, capsys, flags, out, sha256):
     assert run_cli("gen-centers", *flags, "--out", "c.csqh") == 0
+    assert capsys.readouterr().out == f"wrote c.csqh: {out} valid=True\n"
+    assert hashlib.sha256((workdir / "c.csqh").read_bytes()).hexdigest() == sha256
+
+
+@GEN_CENTERS_PINS
+def test_gen_centers_printed_method_rebuilds_the_file(workdir, capsys, flags, out, sha256):
+    method = out.split("method=")[1].split()[0]
+    assert run_cli("gen-centers", *flags[:4], "--method", method, "--out", "c.csqh") == 0
     assert capsys.readouterr().out == f"wrote c.csqh: {out} valid=True\n"
     assert hashlib.sha256((workdir / "c.csqh").read_bytes()).hexdigest() == sha256
 

@@ -53,7 +53,7 @@ def finite_difference(net, x, c, cfg, eps=1e-5):
 
 def gradient_relative_error(net, x, c, cfg):
     _, _, grads = M.backward(net, x, c, cfg)
-    analytic = np.concatenate([g.ravel() for g in grads.weights + grads.biases])
+    analytic = np.concatenate([g.ravel() for g in grads])
     numeric = np.concatenate([g.ravel() for g in finite_difference(net, x, c, cfg)])
     denom = np.linalg.norm(analytic) + np.linalg.norm(numeric)
     return np.linalg.norm(analytic - numeric) / denom if denom else 0.0
@@ -182,8 +182,38 @@ class TestLosses:
         net = zero_model(2, 3, 3, 4)
         net.biases[2][:] = np.array([-800.0, 800.0, -800.0, 800.0])  # h: exact 0/1
         _, _, grads = M.backward(net, np.zeros((1, 2)), c, M.TrainConfig())
-        for g in grads.weights + grads.biases:
+        for g in grads:
             assert np.isfinite(g).all()
+
+
+# code values with a special meaning to a loss term: exactly binary, exactly
+# 0.5 (where |2h - 1| has its kink), and inside the cross-entropy clamp
+LOSS_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(0.0, M.BCE_EPS),
+    st.floats(1.0 - M.BCE_EPS, 1.0),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(1, 5), k=st.integers(1, 12), data=st.data())
+def test_loss_values_match_per_bit_loops(n, k, data):
+    h = np.array(data.draw(st.lists(st.lists(LOSS_VALUES, min_size=k, max_size=k),
+                                    min_size=n, max_size=n)))
+    c = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0]), min_size=k,
+                                             max_size=k), min_size=n, max_size=n)))
+    central = oracle.central_loss_reference(h.tolist(), c.tolist())
+    quant = oracle.quant_loss_reference(h.tolist())
+    both_terms = M.loss_and_dh(h, c, M.TrainConfig(lambda1=0.5))[:2]
+    # every cross-entropy term is positive, so the two sums differ by rounding
+    # alone; a log-cosh term near 0 is, in the package, a difference with log 2,
+    # so each bit may also be off by a few units in the last place of log 2
+    quant_floor = 4 * k * np.spacing(math.log(2.0))
+    for got in (M.central_loss(h, c), both_terms[0]):
+        assert got == pytest.approx(central, rel=1e-12, abs=0.0)
+    for got in (M.quantization_loss(h), both_terms[1]):
+        assert got == pytest.approx(quant, rel=1e-12, abs=quant_floor)
 
 
 class TestBackward:
@@ -209,7 +239,7 @@ class TestBackward:
         c = np.array([[1.0, 0.0, 1.0, 0.0]])
         net.biases[2][:] = np.where(c[0] == 1, 40.0, -40.0)
         _, _, grads = M.backward(net, np.zeros((1, 2)), c, M.TrainConfig(lambda1=0.0))
-        for g in grads.weights + grads.biases:
+        for g in grads:
             assert np.all(g == 0.0)
 
     def test_overflowed_activation_with_finite_loss_still_raises(self):
@@ -263,7 +293,7 @@ def test_backward_matches_per_sample_chain_rule(shape, seed, use_lc, lambda1, da
     _, _, grads = M.backward(net, x, c, cfg)
     ref_weights, ref_biases = oracle.backward_reference(net, x, c, cfg)
     # relative to each array's largest entry: the two sum in different orders
-    for got, ref in zip(grads.weights + grads.biases, ref_weights + ref_biases):
+    for got, ref in zip(grads, ref_weights + ref_biases):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 

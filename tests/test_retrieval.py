@@ -453,6 +453,21 @@ class TestEvaluateOnePass:
             R.evaluate(index, words, np.array([[1]], dtype=np.uint8), map_n=0)
         assert distance_calls == []
 
+    def test_one_dimensional_query_labels_rejected(self):
+        index = make_index([[0, 0], [1, 1]], [[1], [1]])
+        words = hamming.pack_matrix(np.zeros((2, 2), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="aligned"):
+            R.evaluate(index, words, np.array([1, 1], dtype=np.uint8), map_n=1)
+
+    @pytest.mark.parametrize("codes_shape, labels_shape", [((2, 1), (2,)), ((2,), (2, 1))],
+                             ids=["labels", "codes"])
+    def test_one_dimensional_database_rejected(self, codes_shape, labels_shape):
+        words = hamming.pack_matrix(np.zeros((1, 2), dtype=np.uint8))
+        with pytest.raises(DimensionError, match=r"must be \(n, W\) and \(n, q\) matrices"):
+            index = R.CodeIndex(codes=np.zeros(codes_shape, np.uint64),
+                                labels=np.ones(labels_shape, np.uint8))
+            R.evaluate(index, words, np.array([[1]], dtype=np.uint8), map_n=1)
+
     def test_empty_database_rejected(self):
         index = R.CodeIndex(codes=np.zeros((0, 1), np.uint64), labels=np.zeros((0, 2), np.uint8))
         words = hamming.pack_matrix(np.zeros((1, 8), dtype=np.uint8))

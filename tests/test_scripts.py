@@ -105,6 +105,33 @@ def test_check_bench_result_rejects_a_traced_run_without_a_layer_metric(value, s
     assert proc.stdout == f"problem: metric retrieval.pr_s is {shown}\n"
 
 
+def training_values(**overrides):
+    """Per-layer values of a traced run whose training layers saw model.backward."""
+    values = {name: 0.25 for name in PER_LAYER}
+    values.update({"model.batches": 600, "model.forward_passes_per_batch": 1.0}, **overrides)
+    return values
+
+
+def test_check_bench_result_accepts_a_traced_training_run():
+    proc = check_bench_result(traced_result(training_values()), "--trace", "--training")
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout == (f"ok: correct, 0 failed, {len(PER_LAYER)} per-layer metrics, "
+                           "training layers see model.backward\n")
+
+
+@pytest.mark.parametrize("name, value, wanted", [
+    ("model.batches", 0, "above 0"),
+    ("model.forward_passes_per_batch", 2.0, "1.0"),
+], ids=["no_batches", "two_forward_passes"])
+def test_check_bench_result_rejects_a_training_run_without_one_backward_per_batch(
+        name, value, wanted):
+    values = training_values(**{name: value})
+    assert check_bench_result(traced_result(values), "--trace").returncode == 0
+    proc = check_bench_result(traced_result(values), "--trace", "--training")
+    assert proc.returncode == 1
+    assert proc.stdout == f"problem: metric {name} is {value!r}, training needs {wanted}\n"
+
+
 def test_check_bench_result_rejects_an_untraced_run_as_traced():
     proc = check_bench_result(bench_result(), "--trace")
     assert proc.returncode == 1
