@@ -4,19 +4,17 @@
     python3 scripts/check_bench_result.py < run.txt
     python3 perfbench/run.py --workload W --seed 0 --seconds 1 --trace 1 > traced.txt
     python3 scripts/check_bench_result.py --trace < traced.txt
-    python3 scripts/check_bench_result.py --trace --training < traced.txt
 
 Reads the run's stdout and checks its last line: it must be strict JSON (no
 NaN or Infinity), with "correct" true, "failed" 0, and a positive finite
 value for every end-to-end metric that BENCHMARK.json declares. With
 --trace, the result is a traced run's, and every declared per-layer metric
 must be present with a finite value of any sign: a layer the workload never
-enters reads 0, and trace.overhead_s can fall below 0. --training, for a
-traced run of a workload that trains, also requires that the training
-layers saw model.backward: model.batches above 0 and
-model.forward_passes_per_batch exactly 1.0, since model.train runs one
-backward call, with one forward pass, per batch. Exits 0, or prints what is
-wrong and exits 1.
+enters reads 0, and trace.overhead_s can fall below 0. A traced run that
+trained (model.epoch_s above 0) must also show that the training layers saw
+model.backward: model.batches above 0 and model.forward_passes_per_batch
+exactly 1.0, since model.train runs one backward call, with one forward
+pass, per batch. Exits 0, or prints what is wrong and exits 1.
 """
 
 import argparse
@@ -28,21 +26,13 @@ from pathlib import Path
 BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-# what --training requires of a metric's value, and how the requirement reads
-TRAINING = {
-    "model.batches": (lambda value: value > 0, "above 0"),
-    "model.forward_passes_per_batch": (lambda value: value == 1.0, "1.0"),
-}
-
-
 def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def problems(stdout: str, declared: list, positive: bool = True, training: bool = False) -> list:
+def problems(stdout: str, declared: list, positive: bool = True) -> list:
     """What is wrong with the last line of `stdout`; empty when it is a good result.
-    Each declared metric must be finite, and also above 0 if `positive`; with
-    `training`, each TRAINING metric must also meet its requirement."""
+    Each declared metric must be finite, and also above 0 if `positive`."""
     lines = stdout.strip().splitlines()
     if not lines:
         return ["no output"]
@@ -60,33 +50,38 @@ def problems(stdout: str, declared: list, positive: bool = True, training: bool 
     metrics = result.get("metrics")
     if not isinstance(metrics, dict):
         return found + ["no metrics object"]
-    for name in dict.fromkeys([*declared, *(TRAINING if training else ())]):
+    values = {}
+    for name in declared:
         entry = metrics.get(name)
         value = entry.get("value") if isinstance(entry, dict) else None
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value) and (value > 0 or not positive)):
+        if number and math.isfinite(value) and (value > 0 or not positive):
+            values[name] = value
+        else:
             found.append(f"metric {name} is {value!r}")
-        elif training and name in TRAINING and not TRAINING[name][0](value):
-            found.append(f"metric {name} is {value!r}, training needs {TRAINING[name][1]}")
+    # a workload that never enters model.train (search-large) reads 0 for all three
+    if values.get("model.epoch_s", 0) > 0:
+        batches = values.get("model.batches", 1)
+        passes = values.get("model.forward_passes_per_batch", 1.0)
+        if batches <= 0:
+            found.append(f"metric model.batches is {batches!r}, a run that trained needs above 0")
+        if passes != 1.0:
+            found.append(f"metric model.forward_passes_per_batch is {passes!r}, "
+                         "a run that trained needs 1.0")
     return found
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--trace", action="store_true", help="check a --trace 1 run's result")
-    parser.add_argument("--training", action="store_true",
-                        help="with --trace: the training layers must see model.backward")
     args = parser.parse_args(argv)
-    if args.training and not args.trace:
-        parser.error("--training checks a traced run's layer metrics: give --trace too")
     kind = "per_layer" if args.trace else "end_to_end"
     declared = [m["name"] for m in json.loads(BENCHMARK.read_text())[kind]]
-    found = problems(sys.stdin.read(), declared, positive=not args.trace, training=args.training)
+    found = problems(sys.stdin.read(), declared, positive=not args.trace)
     for problem in found:
         print(f"problem: {problem}")
     if not found:
-        training = ", training layers see model.backward" if args.training else ""
-        print(f"ok: correct, 0 failed, {len(declared)} {kind.replace('_', '-')} metrics{training}")
+        print(f"ok: correct, 0 failed, {len(declared)} {kind.replace('_', '-')} metrics")
     return 1 if found else 0
 
 

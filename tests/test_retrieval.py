@@ -462,11 +462,9 @@ class TestEvaluateOnePass:
     @pytest.mark.parametrize("codes_shape, labels_shape", [((2, 1), (2,)), ((2,), (2, 1))],
                              ids=["labels", "codes"])
     def test_one_dimensional_database_rejected(self, codes_shape, labels_shape):
-        words = hamming.pack_matrix(np.zeros((1, 2), dtype=np.uint8))
         with pytest.raises(DimensionError, match=r"must be \(n, W\) and \(n, q\) matrices"):
-            index = R.CodeIndex(codes=np.zeros(codes_shape, np.uint64),
-                                labels=np.ones(labels_shape, np.uint8))
-            R.evaluate(index, words, np.array([[1]], dtype=np.uint8), map_n=1)
+            R.CodeIndex(codes=np.zeros(codes_shape, np.uint64),
+                        labels=np.ones(labels_shape, np.uint8))
 
     def test_empty_database_rejected(self):
         index = R.CodeIndex(codes=np.zeros((0, 1), np.uint64), labels=np.zeros((0, 2), np.uint8))
