@@ -50,6 +50,7 @@ def _cmd_encode(args):
 
 def _cmd_eval(args):
     with _stage("eval"):
+        RunConfig(map_n=args.map_n)  # a bad cutoff fails before any file is read
         report = evaluate(args.db_codes, args.db_labels, args.query_codes, args.query_labels,
                           args.map_n)
         retrieval.write_report(args.out_report, report)

@@ -17,7 +17,8 @@ from .errors import DimensionError, FormatError, InvalidLabelError
 MAGIC_FEATURES = b"CSQF"
 MAGIC_LABELS = b"CSQL"
 EMPTY_LABELS = "empty label file (n={n}, q={k})"
-# float32 values per block that a FeatureFile slice reads (4 MiB)
+# values per block that a FeatureFile slice reads (4 MiB of float32) and that
+# load_label_bitsets unpacks (1 MiB of uint8)
 READ_BLOCK_VALUES = 1 << 20
 
 
@@ -115,10 +116,33 @@ def label_shape(path) -> tuple[int, int]:
     return binfmt.check_rows(binfmt.read_head(path), MAGIC_LABELS, 1, EMPTY_LABELS)
 
 
-def load_labels(path) -> np.ndarray:
+def _label_rows(path) -> tuple[np.ndarray, int]:
+    """A label file's (n, ceil(q/8)) bit rows and q, checked by load_bit_rows and for a
+    row without a category."""
     rows, q = binfmt.load_bit_rows(path, MAGIC_LABELS, EMPTY_LABELS)
-    labels = np.unpackbits(rows, axis=1, count=q, bitorder="little")
-    empty = np.flatnonzero(labels.sum(axis=1) == 0)
+    empty = np.flatnonzero(~rows.any(axis=1))
     if empty.size:
         raise InvalidLabelError(f"label row {int(empty[0])} has no category set")
-    return labels
+    return rows, q
+
+
+def load_labels(path) -> np.ndarray:
+    """Read a label file into an (n, q) uint8 multi-hot matrix."""
+    rows, q = _label_rows(path)
+    return np.unpackbits(rows, axis=1, count=q, bitorder="little")
+
+
+def load_label_bitsets(path) -> tuple[np.ndarray, int]:
+    """Read a label file as per-category bitsets; returns ((q, ceil(n/8)) uint8, n), bit i
+    of row c (LSB-first) set iff row i has category c. The checks are load_labels'. The
+    (n, q) matrix is never held whole: a block of READ_BLOCK_VALUES values (rounded down
+    to whole bytes of rows) is unpacked and packed into the bitsets' columns at a time."""
+    rows, q = _label_rows(path)
+    n = rows.shape[0]
+    bitsets = np.empty((q, (n + 7) // 8), dtype=np.uint8)
+    block = max(8, READ_BLOCK_VALUES // q // 8 * 8)
+    for at in range(0, n, block):
+        labels = np.unpackbits(rows[at : at + block], axis=1, count=q, bitorder="little")
+        bitsets[:, at // 8 : (at + len(labels) + 7) // 8] = np.packbits(
+            labels.T, axis=1, bitorder="little")
+    return bitsets, n

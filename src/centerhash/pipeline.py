@@ -78,15 +78,17 @@ def evaluate(db_codes, db_labels, query_codes, query_labels, map_n: int,
     """The query codes' retrieval metrics against the database codes. Given a `centers`
     file, a single-label database's report also holds the distmat of its codes."""
     db_words, db_k = hamming.load_codes(db_codes)
-    db_y = data_io.load_labels(db_labels)
+    db_bitsets, db_n = data_io.load_label_bitsets(db_labels)
     query_words, query_k = hamming.load_codes(query_codes)
     query_y = data_io.load_labels(query_labels)
     if db_k != query_k:
         raise DimensionError(f"database codes have k={db_k}, queries k={query_k}")
-    report = retrieval.evaluate(retrieval.CodeIndex(codes=db_words, labels=db_y),
+    report = retrieval.evaluate(retrieval.CodeIndex(db_words, db_bitsets, db_n),
                                 query_words, query_y, map_n)
-    if centers and (db_y.sum(axis=1) == 1).all():
-        report.center_distances = _center_distances(db_words, db_k, db_y, centers)
+    # every item has a category, so n set bits in all means exactly one each
+    if centers and int(np.bitwise_count(db_bitsets).sum()) == db_n:
+        groups = np.unpackbits(db_bitsets, axis=1, count=db_n, bitorder="little").argmax(axis=0)
+        report.center_distances = _center_distances(db_words, db_k, groups, centers)
     return report
 
 
@@ -94,16 +96,17 @@ def distmat(codes, assignments, centers) -> np.ndarray:
     """The (m, m) mean code-to-center distances, each code grouped under the
     one center its row of the `assignments` label file names."""
     words, k = hamming.load_codes(codes)
-    return _center_distances(words, k, data_io.load_labels(assignments), centers)
+    assigned = data_io.load_labels(assignments)
+    if not (assigned.sum(axis=1) == 1).all():
+        raise InvalidLabelError("assignments must name exactly one center per code")
+    return _center_distances(words, k, assigned.argmax(axis=1), centers)
 
 
-def _center_distances(words, k: int, assigned, centers) -> np.ndarray:
+def _center_distances(words, k: int, groups, centers) -> np.ndarray:
     cs = centers_mod.load_centers(centers)
     if cs.k != k:
         raise DimensionError(f"codes have k={k}, centers k={cs.k}")
-    if not (assigned.sum(axis=1) == 1).all():
-        raise InvalidLabelError("assignments must name exactly one center per code")
-    return retrieval.center_distance_matrix(words, assigned.argmax(axis=1), cs)
+    return retrieval.center_distance_matrix(words, groups, cs)
 
 
 def _load(cfg: RunConfig) -> int:

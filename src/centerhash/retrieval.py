@@ -24,27 +24,37 @@ from .centers import CenterSet
 from .errors import DimensionError
 
 RADIUS = 2  # the Hamming ball of p_at_h2
+WRITE_BLOCK = 1 << 13  # curve points that write_report converts to Python floats at a time
 
 
 @dataclass(frozen=True)
 class CodeIndex:
-    """A searchable database: packed codes aligned with multi-hot labels."""
+    """A searchable database: n packed codes and, per category, the bitset of the
+    items that have it (the form data_io.load_label_bitsets reads); from_labels
+    builds one from (n, q) multi-hot labels."""
 
     codes: np.ndarray  # (n, W) uint64
-    labels: np.ndarray  # (n, q) uint8
+    categories: np.ndarray  # (q, ceil(n/8)) uint8, bit i of row c (LSB-first): item i has c
+    n: int  # label rows, which the codes must match
 
     def __post_init__(self):
-        if self.codes.ndim != 2 or self.labels.ndim != 2:
-            raise DimensionError(f"codes {self.codes.shape} and labels {self.labels.shape} "
-                                 "must be (n, W) and (n, q) matrices")
-        if self.codes.shape[0] != self.labels.shape[0]:
-            raise DimensionError(
-                f"{self.codes.shape[0]} codes but {self.labels.shape[0]} label rows"
-            )
+        if self.codes.ndim != 2 or self.categories.ndim != 2:
+            raise DimensionError(f"codes {self.codes.shape} and category bitsets "
+                                 f"{self.categories.shape} must be (n, W) and (q, B) matrices")
+        if self.codes.shape[0] != self.n:
+            raise DimensionError(f"{self.codes.shape[0]} codes but {self.n} label rows")
+        if self.categories.shape[1] != (self.n + 7) // 8:
+            raise DimensionError(f"category bitsets of {self.categories.shape[1]} bytes "
+                                 f"for {self.n} label rows")
 
-    @property
-    def n(self) -> int:
-        return self.codes.shape[0]
+    @classmethod
+    def from_labels(cls, codes, labels) -> "CodeIndex":
+        """An index over codes aligned with (n, q) multi-hot labels."""
+        codes, labels = np.asarray(codes), np.asarray(labels)
+        if codes.ndim != 2 or labels.ndim != 2:
+            raise DimensionError(f"codes {codes.shape} and labels {labels.shape} "
+                                 "must be (n, W) and (n, q) matrices")
+        return cls(codes, np.packbits(labels.T, axis=1, bitorder="little"), labels.shape[0])
 
 
 def _rank(index: CodeIndex, query_words) -> tuple[np.ndarray, np.ndarray]:
@@ -140,17 +150,13 @@ def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalRep
         raise ValueError("query set is empty")
     if index.n == 0:
         raise ValueError("database is empty")
-    if query_labels.shape[1] != index.labels.shape[1]:
-        raise DimensionError(
-            f"queries have {query_labels.shape[1]} categories, index has {index.labels.shape[1]}"
-        )
+    if query_labels.shape[1] != index.categories.shape[0]:
+        raise DimensionError(f"queries have {query_labels.shape[1]} categories, "
+                             f"index has {index.categories.shape[0]}")
     if map_n < 1:
         raise ValueError("n must be at least 1")
     n = index.n
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    # bit i of row c: database item i has category c; a query's relevance is
-    # the OR of its categories' rows (none for a query without a category)
-    category_rows = np.packbits(index.labels.T, axis=1, bitorder="little")
     map_total = 0.0
     radius_total = 0.0
     recall = np.zeros(n)
@@ -158,7 +164,8 @@ def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalRep
     ratio = np.empty(n)  # each PR division in turn
     for qw, ql in zip(query_words, query_labels):
         dists, order = _rank(index, qw)
-        packed = np.bitwise_or.reduce(category_rows[ql != 0], axis=0)
+        # a query's relevance is the OR of its categories' bitsets (none without a category)
+        packed = np.bitwise_or.reduce(index.categories[ql != 0], axis=0)
         rel = np.unpackbits(packed, count=n, bitorder="little").view(bool)[order]
         cum = np.cumsum(rel, dtype=np.int64)
         top = rel[:map_n]
@@ -193,17 +200,24 @@ def center_distance_lines(matrix: np.ndarray) -> list:
     ]
 
 
+def _floats(values: np.ndarray):
+    """The items of a 1-D array as Python floats, converted WRITE_BLOCK at a time."""
+    return itertools.chain.from_iterable(
+        values[at : at + WRITE_BLOCK].tolist() for at in range(0, len(values), WRITE_BLOCK))
+
+
 def write_report(path, report: EvalReport) -> None:
     """Serialize a report as CSV sections (scalars, P@N, PR, distances), streaming
-    its lines through the file's buffer, so the text is never held whole."""
-    precision = report.precision.tolist()
+    its lines through the file's buffer: neither the text nor a curve's Python
+    floats are ever held whole, only WRITE_BLOCK points of each curve at a time."""
     matrix = report.center_distances
     lines = itertools.chain(
         ["metric,value", f"map_at_n,{report.map_at_n!r}", f"p_at_h2,{report.p_at_h2!r}"],
         ["", "rank,precision"],
-        (f"{rank},{p!r}" for rank, p in enumerate(precision[: report.map_n], start=1)),
+        (f"{rank},{p!r}" for rank, p in
+         enumerate(_floats(report.precision[: report.map_n]), start=1)),
         ["", "recall,precision"],
-        (f"{r!r},{p!r}" for r, p in zip(report.recall.tolist(), precision)),
+        (f"{r!r},{p!r}" for r, p in zip(_floats(report.recall), _floats(report.precision))),
         [] if matrix is None else ["", *center_distance_lines(matrix)],
     )
     with binfmt.atomic_write(path, text=True) as f:

@@ -172,6 +172,24 @@ def test_eval_k_mismatch_rejected(workdir, capsys):
     assert "error [eval] database codes have k=13, queries k=12" in capsys.readouterr().err
 
 
+def test_eval_rejects_map_n_0_before_reading_a_file(workdir, capsys):
+    # none of the four files exists, so a read would fail first
+    rc = run_cli("eval", "--db-codes", "db.csqc", "--db-labels", "y.csql", "--query-codes",
+                 "q.csqc", "--query-labels", "y.csql", "--map-n", 0, "--out-report", "r.csv")
+    assert rc == 1
+    assert capsys.readouterr().err == "error [eval] map_n must be at least 1, got 0\n"
+
+
+def test_eval_label_rows_must_match_the_codes(workdir, capsys):
+    # 100 and 97 label rows both fill 13 bytes of each category's bitset
+    data_io.save_labels("y.csql", np.eye(3, dtype=np.uint8)[np.arange(97) % 3])
+    hamming.save_codes("db.csqc", hamming.pack_matrix(np.zeros((100, 8), np.uint8)), 8)
+    rc = run_cli("eval", "--db-codes", "db.csqc", "--db-labels", "y.csql", "--query-codes",
+                 "db.csqc", "--query-labels", "y.csql", "--out-report", "r.csv")
+    assert rc == 1
+    assert capsys.readouterr().err == "error [eval] 100 codes but 97 label rows\n"
+    assert not (workdir / "r.csv").exists()
+
 def test_synth_writes_both_splits(workdir):
     rc = run_cli("synth", "--classes", 3, "--per-class", 10, "--dim", 5, "--spread", 0.2,
                  "--seed", 2, "--out-prefix", "data")
@@ -590,7 +608,8 @@ def test_eval_stage_reads_each_file_once(workdir, monkeypatch):
             return real(path)
         return load
 
-    for module, name in ((hamming, "load_codes"), (data_io, "load_labels"), (C, "load_centers")):
+    for module, name in ((hamming, "load_codes"), (data_io, "load_labels"),
+                         (data_io, "load_label_bitsets"), (C, "load_centers")):
         monkeypatch.setattr(module, name, spy(getattr(module, name)))
     report = pipeline.evaluate("out/db_codes.csqc", "blob.train.csql", "out/query_codes.csqc",
                                "blob.query.csql", 20, centers="out/centers.csqh")
@@ -598,6 +617,28 @@ def test_eval_stage_reads_each_file_once(workdir, monkeypatch):
     assert read == {"out/db_codes.csqc": 1, "blob.train.csql": 1, "out/query_codes.csqc": 1,
                     "blob.query.csql": 1, "out/centers.csqh": 1}
 
+
+def test_eval_memory_grows_by_under_half_a_byte_per_label_bit(workdir):
+    # the (n, q) uint8 label matrix costs a byte per label bit, its bitsets an eighth;
+    # the codes and the ranking's own arrays do not grow with q, so they cancel out
+    n, k, nq = 100_000, 64, 4
+    rng = np.random.default_rng(0)
+    for name, rows in (("db", n), ("q", nq)):
+        hamming.save_codes(f"{name}.csqc", hamming.pack_matrix(rng.integers(0, 2, (rows, k))), k)
+    peaks = {}
+    for q in (8, 64):
+        labels = rng.random((n, q)) < 0.05
+        labels[np.arange(n), rng.integers(0, q, n)] = True
+        data_io.save_labels("db.csql", labels)
+        data_io.save_labels("q.csql", labels[:nq])
+        del labels
+        tracemalloc.start()
+        try:
+            pipeline.evaluate("db.csqc", "db.csql", "q.csqc", "q.csql", 100)
+            peaks[q] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] - peaks[8] < n * (64 - 8) / 2
 
 def test_run_holds_no_float64_copy_of_features_or_centers(workdir, monkeypatch):
     n, d, k = 8192, 64, 64

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -282,6 +283,44 @@ class TestLabels:
             tracemalloc.stop()
         assert peak < labels.nbytes
         assert np.array_equal(data_io.load_labels(tmp_path / "y.csql"), labels)
+
+
+class TestLabelBitsets:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), n=st.integers(1, 70), q=st.integers(1, 21),
+           budget=st.integers(1, 200))
+    def test_equals_the_packed_transpose_of_load_labels(self, tmp_path, monkeypatch, data, n, q,
+                                                        budget):
+        # a small READ_BLOCK_VALUES makes the 8-row blocks span n in several steps
+        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", budget)
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n * q, max_size=n * q))
+        path = tmp_path / "y.csql"
+        labels = np.array(bits, dtype=np.uint8).reshape(n, q)
+        labels[np.arange(n), np.arange(n) % q] = 1  # every row needs a category
+        data_io.save_labels(path, labels)
+        bitsets, rows = data_io.load_label_bitsets(path)
+        assert rows == n
+        assert bitsets.dtype == np.uint8
+        assert np.array_equal(bitsets, np.packbits(data_io.load_labels(path).T, axis=1,
+                                                   bitorder="little"))
+
+    @pytest.mark.parametrize("payload, q, message", [
+        # row 19, in the third 8-row block, is empty
+        (bytes([1] * 19 + [0] + [2] * 5), 4, "label row 19 has no category set"),
+        (bytes([1, 0x21]), 5, "nonzero padding bits (byte offset 20)"),  # bit 5 of row 1
+    ], ids=["empty_row", "padding_bits"])
+    def test_errors_equal_load_labels(self, tmp_path, monkeypatch, payload, q, message):
+        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", 8 * q)
+        path = tmp_path / "y.csql"
+        path.write_bytes(binfmt.header(data_io.MAGIC_LABELS) + binfmt.u64(len(payload))
+                         + binfmt.u32(q) + payload)
+        errors = []
+        for read in (data_io.load_labels, data_io.load_label_bitsets):
+            with pytest.raises((InvalidLabelError, FormatError), match=re.escape(message)) as err:
+                read(path)
+            errors.append((type(err.value), str(err.value), getattr(err.value, "offset", None)))
+        assert errors[0] == errors[1]
 
 
 class TestSyntheticBlobs:

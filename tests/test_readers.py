@@ -28,6 +28,7 @@ READERS = {
     "load_codes": (hamming.load_codes, hamming.MAGIC_CODES),
     "load_centers": (centers.load_centers, centers.MAGIC_CENTERS),
     "load_labels": (data_io.load_labels, data_io.MAGIC_LABELS),
+    "load_label_bitsets": (data_io.load_label_bitsets, data_io.MAGIC_LABELS),
     "load_model": (model.load_model, model.MAGIC_MODEL),
     "load_features": (data_io.load_features, data_io.MAGIC_FEATURES),
     "slices": (slices, data_io.MAGIC_FEATURES),
@@ -41,7 +42,7 @@ def write_valid(name, path):
         hamming.save_codes(path, hamming.pack_matrix(rng.integers(0, 2, (3, 13))), 13)
     elif name == "load_centers":
         centers.save_centers(path, centers.generate_centers(3, 13, seed=0))
-    elif name == "load_labels":
+    elif name in ("load_labels", "load_label_bitsets"):
         data_io.save_labels(path, np.eye(13, dtype=np.uint8)[[0, 5, 12]])
     elif name == "load_model":
         model.save_model(path, model.init_model(3, 5, hidden=(2, 2), seed=0))
@@ -74,7 +75,8 @@ def test_arbitrary_bytes(tmp_path, name, prefix, tail):
     check(read, tmp_path / "f", head + tail)
 
 
-@pytest.mark.parametrize("name", ["load_codes", "load_centers", "load_labels"])
+@pytest.mark.parametrize("name", ["load_codes", "load_centers", "load_labels",
+                                  "load_label_bitsets"])
 @fuzz
 @given(n=st.integers(0, 4), k=st.integers(0, 20), extra=st.integers(-1, 1), data=st.data())
 def test_bit_rows_with_a_plausible_header(tmp_path, name, n, k, extra, data):
@@ -141,6 +143,7 @@ BAD_BIT_ROW_FILES = [
         (hamming.load_codes, hamming.MAGIC_CODES, "code", "n", "k"),
         (centers.load_centers, centers.MAGIC_CENTERS, "center", "m", "k"),
         (data_io.load_labels, data_io.MAGIC_LABELS, "label", "n", "q"),
+        (data_io.load_label_bitsets, data_io.MAGIC_LABELS, "label", "n", "q"),
     ]
     for data, message, offset in [
         (b"JUNK" + bytes(20), f"bad magic b'JUNK', expected {magic!r}", 0),

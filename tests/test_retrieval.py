@@ -12,7 +12,7 @@ from centerhash.errors import DimensionError
 def make_index(bit_rows, label_rows):
     bits = np.asarray(bit_rows, dtype=np.uint8)
     labels = np.asarray(label_rows, dtype=np.uint8)
-    return R.CodeIndex(codes=hamming.pack_matrix(bits), labels=labels)
+    return R.CodeIndex.from_labels(hamming.pack_matrix(bits), labels)
 
 
 def one_hot(q, j):
@@ -307,7 +307,7 @@ class TestReport:
         path = tmp_path / "report.csv"
         path.write_bytes(b"old report")
 
-        class BrokenRecall:
+        class BrokenRecall(np.ndarray):  # its slices are BrokenRecall too
             def tolist(self):
                 yield 0.5
                 yield 1.0
@@ -315,11 +315,29 @@ class TestReport:
                 assert len(list(tmp_path.iterdir())) == 2
                 raise ValueError("broken recall")
 
-        report = R.EvalReport(0.5, 0.5, 1, np.array([0.5, 1.0, 0.75]), BrokenRecall())
+        report = R.EvalReport(0.5, 0.5, 1, np.array([0.5, 1.0, 0.75]),
+                              np.zeros(3).view(BrokenRecall))
         with pytest.raises(ValueError, match="broken recall"):
             R.write_report(path, report)
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
         assert path.read_bytes() == b"old report"
+
+    def test_write_memory_is_below_one_curve_array(self, tmp_path):
+        # a whole curve as a list of Python floats is 32 bytes a point; two of them
+        # for the PR section peaked at 12.9 MB here
+        rng = np.random.default_rng(0)
+        n = 200_000
+        report = R.EvalReport(0.5, 0.5, 1000, rng.random(n), rng.random(n))
+        tracemalloc.start()
+        try:
+            R.write_report(tmp_path / "report.csv", report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < report.precision.nbytes  # 1.6 MB
+        lines = (tmp_path / "report.csv").read_text().splitlines()
+        assert len(lines) == 3 + 2 + 1000 + 2 + n
+        assert lines[-1] == f"{float(report.recall[-1])!r},{float(report.precision[-1])!r}"
 
     def test_rerun_reports_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -463,11 +481,24 @@ class TestEvaluateOnePass:
                              ids=["labels", "codes"])
     def test_one_dimensional_database_rejected(self, codes_shape, labels_shape):
         with pytest.raises(DimensionError, match=r"must be \(n, W\) and \(n, q\) matrices"):
-            R.CodeIndex(codes=np.zeros(codes_shape, np.uint64),
-                        labels=np.ones(labels_shape, np.uint8))
+            R.CodeIndex.from_labels(np.zeros(codes_shape, np.uint64),
+                                    np.ones(labels_shape, np.uint8))
+
+    def test_label_rows_must_match_the_codes(self):
+        # 100 and 97 label rows both fill 13 bytes of each category's bitset
+        codes = np.zeros((100, 1), np.uint64)
+        labels = np.eye(3, dtype=np.uint8)[np.arange(97) % 3]
+        bitsets = np.packbits(labels.T, axis=1, bitorder="little")
+        assert bitsets.shape[1] == (100 + 7) // 8
+        for build in (lambda: R.CodeIndex(codes, bitsets, 97),
+                      lambda: R.CodeIndex.from_labels(codes, labels)):
+            with pytest.raises(DimensionError, match="^100 codes but 97 label rows$"):
+                build()
+        with pytest.raises(DimensionError, match="^category bitsets of 12 bytes for 100 "):
+            R.CodeIndex(codes, bitsets[:, :12], 100)
 
     def test_empty_database_rejected(self):
-        index = R.CodeIndex(codes=np.zeros((0, 1), np.uint64), labels=np.zeros((0, 2), np.uint8))
+        index = R.CodeIndex.from_labels(np.zeros((0, 1), np.uint64), np.zeros((0, 2), np.uint8))
         words = hamming.pack_matrix(np.zeros((1, 8), dtype=np.uint8))
         labels = np.array([[1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="database is empty"):
