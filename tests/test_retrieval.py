@@ -324,7 +324,7 @@ class TestReport:
 
     def test_write_memory_is_below_one_curve_array(self, tmp_path):
         # a whole curve as a list of Python floats is 32 bytes a point; two of them
-        # for the PR section peaked at 12.9 MB here
+        # for the PR section peaked at 12.9 MB when each curve was converted whole
         rng = np.random.default_rng(0)
         n = 200_000
         report = R.EvalReport(0.5, 0.5, 1000, rng.random(n), rng.random(n))
