@@ -21,6 +21,8 @@ time, on forward_reference's activations: an independent check of the
 gradients model.backward returns.
 assign_reference is center assignment as a loop over the rows, to hold
 the grouped assign_multi_label to it byte for byte.
+report_text_reference is the eval report written one Python repr per
+float, to hold the block formatter of write_report to it byte for byte.
 """
 
 import math
@@ -123,6 +125,21 @@ def center_distance_matrix(code_bits, group_ids, center_bits):
         for j in range(m):
             out[i][j] = sum(dist(code, center_bits[j]) for code in members) / len(members)
     return out
+
+
+def report_text_reference(report):
+    """The text of write_report's CSV sections, each float written by repr."""
+    lines = ["metric,value", f"map_at_n,{report.map_at_n!r}", f"p_at_h2,{report.p_at_h2!r}",
+             "", "rank,precision"]
+    lines += [f"{rank},{p!r}"
+              for rank, p in enumerate(report.precision[: report.map_n].tolist(), start=1)]
+    lines += ["", "recall,precision"]
+    lines += [f"{r!r},{p!r}" for r, p in zip(report.recall.tolist(), report.precision.tolist())]
+    if report.center_distances is not None:
+        lines += ["", "center_i,center_j,mean_distance"]
+        lines += [f"{i},{j},{d!r}" for i, row in enumerate(report.center_distances.tolist())
+                  for j, d in enumerate(row)]
+    return "".join(line + "\n" for line in lines)
 
 
 def total_loss(h, c, cfg):

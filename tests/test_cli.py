@@ -190,6 +190,34 @@ def test_eval_label_rows_must_match_the_codes(workdir, capsys):
     assert capsys.readouterr().err == "error [eval] 100 codes but 97 label rows\n"
     assert not (workdir / "r.csv").exists()
 
+def test_eval_report_bytes_are_pinned(workdir, capsys):
+    # seeded codes and labels and no training, so the bytes depend only on the ranking
+    # and on how write_report formats floats: its recall starts in repr's exponent form,
+    # it holds 17-digit values, and its curves run at 1.0 for thousands of ranks
+    rng = np.random.default_rng(7)
+    n, k = 30_000, 32
+    centers = rng.integers(0, 2, size=(3, k), dtype=np.uint8)
+    classes = np.searchsorted([0.8, 0.95], rng.random(n))
+    db_bits = centers[classes] ^ (rng.random((n, k)) < 0.03)
+    db_labels = np.eye(3, dtype=np.uint8)[classes]
+    db_labels[rng.random(n) < 0.01, 2] = 1
+    q_bits = centers[[0, 0, 0, 1, 0]] ^ (rng.random((5, k)) < 0.03)
+    q_labels = np.eye(3, dtype=np.uint8)[[0, 0, 0, 1, 0]]
+    for name, bits, labels in (("db", db_bits, db_labels), ("q", q_bits, q_labels)):
+        hamming.save_codes(f"{name}.csqc", hamming.pack_matrix(bits), k)
+        data_io.save_labels(f"{name}.csql", labels)
+    assert run_cli("eval", "--db-codes", "db.csqc", "--db-labels", "db.csql",
+                   "--query-codes", "q.csqc", "--query-labels", "q.csql", "--map-n", 500,
+                   "--out-report", "report.csv") == 0
+    data = (workdir / "report.csv").read_bytes()
+    pr = [line.split(",") for line in data.decode().split("recall,precision\n")[1].splitlines()]
+    assert "e-" in pr[0][0] and pr[-1] == ["1.0", pr[-1][1]]
+    assert sum(r == "1.0" for r, _ in pr) > 1000 and sum(p == "1.0" for _, p in pr) > 1000
+    assert any(len(v.lstrip("0.")) == 17 for row in pr for v in row)
+    assert hashlib.sha256(data).hexdigest() == (
+        "9d2f2e6e510f42f1db5f2f3c71d9f552fd30389dde92dc2586477899ef182adf")
+
+
 def test_synth_writes_both_splits(workdir):
     rc = run_cli("synth", "--classes", 3, "--per-class", 10, "--dim", 5, "--spread", 0.2,
                  "--seed", 2, "--out-prefix", "data")

@@ -1,7 +1,11 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from centerhash import centers as C
@@ -303,22 +307,24 @@ class TestReport:
         R.write_report(tmp_path / "report.csv", report)
         assert (tmp_path / "report.csv").read_bytes() == expected
 
-    def test_failed_write_keeps_the_old_report(self, tmp_path):
+    def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
         path = tmp_path / "report.csv"
         path.write_bytes(b"old report")
+        real, calls = R._repr_chars, []
 
-        class BrokenRecall(np.ndarray):  # its slices are BrokenRecall too
-            def tolist(self):
-                yield 0.5
-                yield 1.0
+        def second_block_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
                 # the report's first lines are in the temp file beside the old one
                 assert len(list(tmp_path.iterdir())) == 2
-                raise ValueError("broken recall")
+                raise ValueError("broken block")
+            return real(*args)
 
-        report = R.EvalReport(0.5, 0.5, 1, np.array([0.5, 1.0, 0.75]),
-                              np.zeros(3).view(BrokenRecall))
-        with pytest.raises(ValueError, match="broken recall"):
+        monkeypatch.setattr(R, "_repr_chars", second_block_fails)
+        report = R.EvalReport(0.5, 0.5, 1, np.array([0.5, 1.0, 0.75]), np.zeros(3))
+        with pytest.raises(ValueError, match="broken block"):
             R.write_report(path, report)
+        assert len(calls) == 2
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
         assert path.read_bytes() == b"old report"
 
@@ -339,6 +345,28 @@ class TestReport:
         assert len(lines) == 3 + 2 + 1000 + 2 + n
         assert lines[-1] == f"{float(report.recall[-1])!r},{float(report.precision[-1])!r}"
 
+    def test_report_matches_one_repr_per_float(self, tmp_path):
+        # a seeded evaluation whose recall starts below 1e-4 (repr's exponent form) and
+        # whose curves hold long runs of 1.0: a class of 18,000 items that ranks first
+        rng = np.random.default_rng(11)
+        n, k = 20_000, 24
+        centers = rng.integers(0, 2, size=(2, k), dtype=np.uint8)
+        classes = (rng.random(n) < 0.1).astype(np.int64)
+        bits = centers[classes]
+        bits[np.arange(n), rng.integers(0, k, n)] ^= 1
+        index = make_index(bits, np.eye(2, dtype=np.uint8)[classes])
+        queries = np.repeat(centers[:1], 4, axis=0)
+        queries[np.arange(4), [0, 5, 11, 17]] ^= 1
+        report = R.evaluate(index, hamming.pack_matrix(queries),
+                            np.eye(2, dtype=np.uint8)[[0, 0, 0, 0]], map_n=3000)
+        report = dataclasses.replace(report, center_distances=np.array([[0.5, np.nan],
+                                                                         [1 / 3, 2.0]]))
+        assert report.recall[0] < 1e-4 and (report.recall[-1000:] == 1.0).all()
+        assert (report.precision[:17_000] == 1.0).all()
+        R.write_report(tmp_path / "report.csv", report)
+        lines = (tmp_path / "report.csv").read_bytes().decode().split("\n")
+        assert lines == oracle.report_text_reference(report).split("\n")
+
     def test_rerun_reports_byte_identical(self, tmp_path):
         rng = np.random.default_rng(5)
         index = make_index(
@@ -350,6 +378,38 @@ class TestReport:
         R.write_report(a, R.evaluate(index, words, labels, map_n=10))
         R.write_report(b, R.evaluate(index, words, labels, map_n=10))
         assert a.read_bytes() == b.read_bytes()
+
+
+def formatted(values):
+    """The floats as write_report's block formatter writes them, one a line."""
+    x = np.array(values, dtype=np.float64)
+    text = R._text(R._repr_chars(x, b"\n", R._quads())).tobytes().decode()
+    assert text.endswith("\n")
+    return text.split("\n")[:-1]  # a list, whose first difference pytest shows at once
+
+
+ONE = int(np.float64(1.0).view(np.uint64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, ONE).map(lambda b: float(np.uint64(b).view(np.float64))),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=40))
+def test_formatter_writes_repr_of_any_float_in_0_1(values):
+    # bit patterns up to 1.0 cover every double in [0, 1]: subnormals, the
+    # exponent-form values below 1e-4, and the ones _shortest formats
+    assert formatted(values) == [repr(float(v)) for v in values]
+
+
+def test_formatter_writes_repr_of_edge_values():
+    values = [0.0, 1.0, 0.9999999999999999, 2.0**-24, math.nextafter(1e-4, 0), 1e-4,
+              math.nextafter(1e-4, 1), -0.0, math.inf, math.nan, 2.5]
+    for j in range(1, 1075):
+        values += [2.0**-j, 10.0**-j] if j < 324 else [2.0**-j]
+    values += [math.nextafter(v, to) for v in values[11:] for to in (0.0, 1.0)]
+    # x * 10**t exactly half-way between two 17-digit decimals: repr takes the even one
+    values += [j * 2.0**-21 for j in range(211, 2097, 2)]
+    values += [j * 2.0**-19 for j in range(5243, 52429, 194)]
+    assert formatted(values) == [repr(v) for v in values]
 
 
 def tied_instance(rng, k, n, nq):
@@ -439,6 +499,27 @@ def test_report_holds_one_float64_per_rank_and_curve():
         tracemalloc.stop()
     assert report.precision.shape == report.recall.shape == (n,)
     assert held <= 24 * n
+
+
+def test_evaluate_holds_one_query_ranking_at_a_time():
+    # evaluate keeps five arrays of n 8-byte entries (the ranks, both curves, the PR
+    # division and the relevance count); a query's argsort order comes on top, and the
+    # previous query's order and count must be gone by then (8.4 arrays when they were not)
+    rng = np.random.default_rng(0)
+    n, q = 100_000, 80
+    labels = rng.random((n, q)) < 0.03
+    labels[np.arange(n), rng.integers(0, q, n)] = True
+    index = make_index(rng.integers(0, 2, size=(n, 64), dtype=np.uint8), labels)
+    words = hamming.pack_matrix(rng.integers(0, 2, size=(10, 64), dtype=np.uint8))
+    query_labels = labels[:10].astype(np.uint8)
+    del labels
+    tracemalloc.start()
+    try:
+        R.evaluate(index, words, query_labels, map_n=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * n
 
 
 class TestEvaluateOnePass:
