@@ -401,11 +401,10 @@ def test_formatter_writes_repr_of_any_float_in_0_1(values):
 
 
 def test_formatter_writes_repr_of_edge_values():
+    powers = [2.0**-j for j in range(1, 1075)] + [10.0**-j for j in range(1, 324)]
     values = [0.0, 1.0, 0.9999999999999999, 2.0**-24, math.nextafter(1e-4, 0), 1e-4,
-              math.nextafter(1e-4, 1), -0.0, math.inf, math.nan, 2.5]
-    for j in range(1, 1075):
-        values += [2.0**-j, 10.0**-j] if j < 324 else [2.0**-j]
-    values += [math.nextafter(v, to) for v in values[11:] for to in (0.0, 1.0)]
+              math.nextafter(1e-4, 1), -0.0, math.inf, math.nan, 2.5, *powers]
+    values += [math.nextafter(v, to) for v in powers for to in (0.0, 1.0)]
     # x * 10**t exactly half-way between two 17-digit decimals: repr takes the even one
     values += [j * 2.0**-21 for j in range(211, 2097, 2)]
     values += [j * 2.0**-19 for j in range(5243, 52429, 194)]
