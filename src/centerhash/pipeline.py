@@ -83,7 +83,7 @@ def evaluate(db_codes, db_labels, query_codes, query_labels, map_n: int,
     query_y = data_io.load_labels(query_labels)
     if db_k != query_k:
         raise DimensionError(f"database codes have k={db_k}, queries k={query_k}")
-    report = retrieval.evaluate(retrieval.CodeIndex(db_words, db_bitsets, db_n),
+    report = retrieval.evaluate(retrieval.CodeIndex(db_words, db_bitsets, db_n, db_k),
                                 query_words, query_y, map_n)
     # every item has a category, so n set bits in all means exactly one each
     if centers and int(np.bitwise_count(db_bitsets).sum()) == db_n:

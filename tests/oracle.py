@@ -21,8 +21,8 @@ time, on forward_reference's activations: an independent check of the
 gradients model.backward returns.
 assign_reference is center assignment as a loop over the rows, to hold
 the grouped assign_multi_label to it byte for byte.
-report_text_reference is the eval report written one Python repr per
-float, to hold the block formatter of write_report to it byte for byte.
+report_text_reference is the eval report's layout written out line by
+line, one Python repr per float, to hold write_report to it byte for byte.
 """
 
 import math
@@ -99,19 +99,20 @@ def precision_within_radius(db_bits, db_cats, q_bits, q_cats, radius):
 
 
 def pr_curve(db_bits, db_cats, q_bits, q_cats):
-    n = len(db_bits)
-    all_flags = [ranked_flags(db_bits, db_cats, qb, qc) for qb, qc in zip(q_bits, q_cats)]
-    totals = [sum(flags) for flags in all_flags]
-    found = [0] * len(all_flags)
+    """[(r, mean recall, mean precision)] over the items within Hamming radius r,
+    r = 0..k: an empty ball has precision 0, a query with no relevant item recall 1."""
+    k = len(q_bits[0])
     curve = []
-    for r in range(1, n + 1):
+    for r in range(k + 1):
         rec = 0.0
         prec = 0.0
-        for qi, (flags, total) in enumerate(zip(all_flags, totals)):
-            found[qi] += flags[r - 1]
-            rec += found[qi] / total if total else 1.0
-            prec += found[qi] / r
-        curve.append((rec / len(q_bits), prec / len(q_bits)))
+        for qb, qc in zip(q_bits, q_cats):
+            total = sum(1 for cats in db_cats if is_relevant(cats, qc))
+            inside = [i for i in range(len(db_bits)) if dist(db_bits[i], qb) <= r]
+            found = sum(1 for i in inside if is_relevant(db_cats[i], qc))
+            rec += found / total if total else 1.0
+            prec += found / len(inside) if inside else 0.0
+        curve.append((r, rec / len(q_bits), prec / len(q_bits)))
     return curve
 
 
@@ -131,10 +132,10 @@ def report_text_reference(report):
     """The text of write_report's CSV sections, each float written by repr."""
     lines = ["metric,value", f"map_at_n,{report.map_at_n!r}", f"p_at_h2,{report.p_at_h2!r}",
              "", "rank,precision"]
-    lines += [f"{rank},{p!r}"
-              for rank, p in enumerate(report.precision[: report.map_n].tolist(), start=1)]
-    lines += ["", "recall,precision"]
-    lines += [f"{r!r},{p!r}" for r, p in zip(report.recall.tolist(), report.precision.tolist())]
+    lines += [f"{rank},{p!r}" for rank, p in enumerate(report.precision.tolist(), start=1)]
+    lines += ["", "radius,recall,precision"]
+    lines += [f"{r},{rec!r},{p!r}" for r, (rec, p) in
+              enumerate(zip(report.radius_recall.tolist(), report.radius_precision.tolist()))]
     if report.center_distances is not None:
         lines += ["", "center_i,center_j,mean_distance"]
         lines += [f"{i},{j},{d!r}" for i, row in enumerate(report.center_distances.tolist())
@@ -234,34 +235,45 @@ def quant_loss_reference(h):
     return total / len(h)
 
 
-def backward_reference(net, x, c, cfg):
+def backward_reference(net, x, c, cfg, absolute=False):
     """(weight gradients, bias gradients) of the batch objective, per layer, by the
     chain rule one sample at a time. The rules are those loss_and_dh documents: a
     bit clamped by the cross-entropy epsilon has no central gradient, and the
-    subderivative of |.| at 0 is 0."""
+    subderivative of |.| at 0 is 0.
+
+    absolute=True runs the same chain rule on the absolute values of the loss
+    terms, the weights and the inputs: each entry is then the sum of the
+    absolute values of the terms its gradient sums, the scale of the rounding
+    error of any order of summing them."""
+    mag = abs if absolute else (lambda value: value)
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     n, k = c.shape
-    _, w2, w3 = net.weights
+    w2, w3 = (mag(w) for w in net.weights[1:])
     gw = [np.zeros_like(w) for w in net.weights]
     gb = [np.zeros_like(b) for b in net.biases]
     for i in range(n):
         a1, a2, h = (row[0].tolist() for row in forward_reference(net, x[i : i + 1]))
+        if absolute:  # each activation's scale: its sum of absolute terms
+            a1 = [sum(abs(v) * abs(w) for v, w in zip(x[i], row)) + abs(b) if a > 0 else 0.0
+                  for a, row, b in zip(a1, net.weights[0], net.biases[0])]
+            a2 = [sum(v * abs(w) for v, w in zip(a1, row)) + abs(b) if a > 0 else 0.0
+                  for a, row, b in zip(a2, net.weights[1], net.biases[1])]
         dz3 = []
         for j in range(k):
             dh = 0.0
             if cfg.use_lc and BCE_EPS < h[j] < 1.0 - BCE_EPS:
-                dh -= (c[i, j] / h[j] - (1.0 - c[i, j]) / (1.0 - h[j])) / (n * k)
+                dh += mag(-(c[i, j] / h[j] - (1.0 - c[i, j]) / (1.0 - h[j])) / (n * k))
             if cfg.lambda1 != 0.0:
                 s = 2.0 * h[j] - 1.0
                 sign = (s > 0) - (s < 0)
-                dh += cfg.lambda1 * 2.0 * sign * math.tanh(abs(s) - 1.0) / n
+                dh += mag(cfg.lambda1 * 2.0 * sign * math.tanh(abs(s) - 1.0) / n)
             dz3.append(dh * h[j] * (1.0 - h[j]))
         dz2 = [sum(dz3[j] * w3[j, u] for j in range(k)) if a2[u] > 0 else 0.0
                for u in range(len(a2))]
         dz1 = [sum(dz2[u] * w2[u, v] for u in range(len(a2))) if a1[v] > 0 else 0.0
                for v in range(len(a1))]
-        for layer, (dz, inputs) in enumerate(((dz1, x[i]), (dz2, a1), (dz3, a2))):
+        for layer, (dz, inputs) in enumerate(((dz1, mag(x[i])), (dz2, a1), (dz3, a2))):
             for j, g in enumerate(dz):
                 gb[layer][j] += g
                 for u, value in enumerate(inputs):

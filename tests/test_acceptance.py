@@ -124,7 +124,7 @@ def test_criterion_6_metric_oracle_equivalence():
             q_bits = rng.integers(0, 2, size=(nq, k), dtype=np.uint8)
             q_labels = multihot(nq)
 
-            index = R.CodeIndex.from_labels(hamming.pack_matrix(db_bits), db_labels)
+            index = R.CodeIndex.from_labels(hamming.pack_matrix(db_bits), db_labels, k)
             q_words = hamming.pack_matrix(q_bits)
             db_list = [list(map(int, row)) for row in db_bits]
             q_list = [list(map(int, row)) for row in q_bits]
@@ -201,7 +201,7 @@ def test_criterion_8_ablation_direction(tmp_path):
         def run(**loss_terms):
             cfg = M.TrainConfig(seed=seed, **loss_terms)
             net, _ = M.train(train.features, smap.vectors, cfg)
-            index = R.CodeIndex.from_labels(M.encode(net, train.features), train.labels)
+            index = R.CodeIndex.from_labels(M.encode(net, train.features), train.labels, net.k)
             return R.mean_average_precision(index, M.encode(net, query.features), query.labels, 100)
 
         map_full = run()

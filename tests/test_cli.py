@@ -192,8 +192,8 @@ def test_eval_label_rows_must_match_the_codes(workdir, capsys):
 
 def test_eval_report_bytes_are_pinned(workdir, capsys):
     # seeded codes and labels and no training, so the bytes depend only on the ranking
-    # and on how write_report formats floats: its recall starts in repr's exponent form,
-    # it holds 17-digit values, and its curves run at 1.0 for thousands of ranks
+    # and on how write_report formats floats: every query's top 500 are relevant, and
+    # one query's radius-0 ball is empty
     rng = np.random.default_rng(7)
     n, k = 30_000, 32
     centers = rng.integers(0, 2, size=(3, k), dtype=np.uint8)
@@ -210,12 +210,14 @@ def test_eval_report_bytes_are_pinned(workdir, capsys):
                    "--query-codes", "q.csqc", "--query-labels", "q.csql", "--map-n", 500,
                    "--out-report", "report.csv") == 0
     data = (workdir / "report.csv").read_bytes()
-    pr = [line.split(",") for line in data.decode().split("recall,precision\n")[1].splitlines()]
-    assert "e-" in pr[0][0] and pr[-1] == ["1.0", pr[-1][1]]
-    assert sum(r == "1.0" for r, _ in pr) > 1000 and sum(p == "1.0" for _, p in pr) > 1000
-    assert any(len(v.lstrip("0.")) == 17 for row in pr for v in row)
+    head, radii = data.decode().split("\n\nradius,recall,precision\n")
+    pr = [line.split(",") for line in radii.splitlines()]
+    assert [int(r) for r, _, _ in pr] == list(range(k + 1))
+    assert pr[0][2] == "0.8" and pr[-1][1] == "1.0" and f"p_at_h2,{pr[2][2]}\n" in head
+    p_at_n = [line.split(",")[1] for line in head.split("rank,precision\n")[1].splitlines()]
+    assert p_at_n == ["1.0"] * 500
     assert hashlib.sha256(data).hexdigest() == (
-        "9d2f2e6e510f42f1db5f2f3c71d9f552fd30389dde92dc2586477899ef182adf")
+        "7ae088300316230bd8d3829e103c89d4f20a33cb526ba2bd46875379478e03b7")
 
 
 def test_synth_writes_both_splits(workdir):

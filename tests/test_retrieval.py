@@ -1,22 +1,19 @@
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracle
 from centerhash import centers as C
-from centerhash import hamming, retrieval as R
+from centerhash import binfmt, hamming, retrieval as R
 from centerhash.errors import DimensionError
 
 
 def make_index(bit_rows, label_rows):
     bits = np.asarray(bit_rows, dtype=np.uint8)
     labels = np.asarray(label_rows, dtype=np.uint8)
-    return R.CodeIndex.from_labels(hamming.pack_matrix(bits), labels)
+    return R.CodeIndex.from_labels(hamming.pack_matrix(bits), labels, bits.shape[1])
 
 
 def one_hot(q, j):
@@ -153,28 +150,35 @@ class TestPrecisionWithinRadius:
 
 
 class TestPrCurve:
-    def test_perfect_ranking(self):
+    def test_rows_by_radius(self):
         index = make_index(
             [[0, 0, 0, 0], [0, 0, 0, 1], [1, 1, 1, 1], [1, 1, 1, 0]],
             [[1, 0], [1, 0], [0, 1], [0, 1]],
         )
         words = hamming.pack_matrix(np.zeros((1, 4), dtype=np.uint8))
         curve = R.pr_curve(index, words, np.array([[1, 0]], dtype=np.uint8))
-        # precision stays 1.0 until recall reaches 1.0, then decays
-        assert curve[0] == (0.5, 1.0)
-        assert curve[1] == (1.0, 1.0)
-        assert curve[-1][0] == 1.0
+        # distances 0, 1, 4 and 3: both relevant items lie within radius 1
+        assert curve == [(0, 0.5, 1.0), (1, 1.0, 1.0), (2, 1.0, 1.0), (3, 1.0, 2 / 3),
+                         (4, 1.0, 0.5)]
 
-    def test_final_cutoff_reaches_full_recall(self):
+    def test_empty_ball_and_query_without_relevant_items(self):
+        index = make_index([[1, 1, 1], [1, 1, 0]], [[1, 0], [1, 0]])
+        words = hamming.pack_matrix(np.zeros((2, 3), dtype=np.uint8))
+        curve = R.pr_curve(index, words, np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        # nothing within radius 0 or 1; the second query has recall 1 at every radius
+        assert curve == [(0, 0.5, 0.0), (1, 0.5, 0.0), (2, 0.75, 0.5), (3, 1.0, 0.5)]
+
+    def test_last_radius_holds_every_item(self):
         rng = np.random.default_rng(1)
-        index = make_index(
-            rng.integers(0, 2, size=(10, 6)), np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 10)]
-        )
+        labels = np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 10)]
+        index = make_index(rng.integers(0, 2, size=(10, 6)), labels)
         words = hamming.pack_matrix(rng.integers(0, 2, size=(3, 6), dtype=np.uint8))
-        labels = np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 3)]
-        curve = R.pr_curve(index, words, labels)
-        assert curve[-1][0] == 1.0
-        recalls = [point[0] for point in curve]
+        query_labels = np.eye(3, dtype=np.uint8)[rng.integers(0, 3, 3)]
+        curve = R.pr_curve(index, words, query_labels)
+        assert [r for r, _, _ in curve] == list(range(7))
+        share = (labels[:, query_labels.argmax(axis=1)].sum(axis=0) / 10).mean()
+        assert curve[-1][1] == 1.0 and curve[-1][2] == pytest.approx(share)
+        recalls = [rec for _, rec, _ in curve]
         assert recalls == sorted(recalls)
 
 
@@ -260,8 +264,8 @@ def test_all_metrics_match_oracle_on_random_instances():
         # range and monotonicity invariants
         assert 0.0 <= R.mean_average_precision(index, q_words, q_labels, map_n) <= 1.0
         assert 0.0 <= R.precision_within_radius(index, q_words, q_labels) <= 1.0
-        recalls = [rec for rec, _ in curve]
-        assert all(0.0 <= rec <= 1.0 and 0.0 <= prec <= 1.0 for rec, prec in curve)
+        recalls = [rec for _, rec, _ in curve]
+        assert all(0.0 <= rec <= 1.0 and 0.0 <= prec <= 1.0 for _, rec, prec in curve)
         assert recalls == sorted(recalls)
 
 
@@ -271,9 +275,9 @@ class TestReport:
         report = R.EvalReport(
             map_at_n=0.75,
             p_at_h2=0.5,
-            map_n=2,
             precision=np.array([1.0, 0.75]),
-            recall=np.array([0.5, 1.0]),
+            radius_recall=np.array([0.5, 1.0]),
+            radius_precision=np.array([1.0, 0.5]),
             center_distances=matrix,
         )
         path = tmp_path / "report.csv"
@@ -283,25 +287,23 @@ class TestReport:
         assert sections[0].splitlines()[0] == "metric,value"
         assert "map_at_n,0.75" in sections[0]
         assert sections[1].splitlines()[0] == "rank,precision"
-        assert sections[2].splitlines()[0] == "recall,precision"
+        assert sections[2].splitlines() == ["radius,recall,precision", "0,0.5,1.0", "1,1.0,0.5"]
         assert sections[3].splitlines()[0] == "center_i,center_j,mean_distance"
         assert "1,0,nan" in sections[3]
 
-    @pytest.mark.parametrize("map_n", [7, 20])
-    def test_report_bytes(self, tmp_path, map_n):
-        # the P@N section is the first map_n ranks of the PR curve's precision
+    def test_report_bytes(self, tmp_path):
         report = R.EvalReport(
             map_at_n=1 / 3,
             p_at_h2=0.1,
-            map_n=map_n,
-            precision=np.array([1 - r / 11 for r in range(1, 10)]),
-            recall=np.array([r / 9 for r in range(1, 10)]),
+            precision=np.array([1 - r / 11 for r in range(1, 8)]),
+            radius_recall=np.array([r / 9 for r in range(0, 4)]),
+            radius_precision=np.array([1 - r / 13 for r in range(0, 4)]),
             center_distances=np.array([[0.5, np.nan], [2.0, 1 / 7]]),
         )
         lines = ["metric,value", f"map_at_n,{1 / 3!r}", "p_at_h2,0.1", "", "rank,precision"]
-        lines += [f"{r},{1 - r / 11!r}" for r in range(1, min(map_n, 9) + 1)]
-        lines += ["", "recall,precision"]
-        lines += [f"{r / 9!r},{1 - r / 11!r}" for r in range(1, 10)]
+        lines += [f"{r},{1 - r / 11!r}" for r in range(1, 8)]
+        lines += ["", "radius,recall,precision"]
+        lines += [f"{r},{r / 9!r},{1 - r / 13!r}" for r in range(0, 4)]
         lines += ["", "center_i,center_j,mean_distance", "0,0,0.5", "0,1,nan", "1,0,2.0"]
         expected = ("\n".join(lines) + f"\n1,1,{1 / 7!r}\n").encode()
         R.write_report(tmp_path / "report.csv", report)
@@ -310,44 +312,49 @@ class TestReport:
     def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
         path = tmp_path / "report.csv"
         path.write_bytes(b"old report")
-        real, calls = R._repr_chars, []
+        report = R.EvalReport(0.5, 0.5, np.array([0.5]), np.ones(3), np.zeros(3))
+        calls = []
 
-        def second_block_fails(*args):
-            calls.append(args)
-            if len(calls) == 2:
-                # the report's first lines are in the temp file beside the old one
-                assert len(list(tmp_path.iterdir())) == 2
-                raise ValueError("broken block")
-            return real(*args)
+        def replace_fails(src, dst):
+            # the whole new report is in the temp file beside the old one
+            calls.append(src)
+            assert len(list(tmp_path.iterdir())) == 2
+            assert open(src, "rb").read() == oracle.report_text_reference(report).encode()
+            raise OSError(28, "No space left on device", src)
 
-        monkeypatch.setattr(R, "_repr_chars", second_block_fails)
-        report = R.EvalReport(0.5, 0.5, 1, np.array([0.5, 1.0, 0.75]), np.zeros(3))
-        with pytest.raises(ValueError, match="broken block"):
+        monkeypatch.setattr(binfmt.os, "replace", replace_fails)
+        with pytest.raises(OSError, match="No space left"):
             R.write_report(path, report)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
         assert path.read_bytes() == b"old report"
 
-    def test_write_memory_is_below_one_curve_array(self, tmp_path):
-        # a whole curve as a list of Python floats is 32 bytes a point; two of them
-        # for the PR section peaked at 12.9 MB when each curve was converted whole
+    def test_report_size_does_not_grow_with_n(self, tmp_path):
+        # the report holds map_n P@N points and k + 1 radius rows however large the
+        # database is: 2n per-rank floats made a 3.9 MB report at n = 100,000
         rng = np.random.default_rng(0)
-        n = 200_000
-        report = R.EvalReport(0.5, 0.5, 1000, rng.random(n), rng.random(n))
-        tracemalloc.start()
-        try:
-            R.write_report(tmp_path / "report.csv", report)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < report.precision.nbytes  # 1.6 MB
-        lines = (tmp_path / "report.csv").read_text().splitlines()
-        assert len(lines) == 3 + 2 + 1000 + 2 + n
-        assert lines[-1] == f"{float(report.recall[-1])!r},{float(report.precision[-1])!r}"
+        sizes = []
+        for n in (2_000, 100_000):
+            index = R.CodeIndex.from_labels(
+                rng.integers(0, 2**63, size=(n, 1), dtype=np.uint64),
+                np.eye(4, dtype=np.uint8)[rng.integers(0, 4, n)], 64)
+            words = rng.integers(0, 2**63, size=(3, 1), dtype=np.uint64)
+            report = R.evaluate(index, words, np.eye(4, dtype=np.uint8)[[0, 1, 2]], map_n=1000)
+            tracemalloc.start()
+            try:
+                R.write_report(tmp_path / "report.csv", report)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            lines = (tmp_path / "report.csv").read_text().splitlines()
+            assert len(lines) == 3 + 2 + 1000 + 2 + 65
+            assert lines[-1] == f"64,1.0,{float(report.radius_precision[-1])!r}"
+            sizes.append(peak)
+        assert max(sizes) < 256 * (1000 + 65)  # a line, its text and its floats
 
     def test_report_matches_one_repr_per_float(self, tmp_path):
-        # a seeded evaluation whose recall starts below 1e-4 (repr's exponent form) and
-        # whose curves hold long runs of 1.0: a class of 18,000 items that ranks first
+        # a seeded evaluation whose radius curve starts with empty balls and whose
+        # P@N runs at 1.0: a class of 18,000 items that lies 1 bit from the queries' center
         rng = np.random.default_rng(11)
         n, k = 20_000, 24
         centers = rng.integers(0, 2, size=(2, k), dtype=np.uint8)
@@ -361,8 +368,8 @@ class TestReport:
                             np.eye(2, dtype=np.uint8)[[0, 0, 0, 0]], map_n=3000)
         report = dataclasses.replace(report, center_distances=np.array([[0.5, np.nan],
                                                                          [1 / 3, 2.0]]))
-        assert report.recall[0] < 1e-4 and (report.recall[-1000:] == 1.0).all()
-        assert (report.precision[:17_000] == 1.0).all()
+        assert (report.precision == 1.0).all() and report.precision.shape == (3000,)
+        assert report.radius_recall[-1] == 1.0 and report.radius_recall.shape == (k + 1,)
         R.write_report(tmp_path / "report.csv", report)
         lines = (tmp_path / "report.csv").read_bytes().decode().split("\n")
         assert lines == oracle.report_text_reference(report).split("\n")
@@ -378,37 +385,6 @@ class TestReport:
         R.write_report(a, R.evaluate(index, words, labels, map_n=10))
         R.write_report(b, R.evaluate(index, words, labels, map_n=10))
         assert a.read_bytes() == b.read_bytes()
-
-
-def formatted(values):
-    """The floats as write_report's block formatter writes them, one a line."""
-    x = np.array(values, dtype=np.float64)
-    text = R._text(R._repr_chars(x, b"\n", R._quads())).tobytes().decode()
-    assert text.endswith("\n")
-    return text.split("\n")[:-1]  # a list, whose first difference pytest shows at once
-
-
-ONE = int(np.float64(1.0).view(np.uint64))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.integers(0, ONE).map(lambda b: float(np.uint64(b).view(np.float64))),
-                          st.floats(0.0, 1.0)), min_size=1, max_size=40))
-def test_formatter_writes_repr_of_any_float_in_0_1(values):
-    # bit patterns up to 1.0 cover every double in [0, 1]: subnormals, the
-    # exponent-form values below 1e-4, and the ones _shortest formats
-    assert formatted(values) == [repr(float(v)) for v in values]
-
-
-def test_formatter_writes_repr_of_edge_values():
-    powers = [2.0**-j for j in range(1, 1075)] + [10.0**-j for j in range(1, 324)]
-    values = [0.0, 1.0, 0.9999999999999999, 2.0**-24, math.nextafter(1e-4, 0), 1e-4,
-              math.nextafter(1e-4, 1), -0.0, math.inf, math.nan, 2.5, *powers]
-    values += [math.nextafter(v, to) for v in powers for to in (0.0, 1.0)]
-    # x * 10**t exactly half-way between two 17-digit decimals: repr takes the even one
-    values += [j * 2.0**-21 for j in range(211, 2097, 2)]
-    values += [j * 2.0**-19 for j in range(5243, 52429, 194)]
-    assert formatted(values) == [repr(v) for v in values]
 
 
 def tied_instance(rng, k, n, nq):
@@ -435,7 +411,7 @@ def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn):
     q_words = hamming.pack_matrix(q_bits)
     report = R.evaluate(index, q_words, q_labels, map_n)
     p_at_n = list(zip(range(1, pn + 1), report.precision[:pn].tolist()))
-    pr = list(zip(report.recall.tolist(), report.precision.tolist()))
+    pr = list(zip(range(k + 1), report.radius_recall.tolist(), report.radius_precision.tolist()))
 
     db_cats = [set(np.flatnonzero(row)) for row in db_labels]
     q_cats = [set(np.flatnonzero(row)) for row in q_labels]
@@ -444,7 +420,9 @@ def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn):
 
     assert report.map_at_n == oracle.mean_average_precision(db_list, db_cats, q_list, q_cats, map_n)
     assert report.p_at_h2 == oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
-    assert report.map_n == map_n and report.precision.shape == report.recall.shape == (40,)
+    assert report.precision.shape == (min(map_n, 40),)
+    assert report.radius_recall.shape == report.radius_precision.shape == (k + 1,)
+    assert report.p_at_h2 == report.radius_precision[min(2, k)]
     assert p_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, pn)
     assert pr == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
     assert report.center_distances is None
@@ -453,6 +431,25 @@ def test_evaluate_matches_oracle_and_metric_functions(k, map_n, pn):
     assert report.p_at_h2 == R.precision_within_radius(index, q_words, q_labels)
     assert p_at_n == R.precision_at_n_curve(index, q_words, q_labels, pn)
     assert pr == R.pr_curve(index, q_words, q_labels)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64, 65])
+def test_permuted_database_gives_the_same_radius_curve(k):
+    # a radius ball holds whole distance ties, so the database order cannot move
+    # its counts, while the per-rank P@N does move
+    rng = np.random.default_rng(100 + k)
+    db_bits, db_labels, q_bits, q_labels = tied_instance(rng, k, n=300, nq=4)
+    q_words = hamming.pack_matrix(q_bits)
+    report = R.evaluate(make_index(db_bits, db_labels), q_words, q_labels, 50)
+    p_at_n_moved = False
+    for _ in range(3):
+        perm = rng.permutation(300)
+        moved = R.evaluate(make_index(db_bits[perm], db_labels[perm]), q_words, q_labels, 50)
+        assert moved.radius_recall.tobytes() == report.radius_recall.tobytes()
+        assert moved.radius_precision.tobytes() == report.radius_precision.tobytes()
+        assert moved.p_at_h2 == report.p_at_h2
+        p_at_n_moved |= moved.precision.tobytes() != report.precision.tobytes()
+    assert p_at_n_moved
 
 
 def test_query_without_category_and_multi_category_queries_match_oracle():
@@ -472,38 +469,43 @@ def test_query_without_category_and_multi_category_queries_match_oracle():
     assert report.p_at_h2 == oracle.precision_within_radius(db_list, db_cats, q_list, q_cats, 2)
     p_at_n = list(zip(range(1, 6), report.precision[:5].tolist()))
     assert p_at_n == oracle.precision_at_n_curve(db_list, db_cats, q_list, q_cats, 5)
-    pr = list(zip(report.recall.tolist(), report.precision.tolist()))
+    pr = list(zip(range(10), report.radius_recall.tolist(), report.radius_precision.tolist()))
     assert pr == oracle.pr_curve(db_list, db_cats, q_list, q_cats)
+    assert report.p_at_h2 == report.radius_precision[2]
     index = make_index(db_bits, db_labels)
     alone = R.evaluate(index, hamming.pack_matrix(q_bits[:1]), q_labels[:1], 5)
     assert alone.map_at_n == 0.0 and alone.p_at_h2 == 0.0
-    assert set(alone.recall.tolist()) == {1.0} and set(alone.precision.tolist()) == {0.0}
+    assert set(alone.radius_recall.tolist()) == {1.0}
+    assert set(alone.radius_precision.tolist()) == set(alone.precision.tolist()) == {0.0}
 
 
-def test_report_holds_one_float64_per_rank_and_curve():
-    # the per-rank mean precision and recall, 16 bytes per database item, are all
-    # a report grows with; n (recall, precision) tuples would cost about 104
+def test_evaluate_holds_the_same_bytes_at_every_n():
+    # a report is map_n P@N points and two curves of k + 1 radii, whatever n is;
+    # the per-rank precision and recall took 16 bytes per database item
     rng = np.random.default_rng(4)
-    n = 50_000
-    index = make_index(rng.integers(0, 2, size=(n, 64), dtype=np.uint8),
-                       np.eye(4, dtype=np.uint8)[rng.integers(0, 4, n)])
-    words = hamming.pack_matrix(rng.integers(0, 2, size=(1, 64), dtype=np.uint8))
-    labels = np.eye(4, dtype=np.uint8)[[1]]
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        report = R.evaluate(index, words, labels, map_n=100)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert report.precision.shape == report.recall.shape == (n,)
-    assert held <= 24 * n
+    held = []
+    for n in (5_000, 50_000):
+        index = make_index(rng.integers(0, 2, size=(n, 64), dtype=np.uint8),
+                           np.eye(4, dtype=np.uint8)[rng.integers(0, 4, n)])
+        words = hamming.pack_matrix(rng.integers(0, 2, size=(1, 64), dtype=np.uint8))
+        labels = np.eye(4, dtype=np.uint8)[[1]]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = R.evaluate(index, words, labels, map_n=100)
+            held.append(tracemalloc.get_traced_memory()[0] - before)
+        finally:
+            tracemalloc.stop()
+        assert report.precision.shape == (100,)
+        assert report.radius_recall.shape == report.radius_precision.shape == (65,)
+    # the three arrays' data, and under 2 kB of objects whichever n it is
+    assert max(held) <= 8 * (100 + 2 * 65) + 2048
 
 
 def test_evaluate_holds_one_query_ranking_at_a_time():
-    # evaluate keeps five arrays of n 8-byte entries (the ranks, both curves, the PR
-    # division and the relevance count); a query's argsort order comes on top, and the
-    # previous query's order and count must be gone by then (8.4 arrays when they were not)
+    # evaluate keeps one array of n 8-byte entries (the relevance count) and n bools;
+    # a query's distances, their XOR temporary and its argsort order come on top
+    # (3.3 arrays), and the previous query's order must be gone by then
     rng = np.random.default_rng(0)
     n, q = 100_000, 80
     labels = rng.random((n, q)) < 0.03
@@ -518,7 +520,7 @@ def test_evaluate_holds_one_query_ranking_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 8 * n
+    assert peak < 4 * 8 * n
 
 
 class TestEvaluateOnePass:
@@ -562,7 +564,7 @@ class TestEvaluateOnePass:
     def test_one_dimensional_database_rejected(self, codes_shape, labels_shape):
         with pytest.raises(DimensionError, match=r"must be \(n, W\) and \(n, q\) matrices"):
             R.CodeIndex.from_labels(np.zeros(codes_shape, np.uint64),
-                                    np.ones(labels_shape, np.uint8))
+                                    np.ones(labels_shape, np.uint8), 64)
 
     def test_label_rows_must_match_the_codes(self):
         # 100 and 97 label rows both fill 13 bytes of each category's bitset
@@ -570,15 +572,21 @@ class TestEvaluateOnePass:
         labels = np.eye(3, dtype=np.uint8)[np.arange(97) % 3]
         bitsets = np.packbits(labels.T, axis=1, bitorder="little")
         assert bitsets.shape[1] == (100 + 7) // 8
-        for build in (lambda: R.CodeIndex(codes, bitsets, 97),
-                      lambda: R.CodeIndex.from_labels(codes, labels)):
+        for build in (lambda: R.CodeIndex(codes, bitsets, 97, 64),
+                      lambda: R.CodeIndex.from_labels(codes, labels, 64)):
             with pytest.raises(DimensionError, match="^100 codes but 97 label rows$"):
                 build()
         with pytest.raises(DimensionError, match="^category bitsets of 12 bytes for 100 "):
-            R.CodeIndex(codes, bitsets[:, :12], 100)
+            R.CodeIndex(codes, bitsets[:, :12], 100, 64)
+
+    @pytest.mark.parametrize("k", [0, 65])
+    def test_code_words_must_match_k(self, k):
+        codes = np.zeros((8, 1), np.uint64)
+        with pytest.raises(DimensionError, match=f"^1-word codes for k={k}$"):
+            R.CodeIndex.from_labels(codes, np.ones((8, 1), np.uint8), k)
 
     def test_empty_database_rejected(self):
-        index = R.CodeIndex.from_labels(np.zeros((0, 1), np.uint64), np.zeros((0, 2), np.uint8))
+        index = R.CodeIndex.from_labels(np.zeros((0, 1), np.uint64), np.zeros((0, 2), np.uint8), 8)
         words = hamming.pack_matrix(np.zeros((1, 8), dtype=np.uint8))
         labels = np.array([[1, 0]], dtype=np.uint8)
         with pytest.raises(ValueError, match="database is empty"):
