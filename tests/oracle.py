@@ -242,9 +242,10 @@ def backward_reference(net, x, c, cfg, absolute=False):
     subderivative of |.| at 0 is 0.
 
     absolute=True runs the same chain rule on the absolute values of the loss
-    terms, the weights and the inputs: each entry is then the sum of the
-    absolute values of the terms its gradient sums, the scale of the rounding
-    error of any order of summing them."""
+    terms, the weights and the inputs, and on each activation's sum of
+    absolute forward terms: each entry is then the sum of the absolute values
+    of the terms its gradient sums, the scale of the rounding error of any
+    order of summing them."""
     mag = abs if absolute else (lambda value: value)
     x = np.asarray(x, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)

@@ -276,8 +276,8 @@ PINNED_BIAS = {"half": 0.0, "high": 40.0, "low": -40.0}
     use_lc=st.booleans(),
     lambda1=st.sampled_from([0.0, 1e-4, 0.3, 2.0]),
 )
-# terms that cancel: a reference dw3 of exactly 0.0 that backward summed to 1.8e-19,
-# and a gap of 1.35e-22 where a bound relative to the array's largest entry allowed 1.21e-22
+# terms that cancel: a reference dw3 of exactly 0.0 that backward sums to -3.0e-18, and
+# a dw1 gap of 1.35e-22 where a bound relative to the array's largest entry allowed 1.21e-22
 @example(shape=(2, 4, 1, 1), pins=["high", "half", "half"], seed=154, use_lc=True,
          lambda1=0.0)
 @example(shape=(1, 2, 4, 4), pins=["free", "half", "half", "half", "free"], seed=136898,

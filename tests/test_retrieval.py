@@ -331,7 +331,7 @@ class TestReport:
 
     def test_report_size_does_not_grow_with_n(self, tmp_path):
         # the report holds map_n P@N points and k + 1 radius rows however large the
-        # database is: 2n per-rank floats made a 3.9 MB report at n = 100,000
+        # database is
         rng = np.random.default_rng(0)
         sizes = []
         for n in (2_000, 100_000):
@@ -480,8 +480,7 @@ def test_query_without_category_and_multi_category_queries_match_oracle():
 
 
 def test_evaluate_holds_the_same_bytes_at_every_n():
-    # a report is map_n P@N points and two curves of k + 1 radii, whatever n is;
-    # the per-rank precision and recall took 16 bytes per database item
+    # a report is map_n P@N points and two curves of k + 1 radii, whatever n is
     rng = np.random.default_rng(4)
     held = []
     for n in (5_000, 50_000):
