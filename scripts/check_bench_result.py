@@ -14,7 +14,9 @@ enters reads 0, and trace.overhead_s can fall below 0. A traced run that
 trained (model.epoch_s above 0) must also show that the training layers saw
 model.backward: model.batches above 0 and model.forward_passes_per_batch
 exactly 1.0, since model.train runs one backward call, with one forward
-pass, per batch. Exits 0, or prints what is wrong and exits 1.
+pass, per batch; and model.loss_s above 0, since each step computes its loss
+terms with model.central_loss and model.quantization_loss. Exits 0, or
+prints what is wrong and exits 1.
 """
 
 import argparse
@@ -59,12 +61,12 @@ def problems(stdout: str, declared: list, positive: bool = True) -> list:
             values[name] = value
         else:
             found.append(f"metric {name} is {value!r}")
-    # a workload that never enters model.train (search-large) reads 0 for all three
+    # a workload that never enters model.train (search-large) reads 0 for all four
     if values.get("model.epoch_s", 0) > 0:
-        batches = values.get("model.batches", 1)
         passes = values.get("model.forward_passes_per_batch", 1.0)
-        if batches <= 0:
-            found.append(f"metric model.batches is {batches!r}, a run that trained needs above 0")
+        for name in ("model.batches", "model.loss_s"):
+            if values.get(name, 1) <= 0:
+                found.append(f"metric {name} is {values[name]!r}, a run that trained needs above 0")
         if passes != 1.0:
             found.append(f"metric model.forward_passes_per_batch is {passes!r}, "
                          "a run that trained needs 1.0")

@@ -84,18 +84,18 @@ def read_head(path) -> Reader:
 
 
 @contextlib.contextmanager
-def atomic_write(path, text: bool = False):
-    """A new file that replaces `path` only if the with-block finishes.
+def atomic_write(path):
+    """A new binary file that replaces `path` only if the with-block finishes.
 
-    The block writes a temp file beside `path`, opened with "x" so its
+    The block writes a temp file beside `path`, opened with "xb" so its
     permissions follow the umask as open's do. On success os.replace puts
     it in place; on any error it is removed, so `path` keeps its old bytes
-    (or stays absent). Text mode writes "\n" line ends, as newline="" does.
+    (or stays absent).
     """
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(4)}.tmp"
     try:
-        with open(tmp, "x", newline="") if text else open(tmp, "xb") as f:
+        with open(tmp, "xb") as f:
             yield f
         os.replace(tmp, path)
     except BaseException as exc:

@@ -3,7 +3,8 @@
 One subcommand per pipeline stage plus `synth` for dataset generation
 and `run` for the whole experiment driven by a key=value config file.
 Exits 0 on success; on failure prints `error [stage] ...` to stderr and
-exits nonzero.
+exits 1. main is the one error boundary: each command runs inside a
+pipeline stage named after it, and `run`'s own stages keep their tags.
 """
 
 import argparse
@@ -14,13 +15,12 @@ from dataclasses import fields
 from . import centers as centers_mod
 from . import binfmt, data_io, retrieval, synthetic
 from .config import TRAIN_FIELDS, RunConfig, load_run_config
-from .errors import CenterHashError, StageError
+from .errors import StageError
 from .pipeline import _stage, assign, distmat, encode, evaluate, gen_centers, run_pipeline, train
 
 
 def _cmd_gen_centers(args):
-    with _stage("gen-centers"):
-        cs = gen_centers(args.method, args.m, args.k, args.seed, args.out)
+    cs = gen_centers(args.method, args.m, args.k, args.seed, args.out)
     report = centers_mod.validate_centers(cs)
     print(
         f"wrote {args.out}: m={cs.m} k={cs.k} method={cs.method} "
@@ -29,31 +29,33 @@ def _cmd_gen_centers(args):
 
 
 def _cmd_assign(args):
-    with _stage("assign"):
-        assignment = assign(args.centers, args.labels, args.seed, args.out)
+    assignment = assign(args.centers, args.labels, args.seed, args.out)
     print(f"wrote {args.out}: {assignment.n} samples, {len(assignment.by_label)} distinct label sets")
 
 
+def _given(args, config_fields) -> dict:
+    """The config flags set on the command line: an unset flag reads None."""
+    values = vars(args)
+    return {f.name: values[f.name] for f in config_fields if values[f.name] is not None}
+
+
 def _cmd_train(args):
-    with _stage("train"):
-        cfg = RunConfig(**{f.name: getattr(args, f.name) for f in TRAIN_FIELDS}).train_config()
-        net, log = train(args.features, args.centers_map, cfg, args.out_model)
+    cfg = RunConfig(**_given(args, TRAIN_FIELDS)).train_config()
+    net, log = train(args.features, args.centers_map, cfg, args.out_model)
     final = f", final loss {log[-1].total:.6f}" if log else ""
     print(f"wrote {args.out_model}: layers {net.layer_sizes}, {len(log)} epochs{final}")
 
 
 def _cmd_encode(args):
-    with _stage("encode"):
-        words, k = encode(args.model, args.features, args.out_codes)
+    words, k = encode(args.model, args.features, args.out_codes)
     print(f"wrote {args.out_codes}: {words.shape[0]} codes of {k} bits")
 
 
 def _cmd_eval(args):
-    with _stage("eval"):
-        RunConfig(map_n=args.map_n)  # a bad cutoff fails before any file is read
-        report = evaluate(args.db_codes, args.db_labels, args.query_codes, args.query_labels,
-                          args.map_n)
-        retrieval.write_report(args.out_report, report)
+    RunConfig(map_n=args.map_n)  # a bad cutoff fails before any file is read
+    report = evaluate(args.db_codes, args.db_labels, args.query_codes, args.query_labels,
+                      args.map_n)
+    retrieval.write_report(args.out_report, report)
     print(
         f"wrote {args.out_report}: map@{args.map_n}={report.map_at_n:.6f} "
         f"p@h2={report.p_at_h2:.6f}"
@@ -61,37 +63,33 @@ def _cmd_eval(args):
 
 
 def _cmd_distmat(args):
-    with _stage("distmat"):
-        matrix = distmat(args.codes, args.assignments, args.centers)
-        with binfmt.atomic_write(args.out, text=True) as f:
-            f.write("\n".join(retrieval.center_distance_lines(matrix)) + "\n")
+    matrix = distmat(args.codes, args.assignments, args.centers)
+    with binfmt.atomic_write(args.out) as f:
+        f.write(("\n".join(retrieval.center_distance_lines(matrix)) + "\n").encode())
     print(f"wrote {args.out}: {len(matrix)}x{len(matrix)} mean-distance matrix")
 
 
 def _cmd_synth(args):
-    with _stage("synth"):
-        query_per_class = args.query_per_class
-        if query_per_class is None:
-            query_per_class = max(1, args.per_class // 10)
-        splits = [(split, synthetic.make_synthetic_blobs(
-                       args.classes, per_class, args.dim, args.spread, args.seed, split=split))
-                  for split, per_class in (("train", args.per_class), ("query", query_per_class))]
-        written = []  # both splits are generated before either is written
-        for split, ds in splits:
-            fpath = f"{args.out_prefix}.{split}.csqf"
-            lpath = f"{args.out_prefix}.{split}.csql"
-            data_io.save_features(fpath, ds.features)
-            data_io.save_labels(lpath, ds.labels)
-            written += [fpath, lpath]
+    query_per_class = args.query_per_class
+    if query_per_class is None:
+        query_per_class = max(1, args.per_class // 10)
+    splits = [(split, synthetic.make_synthetic_blobs(
+                   args.classes, per_class, args.dim, args.spread, args.seed, split=split))
+              for split, per_class in (("train", args.per_class), ("query", query_per_class))]
+    written = []  # both splits are generated before either is written
+    for split, ds in splits:
+        fpath = f"{args.out_prefix}.{split}.csqf"
+        lpath = f"{args.out_prefix}.{split}.csql"
+        data_io.save_features(fpath, ds.features)
+        data_io.save_labels(lpath, ds.labels)
+        written += [fpath, lpath]
     for path in written:
         print(f"wrote {path}")
 
 
 def _cmd_run(args):
-    values = vars(args)
-    overrides = {f.name: values[f.name] for f in fields(RunConfig) if values[f.name] is not None}
     with _stage("config"):
-        cfg = load_run_config(args.config, overrides)
+        cfg = load_run_config(args.config, _given(args, fields(RunConfig)))
     result = run_pipeline(cfg)
     print(f"wrote {result.paths['report']}")
     print(f"map@{cfg.map_n}={result.report.map_at_n:.6f} p@h2={result.report.p_at_h2:.6f}")
@@ -109,19 +107,18 @@ _FLAG_HELP = {
 }
 
 
-def _add_config_flags(p, config_fields, defaults: bool) -> None:
-    """--no-<x> for a bool field use_<x>, else --<field-name>. Without defaults an
-    unset flag reads None, so it leaves the config file's value alone."""
+def _add_config_flags(p, config_fields) -> None:
+    """--no-<x> for a bool field use_<x>, else --<field-name>. An unset flag reads
+    None, so it leaves the config file's value, or else RunConfig's default, alone."""
     for f in config_fields:
-        default = f.default if defaults else None
         help_text = _FLAG_HELP.get(f.name)
         if f.type is bool:
             p.add_argument(f"--no-{f.name.removeprefix('use_')}", dest=f.name,
-                           action="store_false", default=default, help=help_text)
+                           action="store_false", default=None, help=help_text)
         else:
             choices = centers_mod.METHODS if f.name == "method" else None
-            p.add_argument(f"--{f.name.replace('_', '-')}", type=f.type, default=default,
-                           choices=choices, help=help_text)
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=f.type, choices=choices,
+                           help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the hash head on features and assigned centers")
     p.add_argument("--features", required=True)
     p.add_argument("--centers-map", required=True, dest="centers_map")
-    _add_config_flags(p, TRAIN_FIELDS, defaults=True)
+    _add_config_flags(p, TRAIN_FIELDS)
     p.add_argument("--out-model", required=True, dest="out_model")
     p.set_defaults(func=_cmd_train)
 
@@ -191,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
     p.add_argument("--config", default=None, help="key = value file; flags override it")
-    _add_config_flags(p, fields(RunConfig), defaults=False)
+    _add_config_flags(p, fields(RunConfig))
     p.set_defaults(func=_cmd_run)
 
     return parser
@@ -200,12 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with _stage(args.command):  # a stage inside the command keeps its own tag
+            args.func(args)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
-        return 1
-    except CenterHashError as exc:
-        print(f"error [{args.command}] {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -10,8 +10,10 @@ code and its assigned binary center, and L_quant is a log-cosh penalty
 that pushes every output toward {0, 1}; lambda1 = 0 drops it. A training
 step is one call of backward: one forward pass, then loss_and_dh turns its
 output into both loss terms and dL/dh, and backprop carries dL/dh through
-the same cached activations. All math is float64 and every random draw is
-seeded, so training is bit-reproducible.
+the same cached activations. Each loss term has one implementation,
+central_loss and quantization_loss: training calls them through loss_and_dh,
+and the finite-difference checks differentiate the same functions. All math
+is float64 and every random draw is seeded, so training is bit-reproducible.
 encode runs the same forward pass on blocks of rows in reused buffers.
 """
 
@@ -126,12 +128,6 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return np.divide(z, e, out=z)
 
 
-def _quant(u: np.ndarray) -> np.ndarray:
-    """Per-sample sum of logcosh(u) over the bits, u being |2h - 1| - 1."""
-    au = np.abs(u)
-    return (au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1)
-
-
 def _buffers(model: HashModel, rows: int) -> tuple:
     """Room for _forward_into on up to `rows` rows: a1, a2, h and the sigmoid's scratch."""
     widths = model.layer_sizes[1:]
@@ -180,17 +176,14 @@ def _codes(h) -> np.ndarray:
     return h
 
 
-def _bce(hc: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Per-sample mean bit cross-entropy of clipped codes hc against centers c."""
-    return -(c * np.log(hc) + (1.0 - c) * np.log1p(-hc)).sum(axis=1) / hc.shape[1]
-
-
 def central_loss(h, c) -> float:
-    """Mean per-bit binary cross-entropy between relaxed codes and centers."""
+    """Mean per-bit binary cross-entropy between relaxed codes and centers,
+    the codes clipped to [BCE_EPS, 1 - BCE_EPS]."""
     h, c = _codes(h), np.asarray(c, dtype=np.float64)
     if c.shape != h.shape:
         raise DimensionError(f"codes {h.shape} and centers {c.shape} differ")
-    return float(_bce(np.clip(h, BCE_EPS, 1.0 - BCE_EPS), c).mean())
+    hc = np.clip(h, BCE_EPS, 1.0 - BCE_EPS)
+    return float((-(c * np.log(hc) + (1.0 - c) * np.log1p(-hc)).sum(axis=1) / h.shape[1]).mean())
 
 
 def quantization_loss(h) -> float:
@@ -198,29 +191,31 @@ def quantization_loss(h) -> float:
     h = _codes(h)
     if np.isnan(h).any():
         raise NumericError("relaxed code contains NaN")
-    return float(_quant(np.abs(2.0 * h - 1.0) - 1.0).mean())
+    au = np.abs(np.abs(2.0 * h - 1.0) - 1.0)
+    return float((au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1).mean())
 
 
 def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
-    """Both loss terms of an (n, k) batch of relaxed codes, and dL/dh.
+    """Both loss terms of an (n, k) batch of relaxed codes, as central_loss and
+    quantization_loss compute them, and dL/dh.
 
-    A disabled term reads 0.0 and adds nothing to dh. The |.| subderivative
-    at 0 is taken as 0, and coordinates clamped by the cross-entropy epsilon
-    get a zero gradient, matching what a finite difference of the loss sees.
+    A disabled term reads 0.0, is not computed and adds nothing to dh. The |.|
+    subderivative at 0 is taken as 0, and coordinates clamped by the
+    cross-entropy epsilon get a zero gradient, matching what a finite
+    difference of the loss sees.
     """
     n, k = h.shape
     central = quant = 0.0
     dh = np.zeros_like(h)
     if cfg.use_lc:
+        central = central_loss(h, c)
         hc = np.clip(h, BCE_EPS, 1.0 - BCE_EPS)
-        central = float(_bce(hc, c).mean())
         inside = (h > BCE_EPS) & (h < 1.0 - BCE_EPS)
         dh += np.where(inside, -(c / hc - (1.0 - c) / (1.0 - hc)) / (n * k), 0.0)
     if cfg.lambda1 != 0.0:
+        quant = quantization_loss(h)
         s = 2.0 * h - 1.0
-        u = np.abs(s) - 1.0
-        quant = float(_quant(u).mean())
-        dh += (cfg.lambda1 * 2.0 / n) * np.sign(s) * np.tanh(u)
+        dh += (cfg.lambda1 * 2.0 / n) * np.sign(s) * np.tanh(np.abs(s) - 1.0)
     return central, quant, dh
 
 

@@ -131,11 +131,15 @@ class EvalReport:
     """All retrieval metrics for one query set against one database."""
 
     map_at_n: float
-    p_at_h2: float
     precision: np.ndarray  # (min(map_n, n),) mean precision in the top r, r = 1..
     radius_recall: np.ndarray  # (k + 1,) mean recall within Hamming radius r, r = 0..k
     radius_precision: np.ndarray  # (k + 1,) mean precision within radius r
     center_distances: np.ndarray | None = None  # (m, m), NaN for empty groups
+
+    @property
+    def p_at_h2(self) -> float:
+        """Mean precision within Hamming radius RADIUS (the whole code, if k is smaller)."""
+        return float(self.radius_precision[min(RADIUS, len(self.radius_precision) - 1)])
 
 
 def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalReport:
@@ -195,7 +199,6 @@ def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalRep
     radius_precision /= nq
     return EvalReport(
         map_at_n=map_total / nq,
-        p_at_h2=float(radius_precision[min(RADIUS, k)]),
         precision=precision,
         radius_recall=radius_recall,
         radius_precision=radius_precision,

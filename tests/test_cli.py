@@ -878,15 +878,21 @@ def test_every_config_key_is_a_run_flag(field, monkeypatch):
     assert seen[0] == replace(RunConfig(), **expected)
 
 
-def test_train_flag_defaults_match_run_config_and_train_config():
-    args = cli.build_parser().parse_args(
-        ["train", "--features", "f", "--centers-map", "c", "--out-model", "m"]
-    )
-    run_defaults, train_defaults = RunConfig(), M.TrainConfig()
-    for run_key, train_key in TRAIN_KEYS.items():
-        assert getattr(args, run_key) == getattr(run_defaults, run_key)
-        assert getattr(run_defaults, run_key) == getattr(train_defaults, train_key)
-    assert run_defaults.train_config() == train_defaults
+def test_train_flag_defaults_match_run_config_and_train_config(workdir, monkeypatch):
+    # an unset train flag leaves RunConfig's default, which is TrainConfig's
+    seen = []
+
+    def stop_training(features, centers, cfg):
+        seen.append(cfg)
+        raise _Stop
+
+    monkeypatch.setattr(M, "train", stop_training)
+    small_train_inputs()
+    with pytest.raises(_Stop):
+        run_cli("train", "--features", "blob.train.csqf", "--centers-map", "map.csqc",
+                "--out-model", "m.csqm")
+    assert seen == [RunConfig().train_config()]
+    assert seen == [M.TrainConfig()]
     assert cli.build_parser().parse_args(["eval", "--db-codes", "a", "--db-labels", "b",
                                           "--query-codes", "c", "--query-labels", "d",
                                           "--out-report", "e"]).map_n == RunConfig.map_n

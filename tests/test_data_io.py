@@ -19,29 +19,29 @@ class TestAtomicWrite:
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_writer_keeps_the_old_bytes(self, tmp_path):
-        path = tmp_path / "out.txt"
+        path = tmp_path / "out.bin"
         path.write_bytes(b"old")
         with pytest.raises(RuntimeError):
-            with binfmt.atomic_write(path, text=True) as f:
-                f.write("new\n")
+            with binfmt.atomic_write(path) as f:
+                f.write(b"new\n")
                 raise RuntimeError("writer failed midway")
-        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
         assert path.read_bytes() == b"old"
 
     def test_success_replaces_the_target(self, tmp_path):
-        path = tmp_path / "out.txt"
+        path = tmp_path / "out.bin"
         path.write_bytes(b"old")
-        with binfmt.atomic_write(path, text=True) as f:
-            f.write("a\nb\n")
-        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+        with binfmt.atomic_write(path) as f:
+            f.write(b"a\nb\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
         assert path.read_bytes() == b"a\nb\n"
 
-    @pytest.mark.parametrize("target", ["missing/out.txt", "."])
+    @pytest.mark.parametrize("target", ["missing/out.bin", "."])
     def test_errors_name_the_target(self, tmp_path, target):
         path = tmp_path / target
         with pytest.raises(OSError) as failed:
-            with binfmt.atomic_write(path, text=True) as f:
-                f.write("a\n")
+            with binfmt.atomic_write(path) as f:
+                f.write(b"a\n")
         assert failed.value.filename == str(path) and failed.value.filename2 is None
         assert [p.name for p in tmp_path.iterdir()] == []
 

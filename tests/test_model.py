@@ -452,6 +452,27 @@ class TestFusedStep:
         for a, b in zip(plain.weights + plain.biases, spied.weights + spied.biases):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("overrides, central_calls, quant_calls", [
+        ({}, 6, 6),
+        ({"lambda1": 0.0}, 6, 0),
+        ({"use_lc": False, "lambda1": 0.3}, 0, 6),
+    ], ids=["both_terms", "lambda1_0", "no_lc"])
+    def test_training_computes_each_loss_term_with_the_public_function(
+            self, monkeypatch, overrides, central_calls, quant_calls):
+        calls = {"central_loss": 0, "quantization_loss": 0}
+        for name in calls:
+            real = getattr(M, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(M, name, counted)
+        x, c = tiny_problem(n=24)
+        M.train(x, c, M.TrainConfig(epochs=2, batch_size=8, seed=0, **overrides))
+        # 2 epochs of 3 batches; a disabled term's function is never called
+        assert calls == {"central_loss": central_calls, "quantization_loss": quant_calls}
+
     @pytest.mark.parametrize(
         "cfg",
         [M.TrainConfig(), M.TrainConfig(use_lc=False, lambda1=0.3), M.TrainConfig(lambda1=0.0)],

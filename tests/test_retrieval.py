@@ -274,7 +274,6 @@ class TestReport:
         matrix = np.array([[0.0, 2.0], [np.nan, np.nan]])
         report = R.EvalReport(
             map_at_n=0.75,
-            p_at_h2=0.5,
             precision=np.array([1.0, 0.75]),
             radius_recall=np.array([0.5, 1.0]),
             radius_precision=np.array([1.0, 0.5]),
@@ -286,6 +285,10 @@ class TestReport:
         sections = text.split("\n\n")
         assert sections[0].splitlines()[0] == "metric,value"
         assert "map_at_n,0.75" in sections[0]
+        # k = 1: p_at_h2 is the radius curve's last row, and only the curve holds it
+        assert "p_at_h2,0.5" in sections[0]
+        with pytest.raises(AttributeError):
+            report.p_at_h2 = 1.0
         assert sections[1].splitlines()[0] == "rank,precision"
         assert sections[2].splitlines() == ["radius,recall,precision", "0,0.5,1.0", "1,1.0,0.5"]
         assert sections[3].splitlines()[0] == "center_i,center_j,mean_distance"
@@ -294,13 +297,14 @@ class TestReport:
     def test_report_bytes(self, tmp_path):
         report = R.EvalReport(
             map_at_n=1 / 3,
-            p_at_h2=0.1,
             precision=np.array([1 - r / 11 for r in range(1, 8)]),
             radius_recall=np.array([r / 9 for r in range(0, 4)]),
             radius_precision=np.array([1 - r / 13 for r in range(0, 4)]),
             center_distances=np.array([[0.5, np.nan], [2.0, 1 / 7]]),
         )
-        lines = ["metric,value", f"map_at_n,{1 / 3!r}", "p_at_h2,0.1", "", "rank,precision"]
+        # p_at_h2 is radius_precision's row at radius 2
+        lines = ["metric,value", f"map_at_n,{1 / 3!r}", f"p_at_h2,{1 - 2 / 13!r}", "",
+                 "rank,precision"]
         lines += [f"{r},{1 - r / 11!r}" for r in range(1, 8)]
         lines += ["", "radius,recall,precision"]
         lines += [f"{r},{r / 9!r},{1 - r / 13!r}" for r in range(0, 4)]
@@ -312,7 +316,7 @@ class TestReport:
     def test_failed_write_keeps_the_old_report(self, tmp_path, monkeypatch):
         path = tmp_path / "report.csv"
         path.write_bytes(b"old report")
-        report = R.EvalReport(0.5, 0.5, np.array([0.5]), np.ones(3), np.zeros(3))
+        report = R.EvalReport(0.5, np.array([0.5]), np.ones(3), np.zeros(3))
         calls = []
 
         def replace_fails(src, dst):

@@ -114,7 +114,7 @@ def test_check_bench_result_rejects_a_traced_run_without_a_layer_metric(value, s
 def test_check_bench_result_accepts_a_traced_run_that_did_not_train():
     # search-large trains its checkpoint in set-up: its traced run never enters model.train
     values = traced_values(**{"model.epoch_s": 0, "model.batches": 0,
-                              "model.forward_passes_per_batch": 0})
+                              "model.forward_passes_per_batch": 0, "model.loss_s": 0})
     proc = check_bench_result(traced_result(values), "--trace")
     assert proc.returncode == 0, proc.stdout
 
@@ -122,7 +122,8 @@ def test_check_bench_result_accepts_a_traced_run_that_did_not_train():
 @pytest.mark.parametrize("name, value, wanted", [
     ("model.batches", 0, "above 0"),
     ("model.forward_passes_per_batch", 2.0, "1.0"),
-], ids=["no_batches", "two_forward_passes"])
+    ("model.loss_s", 0, "above 0"),
+], ids=["no_batches", "two_forward_passes", "no_loss_time"])
 def test_check_bench_result_rejects_a_trained_run_without_one_backward_per_batch(
         name, value, wanted):
     proc = check_bench_result(traced_result(traced_values(**{name: value})), "--trace")
