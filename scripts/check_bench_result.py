@@ -15,8 +15,11 @@ trained (model.epoch_s above 0) must also show that the training layers saw
 model.backward: model.batches above 0 and model.forward_passes_per_batch
 exactly 1.0, since model.train runs one backward call, with one forward
 pass, per batch; and model.loss_s above 0, since each step computes its loss
-terms with model.central_loss and model.quantization_loss. Exits 0, or
-prints what is wrong and exits 1.
+terms with model.central_loss and model.quantization_loss. A traced run that
+evaluated (retrieval.evaluate_s above 0) must show
+hamming.distance_calls_per_query exactly 1.0, since retrieval.evaluate
+computes each query's distances once and reads every metric off them.
+Exits 0, or prints what is wrong and exits 1.
 """
 
 import argparse
@@ -70,6 +73,11 @@ def problems(stdout: str, declared: list, positive: bool = True) -> list:
         if passes != 1.0:
             found.append(f"metric model.forward_passes_per_batch is {passes!r}, "
                          "a run that trained needs 1.0")
+    if values.get("retrieval.evaluate_s", 0) > 0:
+        calls = values.get("hamming.distance_calls_per_query", 1.0)
+        if calls != 1.0:
+            found.append(f"metric hamming.distance_calls_per_query is {calls!r}, "
+                         "a run that evaluated needs 1.0")
     return found
 
 

@@ -38,6 +38,8 @@ class CenterSet:
             raise DimensionError(f"center matrix must be (m, k), got shape {self.bits.shape}")
         if self.bits.shape[0] < 1:
             raise ValueError("a center set needs at least one center")
+        if self.bits.shape[1] < 1:
+            raise DimensionError("centers must have at least one bit")
         self.bits.flags.writeable = False
 
     @property

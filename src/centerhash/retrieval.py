@@ -4,11 +4,11 @@ Rankings sort by ascending distance with ties broken by ascending
 database index, so every reported number is reproducible bit for bit.
 Two items are relevant to each other iff their label sets intersect.
 
-Every metric comes from one pass that ranks each query once (a single
-stable argsort over the distances) and takes one cumulative count of its
-ranked relevance; mAP@N, P@N, the PR curve by Hamming radius 0..k and the
-precision within radius 2 are all read off that count. The radius curve
-counts whole distance ties, so it does not depend on the database order.
+Every metric comes from one pass that computes each query's distances
+once. Two bincounts of them, over all items and over the relevant ones,
+give the PR curve by Hamming radius 0..k and the precision within radius
+2, whatever the database order; mAP@N and P@N sort only the items within
+the smallest radius that holds N of them.
 Per-query quantities are exact integer ratios, and two rules keep the
 results bit-exact against a plain loop: per-query values accumulate into
 the float64 means in query order, and each AP sums its precisions
@@ -60,15 +60,16 @@ class CodeIndex:
         return cls(codes, np.packbits(labels.T, axis=1, bitorder="little"), labels.shape[0], k)
 
 
-def _rank(index: CodeIndex, query_words) -> tuple[np.ndarray, np.ndarray]:
-    """(distances, database indices by ascending distance, ties by index).
+def _nearest(dists, within, count: int) -> np.ndarray:
+    """The first count database indices by ascending distance, ties by index.
 
-    distances_to sums in the smallest unsigned dtype that holds the
-    distances, so they are the sort key as they are: the stable argsort
-    keeps ties by index and numpy radix-sorts them.
+    ``within[r]`` counts the items within radius r. Only the items within
+    r*, the smallest radius that holds count of them, are sorted: they come
+    in index order, so a stable argsort keeps ties by index (and numpy
+    radix-sorts the small unsigned distances).
     """
-    dists = hamming.distances_to(query_words, index.codes)
-    return dists, np.argsort(dists, kind="stable")
+    candidates = np.flatnonzero(dists <= int(np.searchsorted(within, count)))
+    return candidates[np.argsort(dists[candidates], kind="stable")[:count]]
 
 
 # each metric is one field of the single pass; map_n=1 stands in for an unused cutoff
@@ -143,14 +144,13 @@ class EvalReport:
 
 
 def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalReport:
-    """Run the full metric battery for a query set in one ranking pass.
+    """Run the full metric battery for a query set in one pass.
 
-    Each query is ranked once and its ranked relevance counted once
-    (``cum``). AP@map_n and P@N are read off its first map_n ranks. The
-    items within radius r are the first ``within[r]`` ranks, whatever the
-    order inside a distance tie, so ``cum[within - 1]`` counts the relevant
-    ones: the PR curve by radius, whose row at RADIUS is p_at_h2. An empty
-    ball has precision 0, and a query with no relevant item recall 1.
+    Each query's distances are computed once. Per radius r, ``within[r]``
+    counts the items within r and ``found[r]`` the relevant ones: the PR
+    curve by radius, whose row at RADIUS is p_at_h2. An empty ball has
+    precision 0, and a query with no relevant item recall 1. AP@map_n and
+    P@N count the relevance of the first map_n ranks (``_nearest``).
     """
     query_words = np.asarray(query_words, dtype=np.uint64)
     query_labels = np.asarray(query_labels, dtype=np.uint8)
@@ -170,19 +170,16 @@ def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalRep
     map_total = 0.0
     precision = np.zeros(ranks.size)
     radius_recall, radius_precision = np.zeros(k + 1), np.zeros(k + 1)
-    # each query's ranked relevance and its count in turn: allocated once
-    rel, cum = np.empty(n, bool), np.empty(n, np.int64)
     for qw, ql in zip(query_words, query_labels):
-        dists, order = _rank(index, qw)
-        within = np.bincount(dists, minlength=k + 1).cumsum()
-        # a query's relevance is the OR of its categories' bitsets (none without a
-        # category); argsort's indices are in range, and "clip" takes them unbuffered
+        dists = hamming.distances_to(qw, index.codes)
+        # a query's relevance is the OR of its categories' bitsets (none without a category)
         packed = np.bitwise_or.reduce(index.categories[ql != 0], axis=0)
-        np.take(np.unpackbits(packed, count=n, bitorder="little").view(bool), order,
-                out=rel, mode="clip")
-        del dists, order  # not held while the next query is ranked
-        np.cumsum(rel, dtype=np.int64, out=cum)
-        top, top_cum = rel[: ranks.size], cum[: ranks.size]
+        rel = np.unpackbits(packed, count=n, bitorder="little").view(bool)
+        within = np.bincount(dists, minlength=k + 1).cumsum()
+        # np.compress is 2-3x faster than dists[rel] with a fifth of the items relevant
+        found = np.bincount(np.compress(rel, dists), minlength=k + 1).cumsum()
+        top = rel[_nearest(dists, within, ranks.size)]
+        top_cum = np.cumsum(top, dtype=np.int64)
         hits = int(top_cum[-1])
         if hits:
             # precisions at the relevant ranks, summed in rank order as a
@@ -190,9 +187,8 @@ def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalRep
             at_hits = top_cum[top] / ranks[top]
             map_total += float(np.cumsum(at_hits)[-1]) / hits
         precision += top_cum / ranks
-        found = np.where(within > 0, cum[within - 1], 0)  # an empty ball finds nothing
-        radius_precision += found / np.maximum(within, 1)
-        radius_recall += found / cum[-1] if cum[-1] else 1.0
+        radius_precision += found / np.maximum(within, 1)  # an empty ball has precision 0
+        radius_recall += found / found[-1] if found[-1] else 1.0
     nq = query_words.shape[0]
     precision /= nq
     radius_recall /= nq

@@ -42,6 +42,8 @@ CASES = {
                       DimensionError, r"center matrix must be \(m, k\), got shape \(4,\)"),
     "center_set_empty": (lambda tmp: C.CenterSet(np.zeros((0, 4), dtype=np.uint8), None),
                          ValueError, "a center set needs at least one center"),
+    "center_set_zero_bits": (lambda tmp: C.CenterSet(np.zeros((2, 0), dtype=np.uint8), None),
+                             DimensionError, "^centers must have at least one bit$"),
     "assign_1d_labels": (lambda tmp: C.assign_multi_label(two_centers(), np.ones(3)),
                          DimensionError, r"expected an \(n, q\) multi-hot matrix, got \(3,\)"),
     "pack_matrix_1d": (lambda tmp: hamming.pack_matrix(np.ones(8, dtype=np.uint8)),

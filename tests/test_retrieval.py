@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from centerhash import centers as C
@@ -37,8 +39,10 @@ def relevant(query_row, db_row):
 
 
 def rank(index, query_bits):
-    """Database indices by ascending distance from one query, through retrieval._rank."""
-    return R._rank(index, hamming.pack_matrix(np.array([query_bits], dtype=np.uint8))[0])[1]
+    """Database indices by ascending distance from one query, through retrieval._nearest."""
+    query = hamming.pack_matrix(np.array([query_bits], dtype=np.uint8))[0]
+    dists = hamming.distances_to(query, index.codes)
+    return R._nearest(dists, np.bincount(dists, minlength=index.k + 1).cumsum(), index.n)
 
 
 class TestRanking:
@@ -57,8 +61,9 @@ class TestRanking:
     def test_k_mismatch(self):
         # the index holds one word per code, a k=65 query two
         index = make_index([[0] * 64], [[1]])
+        words = hamming.pack_matrix(np.zeros((1, 65), dtype=np.uint8))
         with pytest.raises(DimensionError):
-            rank(index, [0] * 65)
+            R.evaluate(index, words, np.array([[1]], dtype=np.uint8), 1)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -74,6 +79,19 @@ class TestRanking:
         order_shuffled = rank(shuffled, query)
         # same distance profile rank by rank; tie order follows the new indices
         assert np.array_equal(dists[order], dists[perm][order_shuffled])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(0, k), min_size=1, max_size=60))))
+def test_nearest_is_the_stable_argsort_prefix(k_dists):
+    # a few distances over up to 60 items: ties everywhere, and every cutoff
+    k, values = k_dists
+    dists = np.array(values, dtype=np.uint8)
+    within = np.bincount(dists, minlength=k + 1).cumsum()
+    order = np.argsort(dists, kind="stable")
+    for count in range(1, dists.size + 1):
+        assert np.array_equal(R._nearest(dists, within, count), order[:count])
 
 
 class TestRelevance:
@@ -506,9 +524,10 @@ def test_evaluate_holds_the_same_bytes_at_every_n():
 
 
 def test_evaluate_holds_one_query_ranking_at_a_time():
-    # evaluate keeps one array of n 8-byte entries (the relevance count) and n bools;
-    # a query's distances, their XOR temporary and its argsort order come on top
-    # (3.3 arrays), and the previous query's order must be gone by then
+    # a query's n distances, its n relevance bools and their 8n-byte temporaries (the
+    # XOR in distances_to, bincount's index cast) come one at a time (1.4 arrays of
+    # 8n bytes); only the items within r* are sorted, and no n-length array of the
+    # previous query is held while the next one is computed
     rng = np.random.default_rng(0)
     n, q = 100_000, 80
     labels = rng.random((n, q)) < 0.03
@@ -523,7 +542,7 @@ def test_evaluate_holds_one_query_ranking_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 8 * n
+    assert peak < 2 * 8 * n
 
 
 class TestEvaluateOnePass:

@@ -86,10 +86,11 @@ def test_check_bench_result_rejects(stdout, problem):
 
 
 def traced_values(**overrides):
-    """Per-layer values of a traced run that trained: one backward call, with one
-    forward pass, per batch."""
+    """Per-layer values of a traced run that trained and evaluated: one backward call,
+    with one forward pass, per batch, and one distance computation per query."""
     values = {name: 0.25 for name in PER_LAYER}
-    values.update({"model.batches": 600, "model.forward_passes_per_batch": 1.0}, **overrides)
+    values.update({"model.batches": 600, "model.forward_passes_per_batch": 1.0,
+                   "hamming.distance_calls_per_query": 1.0}, **overrides)
     return values
 
 
@@ -129,6 +130,21 @@ def test_check_bench_result_rejects_a_trained_run_without_one_backward_per_batch
     proc = check_bench_result(traced_result(traced_values(**{name: value})), "--trace")
     assert proc.returncode == 1
     assert proc.stdout == f"problem: metric {name} is {value!r}, a run that trained needs {wanted}\n"
+
+
+def test_check_bench_result_accepts_a_traced_run_that_did_not_evaluate():
+    values = traced_values(**{"retrieval.evaluate_s": 0, "hamming.distance_calls_per_query": 0})
+    proc = check_bench_result(traced_result(values), "--trace")
+    assert proc.returncode == 0, proc.stdout
+
+
+@pytest.mark.parametrize("calls", [0, 0.5, 2.0], ids=["untraced_distances", "half", "twice"])
+def test_check_bench_result_rejects_an_evaluation_without_one_distance_call_per_query(calls):
+    values = traced_values(**{"hamming.distance_calls_per_query": calls})
+    proc = check_bench_result(traced_result(values), "--trace")
+    assert proc.returncode == 1
+    assert proc.stdout == (f"problem: metric hamming.distance_calls_per_query is {calls!r}, "
+                           "a run that evaluated needs 1.0\n")
 
 
 def test_check_bench_result_rejects_an_untraced_run_as_traced():
