@@ -14,7 +14,6 @@ ceil(k/8) bytes, bit i at bit i % 8 of byte i // 8, the padding past k zero.
 
 import contextlib
 import os
-import secrets
 import struct
 from pathlib import Path
 
@@ -93,7 +92,7 @@ def atomic_write(path):
     (or stays absent).
     """
     path = os.fspath(path)
-    tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"  # not secrets, which loads OpenSSL
     try:
         with open(tmp, "xb") as f:
             yield f

@@ -17,8 +17,7 @@ from .errors import DimensionError, FormatError, InvalidLabelError
 MAGIC_FEATURES = b"CSQF"
 MAGIC_LABELS = b"CSQL"
 EMPTY_LABELS = "empty label file (n={n}, q={k})"
-# values per block that a FeatureFile slice reads (4 MiB of float32) and that
-# load_label_bitsets unpacks (1 MiB of uint8)
+# values per block that a FeatureFile slice reads (4 MiB of float32)
 READ_BLOCK_VALUES = 1 << 20
 
 
@@ -135,14 +134,13 @@ def load_labels(path) -> np.ndarray:
 def load_label_bitsets(path) -> tuple[np.ndarray, int]:
     """Read a label file as per-category bitsets; returns ((q, ceil(n/8)) uint8, n), bit i
     of row c (LSB-first) set iff row i has category c. The checks are load_labels'. The
-    (n, q) matrix is never held whole: a block of READ_BLOCK_VALUES values (rounded down
-    to whole bytes of rows) is unpacked and packed into the bitsets' columns at a time."""
+    (n, q) matrix is never held: category c's bit is masked out of byte column c // 8 of
+    the packed rows into one reused (n,) buffer, which is packed into row c."""
     rows, q = _label_rows(path)
     n = rows.shape[0]
     bitsets = np.empty((q, (n + 7) // 8), dtype=np.uint8)
-    block = max(8, READ_BLOCK_VALUES // q // 8 * 8)
-    for at in range(0, n, block):
-        labels = np.unpackbits(rows[at : at + block], axis=1, count=q, bitorder="little")
-        bitsets[:, at // 8 : (at + len(labels) + 7) // 8] = np.packbits(
-            labels.T, axis=1, bitorder="little")
+    column = np.empty(n, dtype=np.uint8)
+    for c in range(q):
+        np.bitwise_and(rows[:, c >> 3], 1 << (c & 7), out=column)
+        bitsets[c] = np.packbits(column, bitorder="little")
     return bitsets, n

@@ -34,7 +34,7 @@ BCE_EPS = 1e-7  # clamp for log arguments
 # activations, d + w1 + w2 + 2k values a row (the sigmoid's scratch is the
 # second k). Rows per block follow from the head's widths, so the working set
 # stays about this size for any n and any head.
-ENCODE_BLOCK_BYTES = 4 << 20
+ENCODE_BLOCK_BYTES = 2 << 20
 
 
 @dataclass

@@ -52,6 +52,12 @@ class TestAtomicWrite:
             f.write(b"x")
         assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
+    def test_temp_file_is_named_after_the_target(self, tmp_path):
+        path = tmp_path / "out.bin"
+        with binfmt.atomic_write(path):
+            names = [p.name for p in tmp_path.iterdir()]
+        assert len(names) == 1 and re.fullmatch(r"out\.bin\.[0-9a-f]{8}\.tmp", names[0])
+
 
 def csqf_header(n, d):
     return binfmt.header(data_io.MAGIC_FEATURES) + binfmt.u64(n) + binfmt.u32(d)
@@ -288,12 +294,9 @@ class TestLabels:
 class TestLabelBitsets:
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data(), n=st.integers(1, 70), q=st.integers(1, 21),
-           budget=st.integers(1, 200))
-    def test_equals_the_packed_transpose_of_load_labels(self, tmp_path, monkeypatch, data, n, q,
-                                                        budget):
-        # a small READ_BLOCK_VALUES makes the 8-row blocks span n in several steps
-        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", budget)
+    @given(data=st.data(), n=st.integers(1, 70), q=st.integers(1, 40))
+    def test_equals_the_packed_transpose_of_load_labels(self, tmp_path, data, n, q):
+        # q up to 40 puts categories in up to five bytes of each packed row
         bits = data.draw(st.lists(st.integers(0, 1), min_size=n * q, max_size=n * q))
         path = tmp_path / "y.csql"
         labels = np.array(bits, dtype=np.uint8).reshape(n, q)
@@ -306,12 +309,10 @@ class TestLabelBitsets:
                                                    bitorder="little"))
 
     @pytest.mark.parametrize("payload, q, message", [
-        # row 19, in the third 8-row block, is empty
         (bytes([1] * 19 + [0] + [2] * 5), 4, "label row 19 has no category set"),
         (bytes([1, 0x21]), 5, "nonzero padding bits (byte offset 20)"),  # bit 5 of row 1
     ], ids=["empty_row", "padding_bits"])
-    def test_errors_equal_load_labels(self, tmp_path, monkeypatch, payload, q, message):
-        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", 8 * q)
+    def test_errors_equal_load_labels(self, tmp_path, payload, q, message):
         path = tmp_path / "y.csql"
         path.write_bytes(binfmt.header(data_io.MAGIC_LABELS) + binfmt.u64(len(payload))
                          + binfmt.u32(q) + payload)
@@ -321,6 +322,24 @@ class TestLabelBitsets:
                 read(path)
             errors.append((type(err.value), str(err.value), getattr(err.value, "offset", None)))
         assert errors[0] == errors[1]
+
+    def test_memory_is_the_file_and_the_bitsets(self, tmp_path):
+        # beyond the file's bytes and the bitsets, one (n,) buffer: no unpacked
+        # (rows, q) block and no transposed copy of one
+        n, q = 100_000, 80
+        rng = np.random.default_rng(0)
+        labels = (rng.random((n, q)) < 0.1).astype(np.uint8)
+        labels[np.arange(n), np.arange(n) % q] = 1
+        path = tmp_path / "y.csql"
+        data_io.save_labels(path, labels)
+        del labels
+        tracemalloc.start()
+        try:
+            bitsets, _ = data_io.load_label_bitsets(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= path.stat().st_size + bitsets.nbytes + n + 64 * 1024
 
 
 class TestSyntheticBlobs:

@@ -242,6 +242,14 @@ class TestBackward:
         for g in grads:
             assert np.all(g == 0.0)
 
+    def test_codes_exactly_at_the_clamp_get_zero_central_gradient(self):
+        # the clamp's ends count as clamped: there a finite difference of the
+        # clipped loss is one-sided, and the gradient taken is 0
+        h = np.array([[M.BCE_EPS, 1.0 - M.BCE_EPS]] * 2)
+        c = np.array([[1.0, 0.0], [0.0, 1.0]])
+        _, _, dh = M.loss_and_dh(h, c, M.TrainConfig(lambda1=0.0))
+        assert np.array_equal(dh, np.zeros_like(h))
+
     def test_overflowed_activation_with_finite_loss_still_raises(self):
         # b2 = +inf makes a2 inf and h exactly 1: the clipped loss stays
         # finite and dh is 0, but dw3 = dz3.T @ a2 = 0 * inf is NaN
@@ -564,7 +572,7 @@ class TestEncodeAndCheckpoint:
             M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
 
     def test_wide_head_encodes_within_the_block_budget(self, monkeypatch):
-        # d = 1024 takes the default 1024/512 head, 195 rows a block: the float64
+        # d = 1024 takes the default 1024/512 head, 97 rows a block: the float64
         # input and activations of one block are all encode holds beyond its output
         net = M.init_model(1024, 64, seed=0)
         assert net.layer_sizes == [1024, 1024, 512, 64]
