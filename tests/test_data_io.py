@@ -332,7 +332,6 @@ class TestLabelBitsets:
         labels[np.arange(n), np.arange(n) % q] = 1
         path = tmp_path / "y.csql"
         data_io.save_labels(path, labels)
-        del labels
         tracemalloc.start()
         try:
             bitsets, _ = data_io.load_label_bitsets(path)
