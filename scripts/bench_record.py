@@ -13,9 +13,10 @@ leaves nothing registered in the repository, whatever ends the run.
 BENCH_<tag>.json, written in the current directory, holds per workload and
 side each end-to-end metric's median and quartiles and every run's values,
 correct flag and failed count, and with --parent how many seeds HEAD read
-better on; and the seeds, the machine line and both commits. If any run
-is not correct, fails an operation or prints no result, nothing is written
-and the script exits 1.
+better on and each metric's verdict (see `verdict`), which it also prints,
+one line per workload; and the seeds, the machine line and both commits.
+If any run is not correct, fails an operation or prints no result,
+nothing is written and the script exits 1.
 """
 
 import argparse
@@ -58,15 +59,50 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float):
     )
 
 
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3) of the values, by the 'inclusive' method."""
+    return (tuple(statistics.quantiles(values, n=4, method="inclusive"))
+            if len(values) > 1 else tuple(values * 3))
+
+
 def summary(runs: list, names: list) -> dict:
-    """Median and quartiles ('inclusive' method) of each metric over the runs."""
+    """Median and quartiles of each metric over the runs."""
     out = {}
     for name in names:
-        values = [r["metrics"][name] for r in runs]
-        q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                          if len(values) > 1 else values * 3)
+        q1, median, q3 = quartiles([r["metrics"][name] for r in runs])
         out[name] = {"median": median, "q1": q1, "q3": q3}
     return out
+
+
+def verdict(head: list, parent: list, better: str, bound: float) -> str:
+    """One metric's verdict on the change from its runs and the parent's, paired in
+    run order; `better` is "lower" or "higher" and `bound` a fraction of the
+    parent's median, as BENCHMARK.json gives them.
+
+    - "gain": HEAD read better in at least nine tenths of the pairs (a tie
+      counts for neither side) and its median is better than the parent's by
+      more than the parent's q3 - q1.
+    - "regression": HEAD's median is worse than the parent's by more than
+      the bound.
+    - "unresolved": the parent's q3 - q1 is wider than the bound, and not
+      every HEAD run reads better than every parent run.
+    - "no change" otherwise.
+    """
+    sign = 1 if better == "lower" else -1
+
+    def gain(h, p):  # how much better h reads than p
+        return sign * (p - h)
+
+    (_, head_median, _), (parent_q1, parent_median, parent_q3) = quartiles(head), quartiles(parent)
+    wins = sum(gain(h, p) > 0 for h, p in zip(head, parent))
+    if 10 * wins >= 9 * len(parent) and gain(head_median, parent_median) > parent_q3 - parent_q1:
+        return "gain"
+    if -gain(head_median, parent_median) > bound * abs(parent_median):
+        return "regression"
+    if (parent_q3 - parent_q1 > bound * abs(parent_median)
+            and not all(gain(h, p) > 0 for h in head for p in parent)):
+        return "unresolved"
+    return "no change"
 
 
 def seed_range(text: str) -> list:
@@ -87,6 +123,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
     metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
     revs = {"head": git("rev-parse", "HEAD")}
     if args.parent:
@@ -133,6 +170,11 @@ def main(argv=None) -> int:
                 m: sum(h["metrics"][m] < p["metrics"][m] if better == "lower"
                        else h["metrics"][m] > p["metrics"][m] for h, p in pairs)
                 for m, better in metrics.items()}
+            entry["verdicts"] = {
+                m: verdict([r["metrics"][m] for r in runs[w]["head"]],
+                           [r["metrics"][m] for r in runs[w]["parent"]], better, bounds[m])
+                for m, better in metrics.items()}
+            print(f"{w}: " + ", ".join(f"{m} {v}" for m, v in entry["verdicts"].items()))
         record["workloads"][w] = entry
     path = f"BENCH_{args.tag}.json"
     with open(path, "w") as f:

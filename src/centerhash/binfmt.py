@@ -72,10 +72,6 @@ class Reader:
             raise FormatError(f"{self.size - self.offset} trailing bytes", offset=self.offset)
 
 
-def read_file(path) -> Reader:
-    return Reader(Path(path).read_bytes())
-
-
 def read_head(path) -> Reader:
     """A row file's first ROWS_AT bytes, checked against the length of the whole file."""
     with open(path, "rb") as f:

@@ -49,6 +49,18 @@ def unpack_matrix(words: np.ndarray, k: int) -> np.ndarray:
     return np.unpackbits(data, axis=1, count=k, bitorder="little")
 
 
+class PackedRows:
+    """(n, W) packed words read as the (n, k) 0/1 matrix they hold: indexing
+    unpacks only the rows it selects, so the whole matrix is never built."""
+
+    def __init__(self, words: np.ndarray, k: int):
+        self.words = words
+        self.shape = (words.shape[0], k)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return unpack_matrix(self.words[rows], self.shape[1])
+
+
 def _bytes_to_words(rows: np.ndarray, k: int) -> np.ndarray:
     # a little-endian view, so the byte order never depends on the platform
     padded = np.zeros((rows.shape[0], 8 * words_per_code(k)), dtype=np.uint8)

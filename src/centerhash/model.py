@@ -18,6 +18,7 @@ encode runs the same forward pass on blocks of rows in reused buffers.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,25 +268,42 @@ def backward(model: HashModel, x, c, cfg: TrainConfig) -> tuple[float, float, li
     return central, quant, backprop(model, x, cache, dh)
 
 
+def _step(model: HashModel, params: list, velocity: list, x: np.ndarray, c: np.ndarray,
+          cfg: TrainConfig) -> tuple[float, float]:
+    """One backward call on a batch, then the momentum update; returns both loss terms.
+    The batch and its gradients die when this returns, before the next step allocates."""
+    central, quant, grads = backward(model, x, c, cfg)
+    for p, g, v in zip(params, grads, velocity):
+        v *= cfg.momentum
+        v += g
+        p -= np.multiply(cfg.learning_rate, v, out=g)  # the consumed gradient holds lr * v
+    return central, quant
+
+
 def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     """Mini-batch SGD with momentum toward the per-sample centers: one
     backward call per batch, then the momentum update.
 
-    features and center_vectors keep the dtype they come in (float32
-    features and uint8 centers as loaded): each step gathers its batch
-    rows and widens only those to float64, the same values a float64 copy
-    of the whole input would hold.
+    features and center_vectors keep the form they come in (float32
+    features as loaded; centers as an (n, k) 0/1 array, or as the packed
+    words of a code file in a hamming.PackedRows): each step gathers its
+    batch rows, unpacks packed centers, and widens only those rows to
+    float64, the same values a float64 copy of the whole input would hold.
+    Only one step's batch, activations and gradients are alive at a time.
     Shuffling, init, and tie streams all hang off cfg.seed, so identical
     inputs and config reproduce the trained parameters byte for byte.
     Returns the model and one loss record per epoch.
     """
     x = np.asarray(features)
-    c = np.asarray(center_vectors)
+    c = center_vectors
+    if not isinstance(c, hamming.PackedRows):
+        c = np.asarray(c)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"need a nonempty (n, d) feature matrix, got {x.shape}")
-    if c.ndim != 2 or c.shape[0] != x.shape[0]:
+    if len(c.shape) != 2 or c.shape[0] != x.shape[0]:
         raise DimensionError(
-            f"center map covers {c.shape[0] if c.ndim == 2 else '?'} samples, features have {x.shape[0]}"
+            f"center map covers {c.shape[0] if len(c.shape) == 2 else '?'} samples, "
+            f"features have {x.shape[0]}"
         )
     n, d = x.shape
     k = c.shape[1]
@@ -303,19 +321,15 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
             sum_total = sum_central = sum_quant = 0.0
             for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
                 sel = order[start : start + cfg.batch_size]
-                xb = x[sel].astype(np.float64, copy=False)
-                cb = c[sel].astype(np.float64, copy=False)
                 try:
-                    lc, lq, grads = backward(model, xb, cb, cfg)
+                    lc, lq = _step(model, params, velocity,
+                                   x[sel].astype(np.float64, copy=False),
+                                   c[sel].astype(np.float64, copy=False), cfg)
                 except NumericError as exc:
                     raise TrainingError(str(exc), epoch=epoch, batch=batch_idx) from exc
                 sum_total += (lc + cfg.lambda1 * lq) * len(sel)
                 sum_central += lc * len(sel)
                 sum_quant += lq * len(sel)
-                for p, g, v in zip(params, grads, velocity):
-                    v *= cfg.momentum
-                    v += g
-                    p -= cfg.learning_rate * v
             log.append(EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
     return model, log
 
@@ -369,27 +383,37 @@ def save_model(path, model: HashModel) -> None:
 
 
 def load_model(path) -> HashModel:
-    """Read a checkpoint; a parameter that is not finite raises FormatError at its offset."""
-    r = binfmt.read_file(path)
-    r.expect_magic(MAGIC_MODEL)
-    count = r.u32()
-    if count != 4:
-        raise FormatError(f"expected 4 layer sizes, got {count}", offset=8)
-    sizes = [r.u32() for _ in range(count)]
-    if any(s < 1 for s in sizes):
-        raise FormatError(f"bad layer sizes {sizes}", offset=12)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        weights.append(_finite_params(r, fan_out * fan_in).reshape(fan_out, fan_in))
-        biases.append(_finite_params(r, fan_out))
-    r.expect_end()
+    """Read a checkpoint, each parameter straight into its float64 array; a cut file
+    or a parameter that is not finite raises FormatError at its offset."""
+    with open(path, "rb") as f:
+        # magic, version, the count and four layer sizes; each length is checked
+        # against the file's before anything it sizes is allocated
+        r = binfmt.Reader(f.read(28), size=os.fstat(f.fileno()).st_size)
+        r.expect_magic(MAGIC_MODEL)
+        count = r.u32()
+        if count != 4:
+            raise FormatError(f"expected 4 layer sizes, got {count}", offset=8)
+        sizes = [r.u32() for _ in range(count)]
+        if any(s < 1 for s in sizes):
+            raise FormatError(f"bad layer sizes {sizes}", offset=12)
+        weights, biases = [], []
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            weights.append(_finite_params(f, r, fan_out * fan_in).reshape(fan_out, fan_in))
+            biases.append(_finite_params(f, r, fan_out))
+        r.expect_end()
     return HashModel(weights=weights, biases=biases)
 
 
-def _finite_params(r: binfmt.Reader, count: int) -> np.ndarray:
-    """The next `count` f64 values of r; a value that is not finite raises FormatError."""
+def _finite_params(f, r: binfmt.Reader, count: int) -> np.ndarray:
+    """The next `count` f64 values of file f, at r's offset, read into the result; a cut
+    file or a value that is not finite raises FormatError. A NaN or an infinity reaches
+    the max or the min, so the finiteness test needs no temporary array."""
     at = r.offset
-    values = np.frombuffer(r.take(8 * count), dtype="<f8")
-    if (bad := np.flatnonzero(~np.isfinite(values))).size:
-        raise FormatError("model parameter is not finite", offset=at + 8 * int(bad[0]))
-    return values.astype(np.float64)
+    r.skip(8 * count)
+    values = np.empty(count, dtype="<f8")
+    if (got := f.readinto(values)) != values.nbytes:
+        raise FormatError(f"truncated file: wanted {values.nbytes} bytes, {got} left", offset=at)
+    if not (math.isfinite(values.max()) and math.isfinite(values.min())):
+        bad = np.flatnonzero(~np.isfinite(values))[0]
+        raise FormatError("model parameter is not finite", offset=at + 8 * int(bad))
+    return values.astype(np.float64, copy=False)

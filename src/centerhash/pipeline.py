@@ -57,10 +57,10 @@ def assign(centers, labels, seed: int, out) -> centers_mod.SemanticCenterMap:
 
 def train(features, centers_map, cfg: model_mod.TrainConfig, out_model):
     """Train the hash head toward each row's assigned center; returns (model, epoch log).
-    The map gives k, and must have one row per feature row."""
+    The map gives k, and must have one row per feature row; its centers stay packed,
+    and training unpacks each batch's rows."""
     x = data_io.load_features(features)
-    center_words, k = hamming.load_codes(centers_map)
-    net, log = model_mod.train(x, hamming.unpack_matrix(center_words, k), cfg)
+    net, log = model_mod.train(x, hamming.PackedRows(*hamming.load_codes(centers_map)), cfg)
     model_mod.save_model(out_model, net)
     return net, log
 

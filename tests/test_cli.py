@@ -19,7 +19,7 @@ from centerhash.cli import main
 from centerhash.config import RunConfig, build_run_config, parse_config_text
 from centerhash.pipeline import run_pipeline
 from test_data_io import write_features_unchecked
-from test_model import block_bytes
+from test_model import block_bytes, step_peak
 
 
 @pytest.fixture
@@ -687,6 +687,29 @@ def test_run_holds_no_float64_copy_of_features_or_centers(workdir, monkeypatch):
     # the float32 features plus less than half of a float64 copy of them, or
     # of the (n, k) centers, which is as large since k == d
     assert peak < 4 * n * d + 8 * n * k / 2
+
+
+def test_train_stage_never_unpacks_every_center(workdir):
+    # multilabel-run's map shape; the map stays packed and each batch's rows are
+    # unpacked, so the (n, k) matrix's n * k bytes are never held
+    n, d, k, batch = 50_000, 16, 48, 256
+    rng = np.random.default_rng(0)
+    data_io.save_features("x.csqf", rng.normal(size=(n, d)))
+    words = hamming.pack_matrix(rng.integers(0, 2, size=(n, k), dtype=np.uint8))
+    hamming.save_codes("map.csqc", words, k)
+    cfg = M.TrainConfig(epochs=2, batch_size=batch, seed=0)
+    net = M.init_model(d, k, seed=cfg.seed)
+    state = 2 * sum(p.nbytes for p in net.weights + net.biases)  # params and velocity
+    step = step_peak(net, rng.normal(size=(batch, d)), np.ones((batch, k)), cfg)
+    tracemalloc.start()
+    try:
+        pipeline.train("x.csqf", "map.csqc", cfg, "m.csqm")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the float32 features, the packed words, two permutations, the model's state and
+    # one step: its float64 batch and its backward call, which returns the gradients
+    assert peak <= 4 * n * d + words.nbytes + 2 * 8 * n + state + step + 8 * batch * (d + k)
 
 
 def encode_inputs(n, d, seed=0):

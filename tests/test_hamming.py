@@ -81,6 +81,17 @@ def test_pack_unpack_roundtrip_many():
         assert np.array_equal(hamming.unpack_matrix(words, k), bits)
 
 
+@pytest.mark.parametrize("k", [12, 64, 70])
+def test_packed_rows_unpack_only_the_rows_they_select(k):
+    bits = np.random.default_rng(k).integers(0, 2, size=(32, k), dtype=np.uint8)
+    rows = hamming.PackedRows(hamming.pack_matrix(bits), k)
+    assert rows.shape == (32, k)
+    sel = np.array([5, 0, 31, 5, 17])
+    got = rows[sel]
+    assert got.dtype == np.uint8 and np.array_equal(got, bits[sel])
+    assert np.array_equal(rows[3:10], bits[3:10])
+
+
 @pytest.mark.parametrize(
     "bits",
     [

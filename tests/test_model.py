@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from centerhash import data_io
+from centerhash import data_io, hamming
 from centerhash import model as M
 from centerhash.errors import DimensionError, FormatError, NumericError, TrainingError
 from centerhash.hamming import unpack_matrix
@@ -25,6 +25,17 @@ def zero_model(d, w1, w2, k):
 def block_bytes(net, rows):
     """The ENCODE_BLOCK_BYTES that makes encode run net in blocks of `rows` rows."""
     return rows * 8 * (sum(net.layer_sizes) + net.k)
+
+
+def step_peak(net, xb, cb, cfg):
+    """The tracemalloc peak of one training step's backward call on a batch: its
+    activations, loss temporaries and the gradient set it returns."""
+    tracemalloc.start()
+    try:
+        M.backward(net, xb, cb, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def finite_difference(net, x, c, cfg, eps=1e-5):
@@ -388,6 +399,29 @@ class TestTrain:
         with pytest.raises(DimensionError):
             M.train(x, c[:-1], M.TrainConfig())
 
+    def test_training_holds_one_gradient_set_and_one_step(self):
+        # d = 256 takes the 256/128 head; beyond its inputs, train holds the
+        # parameters, their velocity and one step: that step's float64 batch and
+        # what its backward call allocates (one gradient set among it), no more
+        n, d, k, batch = 64, 256, 64, 16
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, d))
+        c = rng.integers(0, 2, size=(n, k), dtype=np.uint8)
+        cfg = M.TrainConfig(epochs=2, batch_size=batch, seed=0)
+        net = M.init_model(d, k, seed=cfg.seed)
+        assert net.layer_sizes == [256, 256, 128, 64]
+        params = sum(p.nbytes for p in net.weights + net.biases)
+        xb, cb = x[:batch].copy(), c[:batch].astype(np.float64)
+        step = step_peak(net, xb, cb, cfg)
+        tracemalloc.start()
+        try:
+            M.train(x, c, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a second gradient set, or an lr * v temporary of the widest layer, breaks it
+        assert peak <= 2 * params + step + xb.nbytes + cb.nbytes + (64 << 10)
+
 
 class TestFusedStep:
     """train runs one forward pass per batch and must equal, byte for byte,
@@ -429,6 +463,24 @@ class TestFusedStep:
             checkpoints.add((tmp_path / f"{name}.csqm").read_bytes())
             logs.add(repr(log))
         assert len(checkpoints) == 1 and len(logs) == 1
+
+    @pytest.mark.parametrize("k", [12, 70])  # one word per code, and two
+    @pytest.mark.parametrize("batch_size", [16, 7])  # 7 does not divide n
+    def test_packed_centers_train_as_their_unpacked_matrix(self, k, batch_size):
+        x, c = tiny_problem(n=32, d=8, k=k, seed=6)
+        c = c.astype(np.uint8)
+        cfg = M.TrainConfig(epochs=4, seed=2, learning_rate=0.05, batch_size=batch_size)
+        net, log = M.train(x, c, cfg)
+        packed_net, packed_log = M.train(x, hamming.PackedRows(hamming.pack_matrix(c), k), cfg)
+        for a, b in zip(net.weights + net.biases, packed_net.weights + packed_net.biases):
+            assert a.tobytes() == b.tobytes()
+        assert len(log) == 4 and repr(packed_log) == repr(log)
+
+    def test_packed_centers_must_cover_samples(self):
+        x, c = tiny_problem()
+        with pytest.raises(DimensionError, match="center map covers 23 samples, features have 24"):
+            M.train(x, hamming.PackedRows(hamming.pack_matrix(c[:-1]), c.shape[1]),
+                    M.TrainConfig())
 
     def test_one_forward_pass_per_batch(self, monkeypatch):
         calls = []
@@ -639,6 +691,22 @@ class TestEncodeAndCheckpoint:
         with pytest.raises(FormatError) as err:
             M.load_model(path)
         assert str(err.value) == f"model parameter is not finite (byte offset {offset})"
+
+    def test_load_holds_only_the_parameters(self, tmp_path):
+        # each parameter is read straight into its float64 array: no copy of the
+        # file's bytes, nor of each parameter's, is held beside the result
+        net = M.init_model(1024, 64, seed=0)
+        params = sum(p.nbytes for p in net.weights + net.biases)
+        M.save_model(tmp_path / "model.csqm", net)
+        tracemalloc.start()
+        try:
+            loaded = M.load_model(tmp_path / "model.csqm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+            assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
+        assert peak <= params + (64 << 10)
 
     def test_checkpoint_truncation_rejected(self, tmp_path):
         net = M.init_model(3, 4, hidden=(3, 3), seed=0)

@@ -213,3 +213,63 @@ def test_bench_record_refuses_to_write_after_a_bad_run(tmp_path, monkeypatch, ca
     assert f"refused: search-large seed 2 on head ({git_head()[:12]}): {problem}" in (
         capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def bench_record(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import bench_record
+
+    return bench_record
+
+
+PARENT_RUNS = [100.0 + i for i in range(10)]  # quartiles 102.25 and 106.75: q3 - q1 is 4.5
+
+
+@pytest.mark.parametrize(
+    "head, parent, better, bound, expected",
+    [
+        ([p - 5 for p in PARENT_RUNS], PARENT_RUNS, "lower", 0.25, "gain"),
+        ([101.0] + [p - 10 for p in PARENT_RUNS[1:]], PARENT_RUNS, "lower", 0.25, "gain"),
+        ([101.0, 102.0] + [p - 10 for p in PARENT_RUNS[2:]], PARENT_RUNS, "lower", 0.25,
+         "no change"),
+        ([p - 5 for p in PARENT_RUNS[:8]] + PARENT_RUNS[8:], PARENT_RUNS, "lower", 0.25,
+         "no change"),
+        ([p - 4 for p in PARENT_RUNS], PARENT_RUNS, "lower", 0.25, "no change"),
+        ([p + 5 for p in PARENT_RUNS], PARENT_RUNS, "higher", 0.25, "gain"),
+        ([p + 5 for p in PARENT_RUNS], PARENT_RUNS, "lower", 0.25, "no change"),
+        ([p + 5 for p in PARENT_RUNS], PARENT_RUNS, "lower", 0.04, "regression"),
+        ([p - 5 for p in PARENT_RUNS], PARENT_RUNS, "higher", 0.04, "regression"),
+        ([1.3 * p for p in PARENT_RUNS], PARENT_RUNS, "lower", 0.25, "regression"),
+        (PARENT_RUNS[::-1], PARENT_RUNS, "lower", 0.01, "unresolved"),
+        ([99.0] * 10, [100.0] * 7 + [200.0] * 3, "lower", 0.25, "no change"),
+        ([101.0] * 10, [100.0] * 7 + [200.0] * 3, "lower", 0.25, "unresolved"),
+    ],
+    ids=["gain", "nine_of_ten", "eight_of_ten", "ties_count_for_neither",
+         "within_the_spread", "gain_higher", "worse_within_bound", "regression",
+         "regression_higher", "regression_large", "unresolved", "wide_but_every_run_better",
+         "wide"],
+)
+def test_bench_record_verdict(bench_record, head, parent, better, bound, expected):
+    assert bench_record.verdict(head, parent, better, bound) == expected
+
+
+@needs_git
+def test_bench_record_writes_and_prints_each_verdict(tmp_path, monkeypatch, capsys,
+                                                     bench_record):
+    def run_once(checkout, workload, seed, seconds):
+        values = {name: 1.5 for name in END_TO_END}
+        if os.path.basename(checkout) == "head":
+            values["peak_rss_mb"] = 1.0
+        metrics = {name: {"value": v, "unit": "s"} for name, v in values.items()}
+        return subprocess.CompletedProcess([], 0, bench_result(metrics=metrics), "")
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--tag", "t", "--seeds", "1-2", "--workload", "search-large", "--parent", "HEAD"]
+    assert bench_record.main(argv) == 0
+    verdicts = {name: "gain" if name == "peak_rss_mb" else "no change" for name in END_TO_END}
+    record = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert record["workloads"]["search-large"]["verdicts"] == verdicts
+    line = "search-large: " + ", ".join(f"{m} {v}" for m, v in verdicts.items())
+    assert line in capsys.readouterr().out.splitlines()
