@@ -74,6 +74,11 @@ def summary(runs: list, names: list) -> dict:
     return out
 
 
+def wins(head: list, parent: list, better: str) -> int:
+    """How many pairs, in run order, HEAD read better in; a tie counts for neither."""
+    return sum(h < p if better == "lower" else h > p for h, p in zip(head, parent))
+
+
 def verdict(head: list, parent: list, better: str, bound: float) -> str:
     """One metric's verdict on the change from its runs and the parent's, paired in
     run order; `better` is "lower" or "higher" and `bound` a fraction of the
@@ -94,8 +99,8 @@ def verdict(head: list, parent: list, better: str, bound: float) -> str:
         return sign * (p - h)
 
     (_, head_median, _), (parent_q1, parent_median, parent_q3) = quartiles(head), quartiles(parent)
-    wins = sum(gain(h, p) > 0 for h, p in zip(head, parent))
-    if 10 * wins >= 9 * len(parent) and gain(head_median, parent_median) > parent_q3 - parent_q1:
+    if (10 * wins(head, parent, better) >= 9 * len(parent)
+            and gain(head_median, parent_median) > parent_q3 - parent_q1):
         return "gain"
     if -gain(head_median, parent_median) > bound * abs(parent_median):
         return "regression"
@@ -165,14 +170,13 @@ def main(argv=None) -> int:
         entry = {side: {"summary": summary(r, list(metrics)), "runs": r}
                  for side, r in runs[w].items()}
         if args.parent:
-            pairs = list(zip(runs[w]["head"], runs[w]["parent"]))
+            values = {side: {m: [r["metrics"][m] for r in runs[w][side]] for m in metrics}
+                      for side in ("head", "parent")}
             entry["pairs_head_better"] = {
-                m: sum(h["metrics"][m] < p["metrics"][m] if better == "lower"
-                       else h["metrics"][m] > p["metrics"][m] for h, p in pairs)
+                m: wins(values["head"][m], values["parent"][m], better)
                 for m, better in metrics.items()}
             entry["verdicts"] = {
-                m: verdict([r["metrics"][m] for r in runs[w]["head"]],
-                           [r["metrics"][m] for r in runs[w]["parent"]], better, bounds[m])
+                m: verdict(values["head"][m], values["parent"][m], better, bounds[m])
                 for m, better in metrics.items()}
             print(f"{w}: " + ", ".join(f"{m} {v}" for m, v in entry["verdicts"].items()))
         record["workloads"][w] = entry

@@ -145,7 +145,7 @@ def save_bit_rows(path, magic: bytes, rows, k: int) -> None:
         raise ValueError(f"nonzero padding bits past k={k}")
     with atomic_write(path) as f:
         f.write(rows_header(magic, rows.shape[0], k))
-        f.write(rows.tobytes())
+        f.write(np.ascontiguousarray(rows))
 
 
 def load_bit_rows(path, magic: bytes, empty: str) -> tuple[np.ndarray, int]:

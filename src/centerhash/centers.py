@@ -217,7 +217,7 @@ def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMa
     q = labels.shape[1]
     if q > cs.m:
         raise InsufficientCentersError(f"{q} categories but only {cs.m} centers")
-    packed = np.packbits(labels, axis=1)  # a row's bytes are its label set
+    packed = np.packbits(labels, axis=1, bitorder="little")  # a row's bytes are its label set
     empty = np.flatnonzero(~packed.any(axis=1))
     if empty.size:
         raise InvalidLabelError(f"sample {int(empty[0])} has an empty label set")

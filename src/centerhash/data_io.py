@@ -7,6 +7,7 @@ on it. Labels are multi-hot bitmap rows over q categories. Both formats
 are flat, seekable, and language-neutral.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +18,6 @@ from .errors import DimensionError, FormatError, InvalidLabelError
 MAGIC_FEATURES = b"CSQF"
 MAGIC_LABELS = b"CSQL"
 EMPTY_LABELS = "empty label file (n={n}, q={k})"
-# values per block that a FeatureFile slice reads (4 MiB of float32)
-READ_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -41,12 +40,12 @@ def save_features(path, features) -> None:
         raise ValueError(f"need a nonempty 2-d feature matrix, got shape {x.shape}")
     with np.errstate(over="ignore"):  # past float32's range is inf, rejected below
         x = np.ascontiguousarray(x, dtype="<f4")
-    finite = np.isfinite(x)
-    if not finite.all():
-        raise ValueError(f"feature row {np.flatnonzero(~finite.all(axis=1))[0]} is not finite")
+    if not (math.isfinite(x.max()) and math.isfinite(x.min())):
+        bad = np.flatnonzero(~np.isfinite(x))[0]
+        raise ValueError(f"feature row {bad // x.shape[1]} is not finite")
     with binfmt.atomic_write(path) as f:
         f.write(binfmt.rows_header(MAGIC_FEATURES, *x.shape))
-        f.write(x.tobytes())
+        f.write(x)
 
 
 @dataclass(frozen=True)
@@ -62,27 +61,24 @@ class FeatureFile:
         return (self.n, self.d)
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        """Rows [start, stop) as stored float32, read READ_BLOCK_VALUES at a time
-        straight into the result. Each block is checked as it is read: a file cut
-        after open_features raises FormatError at the block's offset, a NaN or
-        infinite value at the offset of the first row holding one. A step raises."""
+        """Rows [start, stop) as stored float32, read with one readinto straight into
+        the result. A file cut after open_features raises FormatError at the slice's
+        offset, a NaN or infinite value at the offset of the first row holding one: it
+        reaches the max or the min, so the check needs no mask. A step raises."""
         span = range(*rows.indices(self.n))
         if span.step != 1:
             raise ValueError(f"feature rows are read in order, got step {span.step}")
         out = np.empty((len(span), self.d), dtype="<f4")
-        block = max(1, READ_BLOCK_VALUES // self.d)
+        at = binfmt.ROWS_AT + 4 * span.start * self.d
         with open(self.path, "rb") as f:
-            f.seek(binfmt.ROWS_AT + 4 * span.start * self.d)
-            for at in range(0, len(out), block):
-                chunk = out[at : at + block]
-                if (got := f.readinto(chunk)) != chunk.nbytes:
-                    raise FormatError(f"truncated file: wanted {chunk.nbytes} bytes, {got} left",
-                                      offset=binfmt.ROWS_AT + 4 * (span.start + at) * self.d)
-                finite = np.isfinite(chunk)
-                if not finite.all():
-                    row = span.start + at + int(np.flatnonzero(~finite.all(axis=1))[0])
-                    raise FormatError(f"feature row {row} is not finite",
-                                      offset=binfmt.ROWS_AT + 4 * row * self.d)
+            f.seek(at)
+            if (got := f.readinto(out)) != out.nbytes:
+                raise FormatError(f"truncated file: wanted {out.nbytes} bytes, {got} left",
+                                  offset=at)
+        if out.size and not (math.isfinite(out.max()) and math.isfinite(out.min())):
+            row = span.start + int(np.flatnonzero(~np.isfinite(out))[0]) // self.d
+            raise FormatError(f"feature row {row} is not finite",
+                              offset=binfmt.ROWS_AT + 4 * row * self.d)
         return out
 
 

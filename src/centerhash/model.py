@@ -370,7 +370,7 @@ def save_model(path, model: HashModel) -> None:
     that is not finite raises ValueError before any file is created."""
     params = [np.ascontiguousarray(p, dtype="<f8")
               for layer in zip(model.weights, model.biases) for p in layer]
-    if not all(np.isfinite(p).all() for p in params):
+    if not all(math.isfinite(p.max()) and math.isfinite(p.min()) for p in params):
         raise ValueError("model parameters must be finite")
     sizes = model.layer_sizes
     with binfmt.atomic_write(path) as f:
@@ -379,7 +379,7 @@ def save_model(path, model: HashModel) -> None:
         for s in sizes:
             f.write(binfmt.u32(s))
         for p in params:
-            f.write(p.tobytes())
+            f.write(p)
 
 
 def load_model(path) -> HashModel:

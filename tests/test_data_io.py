@@ -137,8 +137,10 @@ class TestFeatures:
             data_io.load_features(path)
 
 
-    def test_load_holds_the_matrix_and_at_most_one_read_block(self, tmp_path):
-        n, d = 3000, 512  # a read block and a half
+    def test_load_holds_only_the_matrix(self, tmp_path):
+        # the rows are read straight into the result and checked with a max and a
+        # min, so no copy of the bytes and no finiteness mask is held beside it
+        n, d = 3000, 512
         data_io.save_features(tmp_path / "x.csqf", np.ones((n, d), dtype=np.float32))
         tracemalloc.start()
         try:
@@ -147,10 +149,20 @@ class TestFeatures:
         finally:
             tracemalloc.stop()
         assert loaded.dtype == np.float32 and loaded.shape == (n, d)
-        assert peak <= loaded.nbytes + 4 * data_io.READ_BLOCK_VALUES + 64 * 1024
+        assert peak <= loaded.nbytes + 64 * 1024
 
-    def test_roundtrip_across_read_blocks(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", 7)  # two rows of three per block
+    def test_save_holds_no_copy_of_a_float32_matrix(self, tmp_path):
+        x = np.ones((3000, 512), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            data_io.save_features(tmp_path / "x.csqf", x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 1024  # the input was allocated before tracing began
+        assert np.array_equal(data_io.load_features(tmp_path / "x.csqf"), x)
+
+    def test_roundtrip_across_read_blocks(self, tmp_path):
         x = np.arange(15, dtype=np.float32).reshape(5, 3) / 7
         path = tmp_path / "x.csqf"
         data_io.save_features(path, x)
@@ -165,8 +177,7 @@ class TestFeatures:
     @given(start=st.integers(-8, 8) | st.none(), stop=st.integers(-8, 8) | st.none())
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_slice_equals_the_loaded_rows(self, tmp_path, monkeypatch, start, stop):
-        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", 7)  # two rows of three per block
+    def test_slice_equals_the_loaded_rows(self, tmp_path, start, stop):
         x = np.arange(15, dtype=np.float32).reshape(5, 3) / 7
         path = tmp_path / "x.csqf"
         data_io.save_features(path, x)
@@ -200,18 +211,18 @@ class TestFeatures:
         assert str(err.value) == f"{message} (byte offset {offset})"
         assert err.value.offset == offset
 
-    # rows 4-5 read from the middle of the file, or rows 0-5 as two read blocks of four
-    @pytest.mark.parametrize("block_values, rows", [(data_io.READ_BLOCK_VALUES, slice(4, None)),
-                                                    (8, slice(None))], ids=["mid-file", "blocks"])
-    def test_file_cut_after_open_is_truncated(self, tmp_path, monkeypatch, block_values, rows):
-        monkeypatch.setattr(data_io, "READ_BLOCK_VALUES", block_values)
+    # rows 4-5 read from the middle of the file, or rows 0-5, the whole file
+    @pytest.mark.parametrize("rows, wanted, offset", [(slice(4, None), 16, 20 + 4 * 4 * 2),
+                                                      (slice(None), 48, 20)],
+                             ids=["mid-file", "whole-file"])
+    def test_file_cut_after_open_is_truncated(self, tmp_path, rows, wanted, offset):
         path = tmp_path / "x.csqf"
         data_io.save_features(path, np.ones((6, 2), dtype=np.float32))
         src = data_io.open_features(path)
         path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(FormatError, match="wanted 16 bytes, 12 left") as err:
+        with pytest.raises(FormatError, match=f"wanted {wanted} bytes, {wanted - 4} left") as err:
             src[rows]
-        assert err.value.offset == 20 + 4 * 4 * 2
+        assert err.value.offset == offset
 
     @pytest.mark.parametrize("read", [data_io.load_features, read_slices],
                              ids=["load_features", "slices"])

@@ -708,6 +708,20 @@ class TestEncodeAndCheckpoint:
             assert a.dtype == b.dtype == np.float64 and a.tobytes() == b.tobytes()
         assert peak <= params + (64 << 10)
 
+    def test_save_holds_no_copy_of_the_parameters(self, tmp_path):
+        # each float64 parameter is checked with a max and a min and written as it is
+        net = M.init_model(1024, 64, seed=0)
+        tracemalloc.start()
+        try:
+            M.save_model(tmp_path / "model.csqm", net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 << 10  # the model was allocated before tracing began
+        loaded = M.load_model(tmp_path / "model.csqm")
+        for a, b in zip(net.weights + net.biases, loaded.weights + loaded.biases):
+            assert a.tobytes() == b.tobytes()
+
     def test_checkpoint_truncation_rejected(self, tmp_path):
         net = M.init_model(3, 4, hidden=(3, 3), seed=0)
         path = tmp_path / "model.csqm"

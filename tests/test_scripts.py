@@ -273,3 +273,29 @@ def test_bench_record_writes_and_prints_each_verdict(tmp_path, monkeypatch, caps
     assert record["workloads"]["search-large"]["verdicts"] == verdicts
     line = "search-large: " + ", ".join(f"{m} {v}" for m, v in verdicts.items())
     assert line in capsys.readouterr().out.splitlines()
+
+
+@needs_git
+def test_bench_record_counts_the_wins_behind_each_verdict(tmp_path, monkeypatch, bench_record):
+    # every metric reads 10 + seed on the parent; HEAD reads 1 lower on odd seeds,
+    # 1 higher on seeds 4 and 8 and the same on the others, so each side wins some pairs
+    def run_once(checkout, workload, seed, seconds):
+        shift = 0 if os.path.basename(checkout) == "parent" else (
+            -1 if seed % 2 else 1 if seed % 4 == 0 else 0)
+        metrics = {name: {"value": 10.0 + seed + shift, "unit": "s"} for name in END_TO_END}
+        return subprocess.CompletedProcess([], 0, bench_result(metrics=metrics), "")
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    monkeypatch.chdir(tmp_path)
+    argv = ["--tag", "t", "--seeds", "1-10", "--workload", "search-large", "--parent", "HEAD"]
+    assert bench_record.main(argv) == 0
+    entry = json.loads((tmp_path / "BENCH_t.json").read_text())["workloads"]["search-large"]
+    spec = {m["name"]: m for m in BENCHMARK["end_to_end"]}
+    for name in END_TO_END:
+        head, parent = ([r["metrics"][name] for r in entry[side]["runs"]]
+                        for side in ("head", "parent"))
+        better = spec[name]["better"]
+        assert entry["pairs_head_better"][name] == bench_record.wins(head, parent, better)
+        assert entry["pairs_head_better"][name] == (5 if better == "lower" else 2)
+        assert entry["verdicts"][name] == bench_record.verdict(head, parent, better,
+                                                               spec[name]["bound"])
