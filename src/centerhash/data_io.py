@@ -1,13 +1,16 @@
 """Feature and label file ingestion.
 
-Features arrive pre-extracted as an (n, d) float32 matrix and stay
-float32 in memory: load_features returns them as stored, and the model
-widens each training batch or encode block to float64 when it computes
+Features arrive pre-extracted as an (n, d) float32 matrix, and what is read
+of them stays float32 as stored: load_features returns the whole matrix,
+while a FeatureFile reads the rows of a slice or an index array on demand,
+so training (a batch at a time) and encode (a block at a time) never hold
+it all. The model widens each batch or block to float64 when it computes
 on it. Labels are multi-hot bitmap rows over q categories. Both formats
 are flat, seekable, and language-neutral.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,23 +63,40 @@ class FeatureFile:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.d)
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        """Rows [start, stop) as stored float32, read with one readinto straight into
-        the result. A file cut after open_features raises FormatError at the slice's
-        offset, a NaN or infinite value at the offset of the first row holding one: it
-        reaches the max or the min, so the check needs no mask. A step raises."""
-        span = range(*rows.indices(self.n))
-        if span.step != 1:
-            raise ValueError(f"feature rows are read in order, got step {span.step}")
-        out = np.empty((len(span), self.d), dtype="<f4")
-        at = binfmt.ROWS_AT + 4 * span.start * self.d
+    def __getitem__(self, rows) -> np.ndarray:
+        """Rows as stored float32, read straight into a fresh result: those of a step-1
+        slice with one readinto, or those a 1-d integer array names, in its order, with
+        one os.preadv each. A file cut after open_features raises FormatError at the
+        first offset it cannot fill, a NaN or infinite value at the offset of the first
+        row read that holds one: it reaches the max or the min, so the check needs no
+        mask. A step raises ValueError, and an index array that is not 1-d integers in
+        [0, n) raises IndexError, before any read."""
+        if isinstance(rows, slice):
+            read = range(*rows.indices(self.n))
+            if read.step != 1:
+                raise ValueError(f"feature rows are read in order, got step {read.step}")
+        else:
+            read = np.asarray(rows)
+            if read.ndim != 1 or read.dtype.kind not in "iu":
+                raise IndexError(f"feature rows are a slice or a 1-d integer array, "
+                                 f"got {read.dtype} of shape {read.shape}")
+            if read.size and not (0 <= read.min() and read.max() < self.n):
+                raise IndexError(f"feature row index out of range [0, {self.n})")
+        out = np.empty((len(read), self.d), dtype="<f4")
         with open(self.path, "rb") as f:
-            f.seek(at)
-            if (got := f.readinto(out)) != out.nbytes:
-                raise FormatError(f"truncated file: wanted {out.nbytes} bytes, {got} left",
-                                  offset=at)
+            if isinstance(read, range):
+                f.seek(at := binfmt.ROWS_AT + 4 * read.start * self.d)
+                if (got := f.readinto(out)) != out.nbytes:
+                    raise FormatError(f"truncated file: wanted {out.nbytes} bytes, {got} left",
+                                      offset=at)
+            else:
+                for row, buf in zip(read.tolist(), out):
+                    at = binfmt.ROWS_AT + 4 * row * self.d
+                    if (got := os.preadv(f.fileno(), [buf], at)) != buf.nbytes:
+                        raise FormatError(f"truncated file: wanted {buf.nbytes} bytes, "
+                                          f"{got} left", offset=at)
         if out.size and not (math.isfinite(out.max()) and math.isfinite(out.min())):
-            row = span.start + int(np.flatnonzero(~np.isfinite(out))[0]) // self.d
+            row = int(read[int(np.flatnonzero(~np.isfinite(out))[0]) // self.d])
             raise FormatError(f"feature row {row} is not finite",
                               offset=binfmt.ROWS_AT + 4 * row * self.d)
         return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binfmt, hamming
+from . import binfmt, data_io, hamming
 from .errors import DimensionError, FormatError, NumericError, TrainingError
 from .seeds import substream
 
@@ -187,13 +187,17 @@ def central_loss(h, c) -> float:
     return float((-(c * np.log(hc) + (1.0 - c) * np.log1p(-hc)).sum(axis=1) / h.shape[1]).mean())
 
 
-def quantization_loss(h) -> float:
-    """Mean over samples of sum_k logcosh(|2 h_k - 1| - 1); zero iff binary."""
+def quantization_loss(h, s=None) -> float:
+    """Mean over samples of sum_k logcosh(|2 h_k - 1| - 1); zero iff binary. s, when
+    given, is 2h - 1 as the caller already computed it. A NaN code raises NumericError:
+    every term is at least 0, so the mean is NaN exactly when a code is, and the check
+    reads the mean, not the codes."""
     h = _codes(h)
-    if np.isnan(h).any():
+    au = np.abs(np.abs(2.0 * h - 1.0 if s is None else s) - 1.0)
+    loss = float((au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1).mean())
+    if math.isnan(loss):
         raise NumericError("relaxed code contains NaN")
-    au = np.abs(np.abs(2.0 * h - 1.0) - 1.0)
-    return float((au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1).mean())
+    return loss
 
 
 def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
@@ -209,13 +213,15 @@ def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, 
     central = quant = 0.0
     dh = np.zeros_like(h)
     if cfg.use_lc:
-        central = central_loss(h, c)
-        hc = np.clip(h, BCE_EPS, 1.0 - BCE_EPS)
+        central = central_loss(h, c)  # the one clip of the codes
+        # inside the clamp a code is its own clip; outside it the gradient is 0, and
+        # the quotients computed there are dropped
         inside = (h > BCE_EPS) & (h < 1.0 - BCE_EPS)
-        dh += np.where(inside, -(c / hc - (1.0 - c) / (1.0 - hc)) / (n * k), 0.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            dh += np.where(inside, -(c / h - (1.0 - c) / (1.0 - h)) / (n * k), 0.0)
     if cfg.lambda1 != 0.0:
-        quant = quantization_loss(h)
         s = 2.0 * h - 1.0
+        quant = quantization_loss(h, s)
         dh += (cfg.lambda1 * 2.0 / n) * np.sign(s) * np.tanh(np.abs(s) - 1.0)
     return central, quant, dh
 
@@ -284,21 +290,26 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     """Mini-batch SGD with momentum toward the per-sample centers: one
     backward call per batch, then the momentum update.
 
-    features and center_vectors keep the form they come in (float32
-    features as loaded; centers as an (n, k) 0/1 array, or as the packed
-    words of a code file in a hamming.PackedRows): each step gathers its
-    batch rows, unpacks packed centers, and widens only those rows to
-    float64, the same values a float64 copy of the whole input would hold.
-    Only one step's batch, activations and gradients are alive at a time.
+    features and center_vectors keep the form they come in (features as an
+    (n, d) array, or as a data_io.FeatureFile whose rows each batch reads
+    from the file; centers as an (n, k) 0/1 array, or as the packed words of
+    a code file in a hamming.PackedRows): each step gathers its batch rows,
+    unpacks packed centers, and widens only those rows to float64, the same
+    values a float64 copy of the whole input would hold. Only one step's
+    batch, activations and gradients are alive at a time, so from a file
+    and packed centers, only the packed words and the shuffle order grow
+    with n. A file's gathers check the rows they read; a caller that needs
+    a bad row to fail before any step checks every row first.
     Shuffling, init, and tie streams all hang off cfg.seed, so identical
     inputs and config reproduce the trained parameters byte for byte.
     Returns the model and one loss record per epoch.
     """
-    x = np.asarray(features)
-    c = center_vectors
+    x, c = features, center_vectors
+    if not isinstance(x, data_io.FeatureFile):
+        x = np.asarray(x)
     if not isinstance(c, hamming.PackedRows):
         c = np.asarray(c)
-    if x.ndim != 2 or x.shape[0] < 1:
+    if len(x.shape) != 2 or x.shape[0] < 1:
         raise ValueError(f"need a nonempty (n, d) feature matrix, got {x.shape}")
     if len(c.shape) != 2 or c.shape[0] != x.shape[0]:
         raise DimensionError(
@@ -334,6 +345,12 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     return model, log
 
 
+def block_rows(layer_sizes) -> int:
+    """Rows per encode block of a head with these layer sizes (d, w1, w2, k): as many
+    as fit in ENCODE_BLOCK_BYTES of float64 input and activations, at least one."""
+    return max(1, ENCODE_BLOCK_BYTES // (8 * (sum(layer_sizes) + layer_sizes[-1])))
+
+
 def encode(model: HashModel, features) -> np.ndarray:
     """Binary codes for feature rows, packed into (n, W) uint64 words.
 
@@ -352,7 +369,7 @@ def encode(model: HashModel, features) -> np.ndarray:
     shape = np.shape(features)
     _check_features(model, shape)
     n = shape[0]
-    rows = max(1, ENCODE_BLOCK_BYTES // (8 * (sum(model.layer_sizes) + model.k)))
+    rows = block_rows(model.layer_sizes)
     buffers = _buffers(model, min(rows, n))
     words = np.empty((n, hamming.words_per_code(model.k)), dtype=np.uint64)
     # overflow turns into inf/NaN, which binarize_matrix raises as NumericError

@@ -58,9 +58,17 @@ def assign(centers, labels, seed: int, out) -> centers_mod.SemanticCenterMap:
 def train(features, centers_map, cfg: model_mod.TrainConfig, out_model):
     """Train the hash head toward each row's assigned center; returns (model, epoch log).
     The map gives k, and must have one row per feature row; its centers stay packed,
-    and training unpacks each batch's rows."""
-    x = data_io.load_features(features)
-    net, log = model_mod.train(x, hamming.PackedRows(*hamming.load_codes(centers_map)), cfg)
+    and training unpacks each batch's rows. The features stay in their file: every row
+    is read and checked once, in ascending blocks of the rows the trained head's
+    encode takes, so a bad row fails before any step (and with no epochs), and then
+    each batch reads its own rows."""
+    x = data_io.open_features(features)
+    c = hamming.PackedRows(*hamming.load_codes(centers_map))
+    d, k = x.d, c.shape[1]
+    rows = model_mod.block_rows((d, *model_mod.default_hidden(d, k), k))
+    for start in range(0, x.n, rows):
+        x[start : start + rows]  # raises FormatError at the first bad row in file order
+    net, log = model_mod.train(x, c, cfg)
     model_mod.save_model(out_model, net)
     return net, log
 

@@ -361,11 +361,11 @@ def test_negative_seed_fails_before_any_file_is_read_or_written(workdir, capsys,
 
     argv = small_train_inputs()
     capsys.readouterr()
-    loaded = []
-    monkeypatch.setattr(data_io, "load_features", loaded.append)
+    opened = []
+    monkeypatch.setattr(data_io, "open_features", opened.append)
     assert run_cli(*argv, "--seed", -1) == 1
     assert capsys.readouterr().err == "error [train] seed must be non-negative, got -1\n"
-    assert loaded == [] and not (workdir / "m.csqm").exists()
+    assert opened == [] and not (workdir / "m.csqm").exists()
 
 
 def spy_on_input_reads(monkeypatch):
@@ -473,6 +473,24 @@ def test_run_rejects_splits_that_disagree_before_writing(workdir, capsys, flags,
     assert not (workdir / "y").exists()
 
 
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_stage_checks_every_row_before_any_step(workdir, capsys, monkeypatch, epochs):
+    # training reads its batches from the file, but a bad row fails before the first
+    # step, with no epochs too, and the first bad row in file order is the one named
+    run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
+            "--seed", 7, "--out-prefix", "blob")
+    x = data_io.load_features("blob.train.csqf")
+    x[[3, 70], 5] = np.inf
+    write_features_unchecked("blob.train.csqf", x)
+    write_run_config(workdir / "run.cfg", seed=7)
+    steps = []
+    monkeypatch.setattr(M, "_step", lambda *args: steps.append(args))
+    assert run_cli("run", "--config", "run.cfg", "--epochs", epochs) == 1
+    assert capsys.readouterr().err == (
+        f"error [train] feature row 3 is not finite (byte offset {20 + 4 * 3 * 8})\n")
+    assert steps == []
+
+
 @pytest.mark.parametrize(
     "split, stage, written",
     [("train", "train", ["assignments.csqc", "centers.csqh"]),
@@ -576,51 +594,60 @@ def test_stage_commands_reproduce_run(workdir, single_label):
     assert (workdir / "run" / "report.csv").read_text() == expected
 
 
-def test_run_loads_each_feature_file_once(workdir, monkeypatch):
-    # train reads its features into memory once, as one whole-file slice; encode
-    # streams the database (the train file here) and the queries through
+def test_run_reads_each_feature_file_in_checked_blocks_and_batch_gathers(workdir, monkeypatch):
+    # run never loads a whole feature file: the train stage checks the train file in
+    # ascending blocks that cover it, then each batch gathers its rows, epochs * n in
+    # all; encode streams the database (the train file here) and the queries through
     # open_features, each as ascending slices that cover the file once
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 6, "--out-prefix", "blob")
     write_run_config(workdir / "run.cfg", seed=6)
-    # the 8 queries take three blocks
+    # the 8 queries take three blocks, and so do the train stage's checks: its head
+    # is the one encode runs
     monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(8, 8), 3))
-    loaded, sliced, opened, encoded = Counter(), {}, [], []
-    load_features, open_features = data_io.load_features, data_io.open_features
+    loaded, reads, opened, encoded = [], {}, [], []
+    open_features = data_io.open_features
     getitem, encode = data_io.FeatureFile.__getitem__, M.encode
-
-    def load_spy(path):
-        loaded[str(path)] += 1
-        return load_features(path)
 
     def open_spy(path):
         opened.append(open_features(path))
         return opened[-1]
 
     def getitem_spy(self, rows):
-        sliced.setdefault(self.path, []).append(rows.indices(self.n)[:2])
-        return getitem(self, rows)
+        out = getitem(self, rows)
+        read = rows.indices(self.n)[:2] if isinstance(rows, slice) else len(rows)
+        reads.setdefault(self.path, []).append(read)
+        return out
 
     def encode_spy(net, features):
         encoded.append(features)
         return encode(net, features)
 
-    monkeypatch.setattr(data_io, "load_features", load_spy)
+    monkeypatch.setattr(data_io, "load_features", loaded.append)
     monkeypatch.setattr(data_io, "open_features", open_spy)
     monkeypatch.setattr(data_io.FeatureFile, "__getitem__", getitem_spy)
     monkeypatch.setattr(M, "encode", encode_spy)
-    assert run_cli("run", "--config", "run.cfg", "--epochs", 2) == 0
-    assert loaded == {"blob.train.csqf": 1}
+    epochs = 2
+    assert run_cli("run", "--config", "run.cfg", "--epochs", epochs) == 0
+    assert loaded == []
     assert [f.path for f in encoded] == ["blob.train.csqf", "blob.query.csqf"]
     assert all(any(f is g for g in opened) for f in encoded)
     n = {f.path: f.n for f in encoded}
-    assert sliced.keys() == n.keys()
-    assert sliced["blob.train.csqf"][0] == (0, n["blob.train.csqf"])  # the train stage
-    for path, spans in (("blob.train.csqf", sliced["blob.train.csqf"][1:]),
-                        ("blob.query.csqf", sliced["blob.query.csqf"])):
-        assert len(spans) > 1  # several encode blocks
+    assert reads.keys() == n.keys()
+
+    def blocks(spans, n):  # ascending slices that cover [0, n) once, more than one
+        assert len(spans) > 1 and all(isinstance(span, tuple) for span in spans)
         assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
-        assert spans[-1][1] == n[path]
+        assert spans[-1][1] == n
+
+    train = reads["blob.train.csqf"]
+    gathers = [i for i, read in enumerate(train) if isinstance(read, int)]
+    first, last = gathers[0], gathers[-1]
+    blocks(train[:first], n["blob.train.csqf"])  # the train stage's check
+    assert gathers == list(range(first, last + 1))
+    assert sum(train[first : last + 1]) == epochs * n["blob.train.csqf"]
+    blocks(train[last + 1 :], n["blob.train.csqf"])  # encode
+    blocks(reads["blob.query.csqf"], n["blob.query.csqf"])
 
 
 def test_eval_stage_reads_each_file_once(workdir, monkeypatch):
@@ -707,9 +734,12 @@ def test_train_stage_never_unpacks_every_center(workdir):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the float32 features, the packed words, two permutations, the model's state and
-    # one step: its float64 batch and its backward call, which returns the gradients
-    assert peak <= 4 * n * d + words.nbytes + 2 * 8 * n + state + step + 8 * batch * (d + k)
+    # the features stay in their file: one float32 check block or batch gather at a time,
+    # then the packed words, two permutations, the model's state and one step: its
+    # float64 batch and its backward call, which returns the gradients
+    check_block = 4 * d * M.block_rows((d, *M.default_hidden(d, k), k))
+    assert peak <= (4 * batch * d + check_block + words.nbytes + 2 * 8 * n + state + step
+                    + 8 * batch * (d + k))
 
 
 def encode_inputs(n, d, seed=0):

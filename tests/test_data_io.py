@@ -76,6 +76,12 @@ def read_slices(path, rows=2):
     return np.concatenate([src[s : s + rows] for s in range(0, src.n, rows)])
 
 
+def read_gather(path):
+    """All rows of a feature file, read as one index gather in file order."""
+    src = data_io.open_features(path)
+    return src[np.arange(src.n)]
+
+
 def three_by_four():
     x = np.ones((3, 4), dtype=np.float32)
     return csqf_header(3, 4) + x.tobytes()
@@ -191,6 +197,63 @@ class TestFeatures:
         with pytest.raises(ValueError, match=f"got step {step}"):
             data_io.open_features(tmp_path / "x.csqf")[::step]
 
+    @given(idx=st.lists(st.integers(0, 4), max_size=12),
+           dtype=st.sampled_from([np.intp, np.int32, np.uint8, np.uint64]))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_gather_equals_the_loaded_rows(self, tmp_path, idx, dtype):
+        # repeated, unordered and empty index arrays, of signed and unsigned types
+        x = np.arange(15, dtype=np.float32).reshape(5, 3) / 7
+        path = tmp_path / "x.csqf"
+        data_io.save_features(path, x)
+        idx = np.array(idx, dtype=dtype)
+        got, loaded = data_io.open_features(path)[idx], data_io.load_features(path)[idx]
+        assert got.dtype == loaded.dtype == np.float32 and got.shape == (len(idx), 3)
+        assert got.tobytes() == loaded.tobytes()
+
+    @pytest.mark.parametrize("idx, message", [
+        (np.array([0, 6]), r"out of range \[0, 6\)"),
+        (np.array([-1]), r"out of range \[0, 6\)"),
+        (np.ones(6, dtype=bool), "got bool of shape"),
+        (np.array([[0, 1]]), r"got int64 of shape \(1, 2\)"),
+        (np.array([0.0]), "got float64 of shape"),
+    ], ids=["past-the-end", "negative", "boolean", "2-d", "float"])
+    def test_bad_gather_index_raises_before_any_read(self, tmp_path, idx, message):
+        path = tmp_path / "x.csqf"
+        data_io.save_features(path, np.ones((6, 2), dtype=np.float32))
+        src = data_io.open_features(path)
+        path.unlink()  # a read would now raise FileNotFoundError
+        with pytest.raises(IndexError, match=message):
+            src[idx]
+
+    def test_gather_names_the_first_non_finite_row_it_reads(self, tmp_path):
+        x = np.ones((8, 3), dtype=np.float32)
+        x[[5, 7], [2, 0]] = np.nan
+        path = tmp_path / "x.csqf"
+        write_features_unchecked(path, x)
+        src = data_io.open_features(path)
+        for idx, row in (([0, 5, 2, 7], 5), ([7, 1, 5], 7), ([5, 5], 5)):
+            with pytest.raises(FormatError, match=f"feature row {row} is not finite") as err:
+                src[np.array(idx)]
+            assert err.value.offset == 20 + 4 * row * 3
+        assert np.array_equal(src[np.array([6, 0])], np.ones((2, 3)))
+
+    # 6x2 rows cut after open_features: by 4 bytes, row 5 keeps 4 of its 8; by 12,
+    # row 5 keeps none and row 4 keeps 4
+    @pytest.mark.parametrize("cut, idx, row, left", [(4, [0, 5], 5, 4), (12, [1, 5, 4], 5, 0),
+                                                     (12, [4, 5], 4, 4)],
+                             ids=["part-of-a-row", "none-of-a-row", "first-cut-row-read"])
+    def test_file_cut_after_open_fails_the_gather_at_the_row(self, tmp_path, cut, idx, row,
+                                                            left):
+        path = tmp_path / "x.csqf"
+        data_io.save_features(path, np.ones((6, 2), dtype=np.float32))
+        src = data_io.open_features(path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match=f"truncated file: wanted 8 bytes, {left} left") \
+                as err:
+            src[np.array(idx)]
+        assert err.value.offset == 20 + 4 * row * 2
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])  # 1e39: inf as float32
     def test_save_rejects_a_non_finite_value_before_writing(self, tmp_path, value):
         x = np.ones((4, 3))
@@ -199,8 +262,8 @@ class TestFeatures:
             data_io.save_features(tmp_path / "x.csqf", x)
         assert list(tmp_path.iterdir()) == []  # neither the target nor a temp file
 
-    @pytest.mark.parametrize("read", [data_io.load_features, read_slices],
-                             ids=["load_features", "slices"])
+    @pytest.mark.parametrize("read", [data_io.load_features, read_slices, read_gather],
+                             ids=["load_features", "slices", "gather"])
     @pytest.mark.parametrize("case", sorted(BAD_FEATURE_FILES))
     def test_bad_file_error_is_the_same_through_both_readers(self, tmp_path, case, read):
         data, message, offset = BAD_FEATURE_FILES[case]
@@ -224,8 +287,8 @@ class TestFeatures:
             src[rows]
         assert err.value.offset == offset
 
-    @pytest.mark.parametrize("read", [data_io.load_features, read_slices],
-                             ids=["load_features", "slices"])
+    @pytest.mark.parametrize("read", [data_io.load_features, read_slices, read_gather],
+                             ids=["load_features", "slices", "gather"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_feature_names_its_row(self, tmp_path, read, value):
         x = np.ones((8, 3), dtype=np.float32)

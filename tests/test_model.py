@@ -476,6 +476,20 @@ class TestFusedStep:
             assert a.tobytes() == b.tobytes()
         assert len(log) == 4 and repr(packed_log) == repr(log)
 
+    @pytest.mark.parametrize("batch_size", [16, 7, 50])  # divides n, does not, exceeds it
+    def test_feature_file_trains_as_its_loaded_matrix(self, tmp_path, batch_size):
+        x, c = tiny_problem(n=32, d=8, k=12, seed=6)
+        data_io.save_features(tmp_path / "x.csqf", x)
+        cfg = M.TrainConfig(epochs=3, seed=2, learning_rate=0.05, batch_size=batch_size)
+        checkpoints, logs = [], []
+        for features in (data_io.load_features(tmp_path / "x.csqf"),
+                         data_io.open_features(tmp_path / "x.csqf")):
+            net, log = M.train(features, hamming.PackedRows(hamming.pack_matrix(c), 12), cfg)
+            M.save_model(tmp_path / "m.csqm", net)
+            checkpoints.append((tmp_path / "m.csqm").read_bytes())
+            logs.append(repr(log))
+        assert checkpoints[0] == checkpoints[1] and logs[0] == logs[1]
+
     def test_packed_centers_must_cover_samples(self):
         x, c = tiny_problem()
         with pytest.raises(DimensionError, match="center map covers 23 samples, features have 24"):

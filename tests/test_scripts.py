@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,25 @@ def test_experiment_prints_one_row_per_variant(tmp_path):
     report = (tmp_path / "run" / "center+quant" / "report.csv").read_text()
     map_at_n = next(line for line in report.splitlines() if line.startswith("map_at_n,"))
     assert rows[0][1] == f"{float(map_at_n.split(',')[1]):.4f}"
+
+
+def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_peaks.py"), "--workload", "multilabel-run",
+         "--seed", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *lines, last = proc.stdout.splitlines()
+    assert header.split() == ["stage", "entry_mb", "exit_mb"]
+    rows = [line.split() for line in lines]
+    assert [row[0] for row in rows] == ["train", "load", "gen-centers", "assign", "train",
+                                        "encode", "eval", "report"]
+    peaks = [float(value) for row in rows for value in row[1:]]
+    assert peaks[0] > 0 and peaks == sorted(peaks)  # a high-water mark never falls
+    assert re.fullmatch(rf"peak {rows[-1][2]} MB, reached in [a-z-]+; "
+                        r"largest rise in [a-z-]+ \(\+\d+\.\d\d MB\)", last)
+    assert list(tmp_path.iterdir()) == []  # the inputs went to a temporary directory
 
 
 def bench_result(**overrides):
