@@ -90,9 +90,10 @@ class FeatureFile:
                     raise FormatError(f"truncated file: wanted {out.nbytes} bytes, {got} left",
                                       offset=at)
             else:
+                fd = f.fileno()
                 for row, buf in zip(read.tolist(), out):
                     at = binfmt.ROWS_AT + 4 * row * self.d
-                    if (got := os.preadv(f.fileno(), [buf], at)) != buf.nbytes:
+                    if (got := os.preadv(fd, [buf], at)) != buf.nbytes:
                         raise FormatError(f"truncated file: wanted {buf.nbytes} bytes, "
                                           f"{got} left", offset=at)
         if out.size and not (math.isfinite(out.max()) and math.isfinite(out.min())):

@@ -187,13 +187,13 @@ def central_loss(h, c) -> float:
     return float((-(c * np.log(hc) + (1.0 - c) * np.log1p(-hc)).sum(axis=1) / h.shape[1]).mean())
 
 
-def quantization_loss(h, s=None) -> float:
-    """Mean over samples of sum_k logcosh(|2 h_k - 1| - 1); zero iff binary. s, when
-    given, is 2h - 1 as the caller already computed it. A NaN code raises NumericError:
-    every term is at least 0, so the mean is NaN exactly when a code is, and the check
-    reads the mean, not the codes."""
+def quantization_loss(h, t=None) -> float:
+    """Mean over samples of sum_k logcosh(t_k), t = |2h - 1| - 1; zero iff binary. t,
+    when given, is that argument as the caller already computed it. A NaN code raises
+    NumericError: every term is at least 0, so a batch's mean is NaN exactly when one of
+    its codes is, and the check reads the mean, not the codes."""
     h = _codes(h)
-    au = np.abs(np.abs(2.0 * h - 1.0 if s is None else s) - 1.0)
+    au = np.abs(np.abs(2.0 * h - 1.0) - 1.0 if t is None else t)
     loss = float((au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1).mean())
     if math.isnan(loss):
         raise NumericError("relaxed code contains NaN")
@@ -221,8 +221,9 @@ def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, 
             dh += np.where(inside, -(c / h - (1.0 - c) / (1.0 - h)) / (n * k), 0.0)
     if cfg.lambda1 != 0.0:
         s = 2.0 * h - 1.0
-        quant = quantization_loss(h, s)
-        dh += (cfg.lambda1 * 2.0 / n) * np.sign(s) * np.tanh(np.abs(s) - 1.0)
+        t = np.abs(s) - 1.0
+        quant = quantization_loss(h, t)
+        dh += (cfg.lambda1 * 2.0 / n) * np.sign(s) * np.tanh(t)
     return central, quant, dh
 
 
