@@ -999,7 +999,8 @@ def test_readme_script_commands_name_existing_scripts():
     root = Path(__file__).resolve().parents[1]
     scripts = [shlex.split(line)[1] for block in readme_blocks() for line in block
                if line.startswith("python scripts/")]
-    assert scripts == ["scripts/experiment.py", "scripts/bench_record.py"]
+    assert scripts == ["scripts/experiment.py", "scripts/bench_record.py",
+                       "scripts/stage_peaks.py"]
     assert all((root / script).is_file() for script in scripts)
 
 
