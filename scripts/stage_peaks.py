@@ -7,12 +7,13 @@ then runs the workload's `run` command in one fresh child process with one
 BLAS thread, as the benchmark runs it, and with each pipeline stage wrapped.
 For each stage, in the order the run enters it, it prints the child's peak RSS
 (ru_maxrss, in MB of 2^20 bytes, the benchmark's `peak_rss_mb` unit) on entry
-and on exit. The child imports more than the `centerhash` command does, so the
-peaks read 1-2 MB above the benchmark's; the rises are the stages' own. The
-last line names the stage that raised the peak last, and the stage that
-raised it most, with its rise: a stage can add a little on top of a peak an
-earlier stage set. The command's own output is not shown; a run that fails
-prints its error and exits 1.
+and on exit. The child imports more than the `centerhash` command does (the
+multiprocessing modules that start it), so the peaks read about 2.2 MB above
+the benchmark's (2.26 MB on multilabel-run and 2.14 MB on train-medium at seed
+1); the rises are the stages' own. The last line names the stage that raised
+the peak last, and the stage that raised it most, with its rise: a stage can
+add a little on top of a peak an earlier stage set. The command's own output
+is not shown; a run that fails prints its error and exits 1.
 """
 
 import argparse
@@ -31,19 +32,15 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
-from perfbench.workloads import WORKLOADS  # noqa: E402  (no numpy; measure loads the package)
-
-RUNS = {name: argv for name, w in WORKLOADS.items() for label, argv in w.commands
-        if label == "run"}
 
 
 def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def measure(workload: str, work: str) -> tuple[int, list]:
-    """Run the workload's `run` in `work`, each pipeline stage wrapped; returns the exit
-    code and (stage, peak on entry, peak on exit) in the order the stages ran."""
+def measure(argv: list, work: str) -> tuple[int, list]:
+    """Run the `run` command `argv` in `work`, each pipeline stage wrapped; returns the
+    exit code and (stage, peak on entry, peak on exit) in the order the stages ran."""
     from centerhash import cli, pipeline
 
     stages = []
@@ -61,12 +58,18 @@ def measure(workload: str, work: str) -> tuple[int, list]:
     pipeline._stage = measured
     os.chdir(work)
     with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(list(RUNS[workload])), stages
+        return cli.main(argv), stages
 
 
 def main(argv=None) -> int:
+    # imported here, not at the top: the spawn child imports this script again, and
+    # perfbench.workloads imports hashlib, which would load OpenSSL before any stage
+    from perfbench.workloads import WORKLOADS
+
+    runs = {name: list(command) for name, w in WORKLOADS.items()
+            for label, command in w.commands if label == "run"}
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(RUNS))
+    parser.add_argument("--workload", required=True, choices=sorted(runs))
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     os.environ.update({var: "1" for var in BLAS_ENV})
@@ -79,7 +82,7 @@ def main(argv=None) -> int:
         # across exec, so one started by a large process (a test runner) would begin at
         # that process's size
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-            code, stages = pool.submit(measure, args.workload, work).result()
+            code, stages = pool.submit(measure, runs[args.workload], work).result()
     if code != 0:
         return 1
     print(f"{'stage':<12} {'entry_mb':>9} {'exit_mb':>9}")

@@ -803,6 +803,42 @@ def test_encode_and_eval_never_load_numpy_random(workdir):
     assert (workdir / "report.csv").is_file()
 
 
+def modules_loaded(code, names):
+    """Which of `names` a fresh interpreter holds after running `code` with the package
+    on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(C.__file__).parents[1]), env.get("PYTHONPATH")]))
+    probe = f"import sys\n{code}\nprint(*[m for m in {names!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--classes", 3, "--per-class", 5, "--dim", 4, "--spread", 0.1, "--seed", 2,
+     "--out-prefix", "probe"],
+    ["gen-centers", "--k", 12, "--m", 4, "--method", "balanced", "--out", "b.csqh"],
+    ["assign", "--centers", "c.csqh", "--labels", "blob.train.csql", "--out", "a.csqc"],
+    ["train", "--features", "blob.train.csqf", "--centers-map", "map.csqc", "--epochs", 1,
+     "--out-model", "m.csqm"],
+    ["run", "--config", "run.cfg", "--epochs", 2],
+], ids=lambda argv: argv[0])
+def test_drawing_commands_never_load_openssl(workdir, argv):
+    # every command that draws loads numpy.random (about 2 MB of RSS), but not OpenSSL
+    # (_hashlib, about 3.6 MB), which hashlib and the secrets module numpy.random
+    # imports would load, nor hmac, which secrets imports
+    heavy = ["_hashlib", "hmac"]
+    by_numpy = modules_loaded("import numpy", heavy)
+    if by_numpy == set(heavy):
+        pytest.skip(f"a bare import of numpy {np.__version__} already loads {heavy}")
+    small_train_inputs()
+    write_run_config(workdir / "run.cfg", seed=0)
+    command = f"import centerhash.cli\nassert centerhash.cli.main({[str(a) for a in argv]!r}) == 0"
+    assert modules_loaded(command, heavy) <= by_numpy
+
+
 @pytest.mark.parametrize(
     "out, code",
     [("nodir/x.csqc", errno.ENOENT), ("adir", errno.EISDIR)],

@@ -50,6 +50,40 @@ def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
     assert list(tmp_path.iterdir()) == []  # the inputs went to a temporary directory
 
 
+def test_stage_peaks_child_has_not_loaded_openssl_when_the_first_stage_starts(tmp_path):
+    # the spawn child imports the script again, as __mp_main__, then runs measure; had
+    # either loaded OpenSSL (about 3.6 MB), every stage would read above the command's own
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    synth = ["synth", "--classes", "3", "--per-class", "8", "--dim", "4", "--spread", "0.1",
+             "--seed", "0", "--out-prefix", "blob"]
+    run = ["run", "--train-features", "blob.train.csqf", "--train-labels", "blob.train.csql",
+           "--query-features", "blob.query.csqf", "--query-labels", "blob.query.csql",
+           "--k", "8", "--epochs", "1", "--map-n", "5", "--out-dir", "out"]
+    subprocess.run([sys.executable, "-m", "centerhash.cli", *synth], cwd=tmp_path, env=env,
+                   check=True, capture_output=True, timeout=120)
+    probe = f"""
+import contextlib, runpy, sys
+script = runpy.run_path({str(ROOT / "scripts" / "stage_peaks.py")!r}, run_name="__mp_main__")
+from centerhash import pipeline
+openssl, stage = [], pipeline._stage
+
+@contextlib.contextmanager
+def first(name):
+    openssl.append("_hashlib" in sys.modules)
+    with stage(name):
+        yield
+
+pipeline._stage = first
+code, stages = script["measure"]({run!r}, {str(tmp_path)!r})
+print(code, len(stages), openssl[0])
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "8", "False"]
+
+
 def bench_result(**overrides):
     """A result line as perfbench/run.py prints it, for the six end-to-end metrics."""
     result = {
