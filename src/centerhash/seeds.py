@@ -14,7 +14,8 @@ import numpy as np
 
 # numpy.random (about 2 MB resident) is imported on the first call, and OpenSSL's
 # libcrypto (about 3.6 MB) never: the name is hashed by the interpreter's own sha256,
-# and numpy.random imports secrets (with hmac and libcrypto) for randbits alone
+# and numpy.random, which imports secrets (and so hmac and libcrypto) for randbits
+# alone, is imported with a stand-in secrets
 def substream(seed: int, name: str) -> "np.random.Generator":
     """Return the generator for the named stream of a master seed."""
     if seed < 0:

@@ -20,6 +20,7 @@ from centerhash.config import RunConfig, build_run_config, parse_config_text
 from centerhash.pipeline import run_pipeline
 from test_data_io import write_features_unchecked
 from test_model import block_bytes, step_peak
+from test_seeds import HEAVY, fresh
 
 
 @pytest.fixture
@@ -803,19 +804,6 @@ def test_encode_and_eval_never_load_numpy_random(workdir):
     assert (workdir / "report.csv").is_file()
 
 
-def modules_loaded(code, names):
-    """Which of `names` a fresh interpreter holds after running `code` with the package
-    on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(C.__file__).parents[1]), env.get("PYTHONPATH")]))
-    probe = f"import sys\n{code}\nprint(*[m for m in {names!r} if m in sys.modules])"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
-
-
 @pytest.mark.parametrize("argv", [
     ["synth", "--classes", 3, "--per-class", 5, "--dim", 4, "--spread", 0.1, "--seed", 2,
      "--out-prefix", "probe"],
@@ -829,14 +817,14 @@ def test_drawing_commands_never_load_openssl(workdir, argv):
     # every command that draws loads numpy.random (about 2 MB of RSS), but not OpenSSL
     # (_hashlib, about 3.6 MB), which hashlib and the secrets module numpy.random
     # imports would load, nor hmac, which secrets imports
-    heavy = ["_hashlib", "hmac"]
-    by_numpy = modules_loaded("import numpy", heavy)
-    if by_numpy == set(heavy):
-        pytest.skip(f"a bare import of numpy {np.__version__} already loads {heavy}")
+    loaded = f"import sys\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    by_numpy = set(fresh(f"import numpy\n{loaded}"))
+    if by_numpy == set(HEAVY):
+        pytest.skip(f"a bare import of numpy {np.__version__} already loads {HEAVY}")
     small_train_inputs()
     write_run_config(workdir / "run.cfg", seed=0)
     command = f"import centerhash.cli\nassert centerhash.cli.main({[str(a) for a in argv]!r}) == 0"
-    assert modules_loaded(command, heavy) <= by_numpy
+    assert set(fresh(f"{command}\n{loaded}")) <= by_numpy
 
 
 @pytest.mark.parametrize(
