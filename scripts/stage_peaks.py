@@ -7,7 +7,9 @@ then runs the workload's `run` command in one fresh child process with one
 BLAS thread, as the benchmark runs it, and with each pipeline stage wrapped.
 For each stage, in the order the run enters it, it prints the child's peak RSS
 (ru_maxrss, in MB of 2^20 bytes, the benchmark's `peak_rss_mb` unit) on entry
-and on exit. The child imports more than the `centerhash` command does (the
+and on exit, and the minor page faults the stage took (the ru_minflt delta): a
+stage that frees memory and faults it back in, step after step, shows there
+even when its peak does not move. The child imports more than the `centerhash` command does (the
 multiprocessing modules that start it), so the peaks read about 2.2 MB above
 the benchmark's (2.26 MB on multilabel-run and 2.14 MB on train-medium at seed
 1); the rises are the stages' own. The last line names the stage that raised
@@ -34,13 +36,16 @@ BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 
-def peak_mb() -> float:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+def usage() -> tuple[float, int]:
+    """The process's peak RSS in MB and its minor page faults so far."""
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_maxrss / 1024, ru.ru_minflt
 
 
 def measure(argv: list, work: str) -> tuple[int, list]:
     """Run the `run` command `argv` in `work`, each pipeline stage wrapped; returns the
-    exit code and (stage, peak on entry, peak on exit) in the order the stages ran."""
+    exit code and (stage, peak on entry, peak on exit, minor faults) in the order the
+    stages ran."""
     from centerhash import cli, pipeline
 
     stages = []
@@ -48,12 +53,13 @@ def measure(argv: list, work: str) -> tuple[int, list]:
 
     @contextlib.contextmanager
     def measured(name):
-        entry = peak_mb()
+        entry, faults = usage()
         try:
             with stage(name):
                 yield
         finally:
-            stages.append((name, entry, peak_mb()))
+            exit_, faults_after = usage()
+            stages.append((name, entry, exit_, faults_after - faults))
 
     pipeline._stage = measured
     os.chdir(work)
@@ -85,10 +91,10 @@ def main(argv=None) -> int:
             code, stages = pool.submit(measure, runs[args.workload], work).result()
     if code != 0:
         return 1
-    print(f"{'stage':<12} {'entry_mb':>9} {'exit_mb':>9}")
-    for name, entry, exit_ in stages:
-        print(f"{name:<12} {entry:9.2f} {exit_:9.2f}")
-    rises = [(exit_ - entry, name) for name, entry, exit_ in stages if exit_ > entry]
+    print(f"{'stage':<12} {'entry_mb':>9} {'exit_mb':>9} {'minflt':>9}")
+    for name, entry, exit_, faults in stages:
+        print(f"{name:<12} {entry:9.2f} {exit_:9.2f} {faults:9d}")
+    rises = [(exit_ - entry, name) for name, entry, exit_, _ in stages if exit_ > entry]
     if rises:  # a stage can add a little on top of a peak an earlier one set
         reached, largest = rises[-1][1], max(rises)
         print(f"peak {stages[-1][2]:.2f} MB, reached in {reached}; "

@@ -185,40 +185,49 @@ def validate_centers(cs: CenterSet) -> ValidityReport:
 
 @dataclass(frozen=True)
 class SemanticCenterMap:
-    """The per-sample center vectors plus the distinct-label cache."""
+    """Each sample's center, kept once per distinct label set, plus the distinct-label cache."""
 
-    vectors: np.ndarray  # (n, k) uint8
+    sets: np.ndarray  # (s, k) uint8, one center vector per distinct label set
+    index: np.ndarray  # (n,) each sample's row of sets
     by_label: dict  # tuple of sorted category indices -> (k,) uint8 vector
 
     def __post_init__(self):
-        self.vectors.flags.writeable = False
+        self.sets.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.index)
+
+    @property
+    def vectors(self) -> np.ndarray:  # (n, k) uint8, built on each read
+        return self.sets[self.index]
 
     def packed(self) -> np.ndarray:
-        return hamming.pack_matrix(self.vectors)
+        return hamming.pack_matrix(self.sets)[self.index]
 
 
 def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMap:
-    """Per-sample centers for multi-hot labels over q categories.
+    """Per-sample centers for multi-hot labels over q categories: an (n, q) matrix, whose
+    nonzero entries name a sample's categories, or its packed rows, a hamming.PackedRows.
 
     Singleton label sets take their category's center directly. Larger
     sets take the bitwise majority vote over the member centers; bits
     where the vote is an exact draw are sampled from Bern(0.5). The vote
     is taken once per distinct label set, so repeated label sets share one
     center vector, and the tie stream is consumed in first-appearance
-    order.
+    order. Only the rows of the distinct sets are unpacked.
     """
-    labels = np.asarray(labels, dtype=np.uint8)
-    if labels.ndim != 2:
-        raise DimensionError(f"expected an (n, q) multi-hot matrix, got {labels.shape}")
+    if isinstance(labels, hamming.PackedRows):
+        packed = np.ascontiguousarray(labels.words).view(np.uint8)
+    else:
+        labels = np.asarray(labels, dtype=np.uint8)
+        if labels.ndim != 2:
+            raise DimensionError(f"expected an (n, q) multi-hot matrix, got {labels.shape}")
+        packed = np.packbits(labels, axis=1, bitorder="little")
     q = labels.shape[1]
     if q > cs.m:
         raise InsufficientCentersError(f"{q} categories but only {cs.m} centers")
-    packed = np.packbits(labels, axis=1, bitorder="little")  # a row's bytes are its label set
-    empty = np.flatnonzero(~packed.any(axis=1))
+    empty = np.flatnonzero(~packed.any(axis=1))  # a row's bytes are its label set
     if empty.size:
         raise InvalidLabelError(f"sample {int(empty[0])} has an empty label set")
     # one void scalar per row, so np.unique groups the rows by label set
@@ -235,7 +244,7 @@ def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMa
     for s in np.flatnonzero(ties.any(axis=1)):
         set_vectors[s, ties[s]] = rng.integers(0, 2, size=int(ties[s].sum()), dtype=np.uint8)
     by_label = {tuple(np.flatnonzero(row).tolist()): vec for row, vec in zip(members, set_vectors)}
-    return SemanticCenterMap(vectors=set_vectors[rank[inverse]], by_label=by_label)
+    return SemanticCenterMap(sets=set_vectors, index=rank[inverse], by_label=by_label)
 
 
 def save_centers(path, cs: CenterSet) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binfmt
+from . import binfmt, hamming
 from .errors import DimensionError, FormatError, InvalidLabelError
 
 MAGIC_FEATURES = b"CSQF"
@@ -82,7 +82,10 @@ class FeatureFile:
                                  f"got {read.dtype} of shape {read.shape}")
             if read.size and not (0 <= read.min() and read.max() < self.n):
                 raise IndexError(f"feature row index out of range [0, {self.n})")
-        out = np.empty((len(read), self.d), dtype="<f4")
+        return self._read_into(read, np.empty((len(read), self.d), dtype="<f4"))
+
+    def _read_into(self, read, out: np.ndarray) -> np.ndarray:
+        """Rows `read` (a range or indices) into out, read and checked as __getitem__ says."""
         with open(self.path, "rb") as f:
             if isinstance(read, range):
                 f.seek(at := binfmt.ROWS_AT + 4 * read.start * self.d)
@@ -144,8 +147,13 @@ def _label_rows(path) -> tuple[np.ndarray, int]:
 
 def load_labels(path) -> np.ndarray:
     """Read a label file into an (n, q) uint8 multi-hot matrix."""
+    return load_label_rows(path)[:]
+
+
+def load_label_rows(path) -> hamming.PackedRows:
+    """Read a label file as its packed rows, a hamming.PackedRows; the checks are load_labels'."""
     rows, q = _label_rows(path)
-    return np.unpackbits(rows, axis=1, count=q, bitorder="little")
+    return hamming.PackedRows(hamming.bytes_to_words(rows, q), q)
 
 
 def load_label_bitsets(path) -> tuple[np.ndarray, int]:

@@ -40,7 +40,7 @@ def pack_matrix(bits: np.ndarray) -> np.ndarray:
     if not valid:
         raise ValueError("bit matrix entries must be 0 or 1")
     packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    return _bytes_to_words(packed, k)
+    return bytes_to_words(packed, k)
 
 
 def unpack_matrix(words: np.ndarray, k: int) -> np.ndarray:
@@ -61,7 +61,7 @@ class PackedRows:
         return unpack_matrix(self.words[rows], self.shape[1])
 
 
-def _bytes_to_words(rows: np.ndarray, k: int) -> np.ndarray:
+def bytes_to_words(rows: np.ndarray, k: int) -> np.ndarray:
     # a little-endian view, so the byte order never depends on the platform
     padded = np.zeros((rows.shape[0], 8 * words_per_code(k)), dtype=np.uint8)
     padded[:, : rows.shape[1]] = rows
@@ -134,4 +134,4 @@ def save_codes(path, words: np.ndarray, k: int) -> None:
 def load_codes(path) -> tuple[np.ndarray, int]:
     """Read a code file; returns ((n, W) uint64 words, k)."""
     rows, k = binfmt.load_bit_rows(path, MAGIC_CODES, "empty code file (n={n}, k={k})")
-    return _bytes_to_words(rows, k), k
+    return bytes_to_words(rows, k), k

@@ -129,10 +129,24 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
     return np.divide(z, e, out=z)
 
 
-def _buffers(model: HashModel, rows: int) -> tuple:
+def _buffers(layer_sizes, rows: int) -> tuple:
     """Room for _forward_into on up to `rows` rows: a1, a2, h and the sigmoid's scratch."""
-    widths = model.layer_sizes[1:]
+    widths = list(layer_sizes[1:])
     return tuple(np.empty((rows, w)) for w in widths + widths[-1:])
+
+
+class _Workspace:
+    """A training step's arrays for up to `rows` rows of a head of layer sizes (d, w1, w2, k),
+    or of the loss terms alone (0, 0, 0, k); b rows use the leading b rows of each. train
+    allocates one a call; the step functions take it as `ws`, or allocate their own."""
+
+    def __init__(self, sizes, rows: int):
+        d, w1, w2, k = sizes
+        self.forward = _buffers(sizes, rows)
+        self.k_rows = [np.empty((rows, k)) for _ in range(4)] + [self.forward[-1]]
+        self.sums = np.empty(rows)
+        self.masks = [np.empty((rows, w), dtype=bool) for w in (max(w1, w2, k), k)]
+        self.grads = [np.empty(shape) for shape in ((w1, d), (w2, w1), (k, w2), w1, w2, k)]
 
 
 def _forward_into(model: HashModel, x: np.ndarray, buffers: tuple) -> tuple:
@@ -151,8 +165,8 @@ def _forward_into(model: HashModel, x: np.ndarray, buffers: tuple) -> tuple:
     return a1, a2, _sigmoid(h, e)
 
 
-def _forward_cached(model: HashModel, x: np.ndarray) -> tuple:
-    return _forward_into(model, x, _buffers(model, len(x)))
+def _forward_cached(model: HashModel, x: np.ndarray, buffers: tuple | None = None) -> tuple:
+    return _forward_into(model, x, buffers or _buffers(model.layer_sizes, len(x)))
 
 
 def _check_features(model: HashModel, shape: tuple) -> None:
@@ -177,30 +191,41 @@ def _codes(h) -> np.ndarray:
     return h
 
 
-def central_loss(h, c) -> float:
+def central_loss(h, c, ws=None) -> float:
     """Mean per-bit binary cross-entropy between relaxed codes and centers,
     the codes clipped to [BCE_EPS, 1 - BCE_EPS]."""
     h, c = _codes(h), np.asarray(c, dtype=np.float64)
     if c.shape != h.shape:
         raise DimensionError(f"codes {h.shape} and centers {c.shape} differ")
-    hc = np.clip(h, BCE_EPS, 1.0 - BCE_EPS)
-    return float((-(c * np.log(hc) + (1.0 - c) * np.log1p(-hc)).sum(axis=1) / h.shape[1]).mean())
+    ws = ws or _Workspace((0, 0, 0, h.shape[1]), len(h))
+    _, hc, terms, rest, _ = (a[: len(h)] for a in ws.k_rows)
+    np.multiply(c, np.log(np.clip(h, BCE_EPS, 1.0 - BCE_EPS, out=hc), out=terms), out=terms)
+    np.multiply(np.subtract(1.0, c, out=rest), np.log1p(np.negative(hc, out=hc), out=hc), out=rest)
+    np.negative(np.add(terms, rest, out=terms), out=terms)  # -(c log hc + (1 - c) log1p(-hc))
+    sums = terms.sum(axis=1, out=ws.sums[: len(h)])
+    return float(np.divide(sums, h.shape[1], out=sums).mean())
 
 
-def quantization_loss(h, t=None) -> float:
+def quantization_loss(h, t=None, ws=None) -> float:
     """Mean over samples of sum_k logcosh(t_k), t = |2h - 1| - 1; zero iff binary. t,
     when given, is that argument as the caller already computed it. A NaN code raises
     NumericError: every term is at least 0, so a batch's mean is NaN exactly when one of
     its codes is, and the check reads the mean, not the codes."""
     h = _codes(h)
-    au = np.abs(np.abs(2.0 * h - 1.0) - 1.0 if t is None else t)
-    loss = float((au + np.log1p(np.exp(-2.0 * au)) - math.log(2.0)).sum(axis=1).mean())
+    ws = ws or _Workspace((0, 0, 0, h.shape[1]), len(h))
+    _, _, own_t, au, terms = (a[: len(h)] for a in ws.k_rows)
+    if t is None:
+        t = np.abs(np.subtract(np.multiply(2.0, h, out=own_t), 1.0, out=own_t), out=own_t)
+        t -= 1.0
+    np.log1p(np.exp(np.multiply(-2.0, np.abs(t, out=au), out=terms), out=terms), out=terms)
+    np.subtract(np.add(au, terms, out=terms), math.log(2.0), out=terms)  # logcosh(t), stably
+    loss = float(terms.sum(axis=1, out=ws.sums[: len(h)]).mean())
     if math.isnan(loss):
         raise NumericError("relaxed code contains NaN")
     return loss
 
 
-def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, float, np.ndarray]:
+def loss_and_dh(h, c, cfg: TrainConfig, ws=None) -> tuple[float, float, np.ndarray]:
     """Both loss terms of an (n, k) batch of relaxed codes, as central_loss and
     quantization_loss compute them, and dL/dh.
 
@@ -210,26 +235,35 @@ def loss_and_dh(h: np.ndarray, c: np.ndarray, cfg: TrainConfig) -> tuple[float, 
     difference of the loss sees.
     """
     n, k = h.shape
+    ws = ws or _Workspace((0, 0, 0, k), n)
+    dh, s, t, rest, _ = (a[:n] for a in ws.k_rows)
+    inside, below = (m[:n, :k] for m in ws.masks)
     central = quant = 0.0
-    dh = np.zeros_like(h)
+    dh.fill(0.0)
     if cfg.use_lc:
-        central = central_loss(h, c)  # the one clip of the codes
+        central = central_loss(h, c, ws)  # the one clip of the codes
         # inside the clamp a code is its own clip; outside it the gradient is 0, and
         # the quotients computed there are dropped
-        inside = (h > BCE_EPS) & (h < 1.0 - BCE_EPS)
+        np.logical_and(np.greater(h, BCE_EPS, out=inside), np.less(h, 1.0 - BCE_EPS, out=below),
+                       out=inside)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            dh += np.where(inside, -(c / h - (1.0 - c) / (1.0 - h)) / (n * k), 0.0)
+            np.divide(c, h, out=s)
+            np.divide(np.subtract(1.0, c, out=rest), np.subtract(1.0, h, out=t), out=t)
+            np.divide(np.negative(np.subtract(s, t, out=s), out=s), n * k, out=s)
+        np.add(dh, s, out=dh, where=inside)
     if cfg.lambda1 != 0.0:
-        s = 2.0 * h - 1.0
-        t = np.abs(s) - 1.0
-        quant = quantization_loss(h, t)
-        dh += (cfg.lambda1 * 2.0 / n) * np.sign(s) * np.tanh(t)
+        np.subtract(np.multiply(2.0, h, out=s), 1.0, out=s)  # 2h - 1
+        np.subtract(np.abs(s, out=t), 1.0, out=t)
+        quant = quantization_loss(h, t, ws)
+        np.multiply(cfg.lambda1 * 2.0 / n, np.sign(s, out=s), out=s)
+        dh += np.multiply(s, np.tanh(t, out=t), out=s)
     return central, quant, dh
 
 
-def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> list:
+def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray, ws=None) -> list:
     """Parameter gradients from dL/dh through cache = _forward_cached(model, x),
-    in model.weights + model.biases order: [dw1, dw2, dw3, db1, db2, db3].
+    in model.weights + model.biases order: [dw1, dw2, dw3, db1, db2, db3]. The deltas
+    dz2 and dz1 are computed into a2 and a1, whose activations they consume.
 
     Raises NumericError on any non-finite gradient: an activation that
     overflowed to inf leaves h exactly 0 or 1 and the loss finite, but its
@@ -237,24 +271,26 @@ def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray) -> l
     """
     _, w2, w3 = model.weights
     a1, a2, h = cache
-    dz3 = dh * h * (1.0 - h)
-    dw3 = dz3.T @ a2
-    db3 = dz3.sum(axis=0)
-    dz2 = (dz3 @ w3) * (a2 > 0)
-    dw2 = dz2.T @ a1
-    db2 = dz2.sum(axis=0)
-    dz1 = (dz2 @ w2) * (a1 > 0)
-    dw1 = dz1.T @ x
-    db1 = dz1.sum(axis=0)
+    ws = ws or _Workspace(model.layer_sizes, len(x))
+    dw1, dw2, dw3, db1, db2, db3 = ws.grads
+    _, dz3, one_minus_h, _, _ = (a[: len(x)] for a in ws.k_rows)
+    np.multiply(np.multiply(dh, h, out=dz3), np.subtract(1.0, h, out=one_minus_h), out=dz3)
+    np.matmul(dz3.T, a2, out=dw3)
+    dz3.sum(axis=0, out=db3)
+    active = np.greater(a2, 0, out=ws.masks[0][: len(x), : a2.shape[1]])
+    dz2 = np.multiply(np.matmul(dz3, w3, out=a2), active, out=a2)  # (dz3 @ w3) * (a2 > 0)
+    np.matmul(dz2.T, a1, out=dw2)
+    dz2.sum(axis=0, out=db2)
+    active = np.greater(a1, 0, out=ws.masks[0][: len(x), : a1.shape[1]])
+    dz1 = np.multiply(np.matmul(dz2, w2, out=a1), active, out=a1)
+    np.matmul(dz1.T, x, out=dw1)
+    dz1.sum(axis=0, out=db1)
+    if not all(math.isfinite(g.max()) and math.isfinite(g.min()) for g in ws.grads):
+        raise NumericError("non-finite gradient")
+    return ws.grads
 
-    grads = [dw1, dw2, dw3, db1, db2, db3]
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NumericError("non-finite gradient")
-    return grads
 
-
-def backward(model: HashModel, x, c, cfg: TrainConfig) -> tuple[float, float, list]:
+def backward(model: HashModel, x, c, cfg: TrainConfig, ws=None) -> tuple[float, float, list]:
     """One training step's math on a batch: (L_central, L_quant, backprop's gradients).
 
     The gradients are exact, of the batch objective w.r.t. every parameter,
@@ -266,20 +302,20 @@ def backward(model: HashModel, x, c, cfg: TrainConfig) -> tuple[float, float, li
     c = np.asarray(c, dtype=np.float64)
     if c.shape != (x.shape[0], model.k):
         raise DimensionError(f"centers {c.shape} do not match batch ({x.shape[0]}, {model.k})")
-    cache = _forward_cached(model, x)
-    if not np.isfinite(cache[-1]).all():
+    ws = ws or _Workspace(model.layer_sizes, len(x))
+    cache = _forward_cached(model, x, ws.forward)
+    if not (math.isfinite(cache[-1].max()) and math.isfinite(cache[-1].min())):
         raise NumericError("model output is not finite")
-    central, quant, dh = loss_and_dh(cache[-1], c, cfg)
+    central, quant, dh = loss_and_dh(cache[-1], c, cfg, ws)
     if not math.isfinite(central + cfg.lambda1 * quant):
         raise NumericError("loss is not finite")
-    return central, quant, backprop(model, x, cache, dh)
+    return central, quant, backprop(model, x, cache, dh, ws)
 
 
 def _step(model: HashModel, params: list, velocity: list, x: np.ndarray, c: np.ndarray,
-          cfg: TrainConfig) -> tuple[float, float]:
-    """One backward call on a batch, then the momentum update; returns both loss terms.
-    The batch and its gradients die when this returns, before the next step allocates."""
-    central, quant, grads = backward(model, x, c, cfg)
+          cfg: TrainConfig, ws: _Workspace) -> tuple[float, float]:
+    """One backward call on a batch in ws, then the momentum update; returns both loss terms."""
+    central, quant, grads = backward(model, x, c, cfg, ws)
     for p, g, v in zip(params, grads, velocity):
         v *= cfg.momentum
         v += g
@@ -296,11 +332,11 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     from the file; centers as an (n, k) 0/1 array, or as the packed words of
     a code file in a hamming.PackedRows): each step gathers its batch rows,
     unpacks packed centers, and widens only those rows to float64, the same
-    values a float64 copy of the whole input would hold. Only one step's
-    batch, activations and gradients are alive at a time, so from a file
-    and packed centers, only the packed words and the shuffle order grow
-    with n. A file's gathers check the rows they read; a caller that needs
-    a bad row to fail before any step checks every row first.
+    values a float64 copy of the whole input would hold. Every step computes in
+    arrays allocated here for one batch, so from a file and packed centers, only
+    the packed words and the shuffle order grow with n. A file's gathers check
+    the rows they read; a caller that needs a bad row to fail before any step
+    checks every row first.
     Shuffling, init, and tie streams all hang off cfg.seed, so identical
     inputs and config reproduce the trained parameters byte for byte.
     Returns the model and one loss record per epoch.
@@ -324,6 +360,10 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     params = model.weights + model.biases
     velocity = [np.zeros_like(p) for p in params]
     shuffle_rng = substream(cfg.seed, "shuffle")
+    # a batch as stored (raw), as float64 (xb), its centers (cb) and its step's arrays
+    rows = min(cfg.batch_size, n)
+    raw = np.empty((rows, d), dtype="<f4" if isinstance(x, data_io.FeatureFile) else x.dtype)
+    xb, cb, ws = np.empty((rows, d)), np.empty((rows, k)), _Workspace(model.layer_sizes, rows)
 
     log: list[EpochLog] = []
     # overflow turns into inf/NaN, which backward's checks raise, here as TrainingError
@@ -333,15 +373,19 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
             sum_total = sum_central = sum_quant = 0.0
             for batch_idx, start in enumerate(range(0, n, cfg.batch_size)):
                 sel = order[start : start + cfg.batch_size]
+                b = len(sel)
+                if isinstance(x, data_io.FeatureFile):
+                    x._read_into(sel, raw[:b])
+                else:  # every index is in range: "clip" takes what "raise" would, unbuffered
+                    np.take(x, sel, axis=0, out=raw[:b], mode="clip")
+                xb[:b], cb[:b] = raw[:b], c[sel]
                 try:
-                    lc, lq = _step(model, params, velocity,
-                                   x[sel].astype(np.float64, copy=False),
-                                   c[sel].astype(np.float64, copy=False), cfg)
+                    lc, lq = _step(model, params, velocity, xb[:b], cb[:b], cfg, ws)
                 except NumericError as exc:
                     raise TrainingError(str(exc), epoch=epoch, batch=batch_idx) from exc
-                sum_total += (lc + cfg.lambda1 * lq) * len(sel)
-                sum_central += lc * len(sel)
-                sum_quant += lq * len(sel)
+                sum_total += (lc + cfg.lambda1 * lq) * b
+                sum_central += lc * b
+                sum_quant += lq * b
             log.append(EpochLog(epoch, sum_total / n, sum_central / n, sum_quant / n))
     return model, log
 
@@ -371,7 +415,7 @@ def encode(model: HashModel, features) -> np.ndarray:
     _check_features(model, shape)
     n = shape[0]
     rows = block_rows(model.layer_sizes)
-    buffers = _buffers(model, min(rows, n))
+    buffers = _buffers(model.layer_sizes, min(rows, n))
     words = np.empty((n, hamming.words_per_code(model.k)), dtype=np.uint64)
     # overflow turns into inf/NaN, which binarize_matrix raises as NumericError
     with np.errstate(over="ignore", invalid="ignore"):

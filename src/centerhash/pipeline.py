@@ -50,7 +50,7 @@ def gen_centers(method: str, m: int, k: int, seed: int, out) -> centers_mod.Cent
 def assign(centers, labels, seed: int, out) -> centers_mod.SemanticCenterMap:
     """Give every labeled sample its semantic center; save them to `out` as codes."""
     cs = centers_mod.load_centers(centers)
-    assignment = centers_mod.assign_multi_label(cs, data_io.load_labels(labels), seed)
+    assignment = centers_mod.assign_multi_label(cs, data_io.load_label_rows(labels), seed)
     hamming.save_codes(out, assignment.packed(), cs.k)
     return assignment
 

@@ -117,13 +117,12 @@ def center_distance_matrix(code_words, group_ids, cs: CenterSet) -> np.ndarray:
         raise DimensionError("one group id per code required")
     if group_ids.size and (group_ids.min() < 0 or group_ids.max() >= cs.m):
         raise ValueError(f"group ids must lie in [0, {cs.m})")
-    dists = hamming.pairwise_distances(code_words, cs.packed())  # (n, m) ints
+    # column j: each group's summed distance to center j, integers and so exact in float64
+    sums = np.stack([np.bincount(group_ids, weights=hamming.distances_to(center, code_words),
+                                 minlength=cs.m) for center in cs.packed()], axis=1)
+    counts = np.bincount(group_ids, minlength=cs.m)
     out = np.full((cs.m, cs.m), np.nan)
-    for i in range(cs.m):
-        members = group_ids == i
-        count = int(members.sum())
-        if count:
-            out[i] = dists[members].sum(axis=0, dtype=np.int64) / count
+    out[counts > 0] = sums[counts > 0] / counts[counts > 0, None]
     return out
 
 

@@ -288,8 +288,8 @@ def assign_reference(cs, labels, seed=0):
     tied bits from the "ties" stream."""
     labels = np.asarray(labels, dtype=np.uint8)
     rng = substream(seed, "ties")
-    cache = {}
-    vectors = np.empty((labels.shape[0], cs.k), dtype=np.uint8)
+    cache, slot = {}, {}  # a set's vector, and its place in first-appearance order
+    index = np.empty(labels.shape[0], dtype=np.intp)
     for i, row in enumerate(labels):
         key = tuple(int(j) for j in np.flatnonzero(row))
         if not key:
@@ -302,5 +302,6 @@ def assign_reference(cs, labels, seed=0):
             if ties.any():
                 out[ties] = rng.integers(0, 2, size=int(ties.sum()), dtype=np.uint8)
             cache[key] = out
-        vectors[i] = cache[key]
-    return SemanticCenterMap(vectors=vectors, by_label=cache)
+        index[i] = slot.setdefault(key, len(slot))
+    sets = np.array(list(cache.values()), dtype=np.uint8).reshape(len(cache), cs.k)
+    return SemanticCenterMap(sets=sets, index=index, by_label=cache)

@@ -290,6 +290,8 @@ def random_label_sets(rng, n, q, sizes):
 
 def assert_same_map(a, b):
     assert a.vectors.tobytes() == b.vectors.tobytes()
+    assert a.packed().tobytes() == b.packed().tobytes()
+    assert a.sets.tobytes() == b.sets.tobytes() and a.index.tolist() == b.index.tolist()
     assert list(a.by_label) == list(b.by_label)
     for key in a.by_label:
         assert a.by_label[key].tobytes() == b.by_label[key].tobytes()

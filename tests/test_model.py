@@ -380,8 +380,8 @@ class TestTrain:
     def test_non_finite_gradient_raises_training_error(self, monkeypatch):
         real = M.loss_and_dh
 
-        def nan_dh(h, c, cfg):
-            central, quant, dh = real(h, c, cfg)
+        def nan_dh(h, c, cfg, *ws):
+            central, quant, dh = real(h, c, cfg, *ws)
             return central, quant, np.full_like(dh, np.nan)
 
         monkeypatch.setattr(M, "loss_and_dh", nan_dh)
@@ -490,6 +490,60 @@ class TestFusedStep:
             logs.append(repr(log))
         assert checkpoints[0] == checkpoints[1] and logs[0] == logs[1]
 
+    @pytest.mark.parametrize("k", [6, 70])  # one word per code, and two
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"use_lc": False, "lambda1": 0.3},
+        {"lambda1": 0.0},
+    ], ids=["both_terms", "no_lc", "lambda1_0"])
+    def test_file_and_packed_centers_train_as_the_reference(self, tmp_path, overrides, k):
+        # the forms pipeline.train passes; 30 rows in batches of 8 leave a last batch of
+        # 6, which computes in the leading rows of the train call's arrays. d = 20 gives
+        # hidden widths 20 and 10 (or k), so the ReLU masks use part of their buffer
+        x, c = tiny_problem(n=30, d=20, k=k, seed=7)
+        data_io.save_features(tmp_path / "x.csqf", x)
+        cfg = M.TrainConfig(epochs=3, seed=3, learning_rate=0.05, batch_size=8, **overrides)
+        net, log = M.train(data_io.open_features(tmp_path / "x.csqf"),
+                           hamming.PackedRows(hamming.pack_matrix(c), k), cfg)
+        ref_net, ref_log = oracle.train_reference(data_io.load_features(tmp_path / "x.csqf"),
+                                                  c, cfg)
+        for a, b in zip(net.weights + net.biases, ref_net.weights + ref_net.biases):
+            assert a.tobytes() == b.tobytes()
+        assert len(log) == 3 and repr(log) == repr(ref_log)
+
+    # measured: 68,032 bytes at batch 256 and 35,112 at batch 16, mostly numpy's buffer
+    # for casting the ReLU masks to float64; a step that allocated its own arrays took
+    # 1.26 MiB and 1.00 MiB, and one (256, 48) float64 temporary is 96 KiB
+    @pytest.mark.parametrize("batch, d, k, bound", [(256, 128, 48, 96 << 10),
+                                                    (16, 256, 64, 48 << 10)],
+                             ids=["multilabel-run", "train-medium"])
+    def test_steps_after_the_first_allocate_almost_nothing(self, tmp_path, monkeypatch,
+                                                           batch, d, k, bound):
+        # a step computes in arrays its train call allocated once, so after the first step
+        # a gather, an unpacking of centers and a step hold next to nothing
+        n = 3 * batch + batch // 2  # a short last batch too
+        rng = np.random.default_rng(0)
+        data_io.save_features(tmp_path / "x.csqf", rng.normal(size=(n, d)))
+        c = hamming.PackedRows(hamming.pack_matrix(rng.integers(0, 2, (n, k), np.uint8)), k)
+        real, after_first = M._step, []
+
+        def step(*args):
+            losses = real(*args)
+            if not after_first:
+                tracemalloc.reset_peak()
+                after_first.append(tracemalloc.get_traced_memory()[0])
+            return losses
+
+        monkeypatch.setattr(M, "_step", step)
+        tracemalloc.start()
+        try:
+            M.train(data_io.open_features(tmp_path / "x.csqf"), c,
+                    M.TrainConfig(batch_size=batch, epochs=1, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - after_first[0] <= bound
+
     def test_packed_centers_must_cover_samples(self):
         x, c = tiny_problem()
         with pytest.raises(DimensionError, match="center map covers 23 samples, features have 24"):
@@ -500,9 +554,9 @@ class TestFusedStep:
         calls = []
         real = M._forward_cached
 
-        def spy(model, x):
+        def spy(model, x, *buffers):
             calls.append(len(x))
-            return real(model, x)
+            return real(model, x, *buffers)
 
         monkeypatch.setattr(M, "_forward_cached", spy)
         x, c = tiny_problem(n=24)
@@ -516,9 +570,9 @@ class TestFusedStep:
         calls = []
         real = M.backward
 
-        def spy(model, xb, cb, cfg):
+        def spy(model, xb, cb, cfg, *ws):
             calls.append(len(xb))
-            return real(model, xb, cb, cfg)
+            return real(model, xb, cb, cfg, *ws)
 
         monkeypatch.setattr(M, "backward", spy)
         spied, _ = M.train(x, c, cfg)

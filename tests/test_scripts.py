@@ -39,12 +39,16 @@ def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     header, *lines, last = proc.stdout.splitlines()
-    assert header.split() == ["stage", "entry_mb", "exit_mb"]
+    assert header.split() == ["stage", "entry_mb", "exit_mb", "minflt"]
     rows = [line.split() for line in lines]
     assert [row[0] for row in rows] == ["train", "load", "gen-centers", "assign", "train",
                                         "encode", "eval", "report"]
-    peaks = [float(value) for row in rows for value in row[1:]]
+    peaks = [float(value) for row in rows for value in row[1:3]]
     assert peaks[0] > 0 and peaks == sorted(peaks)  # a high-water mark never falls
+    faults = {name: int(count) for name, _, _, count in rows[1:]}  # the second train row
+    assert rows[0][3] == "0" and all(count >= 0 for count in faults.values())
+    # 980 steps whose arrays were freed and faulted back in took about 330,000
+    assert 0 < faults["train"] < 10_000
     assert re.fullmatch(rf"peak {rows[-1][2]} MB, reached in [a-z-]+; "
                         r"largest rise in [a-z-]+ \(\+\d+\.\d\d MB\)", last)
     assert list(tmp_path.iterdir()) == []  # the inputs went to a temporary directory
