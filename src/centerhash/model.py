@@ -145,7 +145,7 @@ class _Workspace:
         self.forward = _buffers(sizes, rows)
         self.k_rows = [np.empty((rows, k)) for _ in range(4)] + [self.forward[-1]]
         self.sums = np.empty(rows)
-        self.masks = [np.empty((rows, w), dtype=bool) for w in (max(w1, w2, k), k)]
+        self.masks = [np.empty((rows, w), dtype=bool) for w in (w1, w2, k, k)]
         self.grads = [np.empty(shape) for shape in ((w1, d), (w2, w1), (k, w2), w1, w2, k)]
 
 
@@ -237,7 +237,7 @@ def loss_and_dh(h, c, cfg: TrainConfig, ws=None) -> tuple[float, float, np.ndarr
     n, k = h.shape
     ws = ws or _Workspace((0, 0, 0, k), n)
     dh, s, t, rest, _ = (a[:n] for a in ws.k_rows)
-    inside, below = (m[:n, :k] for m in ws.masks)
+    inside, below = (m[:n] for m in ws.masks[2:])
     central = quant = 0.0
     dh.fill(0.0)
     if cfg.use_lc:
@@ -277,11 +277,11 @@ def backprop(model: HashModel, x: np.ndarray, cache: tuple, dh: np.ndarray, ws=N
     np.multiply(np.multiply(dh, h, out=dz3), np.subtract(1.0, h, out=one_minus_h), out=dz3)
     np.matmul(dz3.T, a2, out=dw3)
     dz3.sum(axis=0, out=db3)
-    active = np.greater(a2, 0, out=ws.masks[0][: len(x), : a2.shape[1]])
+    active = np.greater(a2, 0, out=ws.masks[1][: len(x)])
     dz2 = np.multiply(np.matmul(dz3, w3, out=a2), active, out=a2)  # (dz3 @ w3) * (a2 > 0)
     np.matmul(dz2.T, a1, out=dw2)
     dz2.sum(axis=0, out=db2)
-    active = np.greater(a1, 0, out=ws.masks[0][: len(x), : a1.shape[1]])
+    active = np.greater(a1, 0, out=ws.masks[0][: len(x)])
     dz1 = np.multiply(np.matmul(dz2, w2, out=a1), active, out=a1)
     np.matmul(dz1.T, x, out=dw1)
     dz1.sum(axis=0, out=db1)
