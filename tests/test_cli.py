@@ -719,7 +719,7 @@ def test_run_holds_no_float64_copy_of_features_or_centers(workdir, monkeypatch):
 def test_assign_stage_unpacks_only_the_distinct_label_sets(workdir):
     # multilabel-run's shape, 1 to 3 categories a row: the label rows stay packed and the
     # centers are kept once per distinct set, so neither the (n, q) label matrix nor the
-    # (n, k) center matrix is built; with both, this read 5.44 MiB, and now 2.49 MiB
+    # (n, k) center matrix is built; with both, this read 5.53 MiB, and now 2.49 MiB
     n, q, k = 50_000, 21, 48
     rng = np.random.default_rng(1)
     count, picks = rng.integers(1, 4, size=n), rng.random((n, q)).argsort(axis=1)[:, :3]
