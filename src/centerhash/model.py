@@ -34,8 +34,10 @@ BCE_EPS = 1e-7  # clamp for log arguments
 # bytes of one encode block's float64 working set: its input rows and their
 # activations, d + w1 + w2 + 2k values a row (the sigmoid's scratch is the
 # second k). Rows per block follow from the head's widths, so the working set
-# stays about this size for any n and any head.
-ENCODE_BLOCK_BYTES = 2 << 20
+# stays about this size for any n and any head. 1 MiB (170 rows at d 256, 315
+# at d 128) is the smallest size at which one-thread dgemm keeps its full rate;
+# at half of it the rate fell about 10%.
+ENCODE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass

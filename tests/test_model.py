@@ -710,6 +710,26 @@ class TestEncodeAndCheckpoint:
             monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(net, rows))
             assert M.encode(net, x).tobytes() == words.tobytes()
 
+    def test_file_encode_holds_one_mib_block_beyond_its_output(self, tmp_path):
+        # the shipped block size, 170 rows for the default head of d = 256, k = 64: encode
+        # holds the output words, one block's float64 rows and activations (1,044,480 of
+        # the 1 MiB), the float32 rows the file read gave, and about 3 kB more, which the
+        # slack covers (peak 1,237,501 bytes at n = 2,000, 1,155 under the bound without it)
+        net = M.init_model(256, 64, seed=0)
+        assert net.layer_sizes == [256, 256, 128, 64]
+        x = np.random.default_rng(0).normal(size=(2000, 256)).astype(np.float32)
+        data_io.save_features(tmp_path / "x.csqf", x)
+        features = data_io.open_features(tmp_path / "x.csqf")
+        tracemalloc.start()
+        try:
+            words = M.encode(net, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        float32_block = M.block_rows(net.layer_sizes) * 256 * 4
+        assert peak <= words.nbytes + (1 << 20) + float32_block + 16 * 1024
+        assert words.tobytes() == M.encode(net, x).tobytes()
+
     def test_encode_rejects_wrong_width_before_any_block(self, monkeypatch):
         monkeypatch.setattr(M, "forward", None)  # never reached
         with pytest.raises(DimensionError, match=r"shape \(5, 7\), model expects dim 6"):
