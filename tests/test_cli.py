@@ -1046,7 +1046,7 @@ def test_readme_script_commands_name_existing_scripts():
     scripts = [shlex.split(line)[1] for block in readme_blocks() for line in block
                if line.startswith("python scripts/")]
     assert scripts == ["scripts/experiment.py", "scripts/bench_record.py",
-                       "scripts/stage_peaks.py"]
+                       "scripts/stage_peaks.py", "scripts/identity_check.py"]
     assert all((root / script).is_file() for script in scripts)
 
 

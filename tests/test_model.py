@@ -692,7 +692,7 @@ class TestEncodeAndCheckpoint:
             M.encode(net, data_io.open_features(tmp_path / "x.csqf"))
 
     def test_wide_head_encodes_within_the_block_budget(self, monkeypatch):
-        # d = 1024 takes the default 1024/512 head, 97 rows a block: the float64
+        # d = 1024 takes the default 1024/512 head, 48 rows a block: the float64
         # input and activations of one block are all encode holds beyond its output
         net = M.init_model(1024, 64, seed=0)
         assert net.layer_sizes == [1024, 1024, 512, 64]

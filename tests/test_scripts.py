@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +39,9 @@ def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    header, *lines, last = proc.stdout.splitlines()
+    out = proc.stdout.splitlines()
+    split = next(i for i, line in enumerate(out) if line.startswith("command "))
+    header, *lines, last = out[:split]
     assert header.split() == ["stage", "entry_mb", "exit_mb", "minflt"]
     rows = [line.split() for line in lines]
     assert [row[0] for row in rows] == ["train", "load", "gen-centers", "assign", "train",
@@ -51,7 +54,40 @@ def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
     assert 0 < faults["train"] < 10_000
     assert re.fullmatch(rf"peak {rows[-1][2]} MB, reached in [a-z-]+; "
                         r"largest rise in [a-z-]+ \(\+\d+\.\d\d MB\)", last)
+    run, *_ = command_peaks(out[split:], ["run", "encode", "encode", "encode", "eval"])
+    # the stage child also holds the multiprocessing modules that started it
+    assert run < float(rows[-1][2])
     assert list(tmp_path.iterdir()) == []  # the inputs went to a temporary directory
+
+
+def command_peaks(lines, labels):
+    """The peaks in stage_peaks.py's command table, once its rows name `labels` in order
+    and its last line names the command with the highest peak, and the launcher's
+    peak, below every command's."""
+    header, *rows, last = lines
+    assert header.split() == ["command", "peak_mb"]
+    assert [row.split()[0] for row in rows] == labels
+    peaks = [float(row.split()[1]) for row in rows]
+    top = max(range(len(peaks)), key=peaks.__getitem__)
+    match = re.fullmatch(r"peak (\d+\.\d\d) MB, set by ([a-z]+); the launcher's "
+                         r"(\d+\.\d\d) MB is below every command's peak", last)
+    assert match, last
+    assert (match[1], match[2]) == (rows[top].split()[1], labels[top])
+    assert 0 < float(match[3]) < min(peaks)
+    return peaks
+
+
+def test_stage_peaks_names_the_command_that_sets_the_peak_of_a_workload_without_run(tmp_path):
+    # search-large encodes and evaluates a checkpoint trained in set-up: no stage table
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_peaks.py"), "--workload", "search-large",
+         "--seed", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    encode, evaluate = command_peaks(proc.stdout.splitlines(), ["encode", "eval"])
+    assert encode > 25 and evaluate > 25  # numpy alone is about 27 MB
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stage_peaks_child_has_not_loaded_openssl_when_the_first_stage_starts(tmp_path):
@@ -271,6 +307,65 @@ def test_bench_record_refuses_to_write_after_a_bad_run(tmp_path, monkeypatch, ca
     assert f"refused: search-large seed 2 on head ({git_head()[:12]}): {problem}" in (
         capsys.readouterr().err)
     assert list(tmp_path.iterdir()) == []
+
+
+# a workload small enough for a test, added to a copy's perfbench/workloads.py
+TINY_WORKLOAD = """
+WORKLOADS = {"tiny": Workload(
+    name="tiny", why="a test's run", map_n=20, setup_repeats=1,
+    inputs={"kind": "blobs", "classes": 4, "per_class": 30, "query_per_class": 5, "d": 8,
+            "spread": 0.5},
+    commands=_run_then_serve(("--k", "16", "--epochs", "2"), 20),
+)}
+"""
+
+
+@needs_git
+def test_identity_check_reports_a_changed_tie_order_unless_declared(tmp_path):
+    repo = tmp_path / "repo"
+    for part in ("src", "perfbench", "scripts"):
+        shutil.copytree(ROOT / part, repo / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", repo)
+    with open(repo / "perfbench" / "workloads.py", "a") as f:
+        f.write(TINY_WORKLOAD)
+
+    def commit(message):
+        for argv in (["add", "-A"], ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+                                     "-m", message]):
+            subprocess.run(["git", "-C", str(repo), *argv], check=True, capture_output=True)
+
+    subprocess.run(["git", "init", "-q", str(repo)], check=True, capture_output=True)
+    commit("tiny workload")
+    # ties broken by descending index: the ranks, and so the reports, change
+    retrieval = repo / "src" / "centerhash" / "retrieval.py"
+    old = "np.flatnonzero(dists <= int(np.searchsorted(within, count)))"
+    assert retrieval.read_text().count(old) == 1
+    retrieval.write_text(retrieval.read_text().replace(old, old + "[::-1]"))
+    commit("ties by descending index")
+
+    def identity_check(*declared):
+        return subprocess.run(
+            [sys.executable, str(repo / "scripts" / "identity_check.py"), "--parent", "HEAD~1",
+             "--seeds", "1", *(["--declared", *declared] if declared else [])],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+
+    proc = identity_check()
+    assert proc.returncode == 1, proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    found = [re.fullmatch(r"tiny seed 1: (\S+) differs at byte \d+ \(BLAS core \S+\)", line)
+             for line in lines]
+    assert all(found), lines
+    names = [match[1] for match in found]
+    assert {"out/report.csv", "out/eval_report.csv"} <= set(names)
+    assert not {"train.csqf", "out/model.csqm", "out/encoded.csqc"} & set(names)
+    assert re.match(rf"{len(names)} differences in \d+ files, {len(names)} not declared: ", last)
+
+    proc = identity_check(*names)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    assert len(lines) == len(names) and all(line.endswith(" (declared)") for line in lines)
+    assert re.match(rf"{len(names)} differences in \d+ files, 0 not declared: ", last)
 
 
 @pytest.fixture
