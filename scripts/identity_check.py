@@ -150,22 +150,20 @@ def main(argv=None) -> int:
                     print(f"error: {workload} seed {seed} on {side} ({revs[side][:12]}): {exc}",
                           file=sys.stderr)
                     return 1
-                found = []
                 for part in ("work", "streams"):
-                    part_found, count = differences(*(os.path.join(sides[side], part)
-                                                      for side in trees))
-                    found += part_found
+                    found, count = differences(*(os.path.join(sides[side], part) for side in trees))
                     compared += count
-                for name, what in found:
-                    mark = " (declared)" if name in declared else ""
-                    undeclared += not mark
-                    print(f"{workload} seed {seed}: {name} {what} (BLAS core {core}){mark}")
-                total += len(found)
+                    total += len(found)
+                    for name, what in found:
+                        mark = " (declared)" if name in declared else ""
+                        undeclared += not mark
+                        print(f"{workload} seed {seed}: {name} {what} (BLAS core {core}){mark}")
                 for side in sides.values():
                     shutil.rmtree(side)
-    print(f"{total} differences in {compared} files, {undeclared} not declared: HEAD {revs['head'][:12]} against "
-          f"{revs['parent'][:12]}, {len(workloads['WORKLOADS'])} workloads, seeds "
-          f"{args.seeds[0]}-{args.seeds[-1]}, BLAS core {core}")
+    print(f"{total} differences in {compared} files, {undeclared} not declared: "
+          f"HEAD {revs['head'][:12]} against {revs['parent'][:12]}, "
+          f"{len(workloads['WORKLOADS'])} workloads, seeds {args.seeds[0]}-{args.seeds[-1]}, "
+          f"BLAS core {core}")
     return 1 if undeclared else 0
 
 
