@@ -25,12 +25,11 @@ import argparse
 import os
 import runpy
 import shutil
-import subprocess
 import sys
 import tempfile
 
 from bench_record import export, git, seed_range
-from stage_peaks import BLAS_ENV
+from stage_peaks import child_env, output, run_child
 
 CHUNK = 1 << 20
 CORE_PROBE = """
@@ -50,16 +49,10 @@ else:
 """
 
 
-def tree_env(tree: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    env.update({var: "1" for var in BLAS_ENV})
-    return env
-
-
-def blas_core(tree: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", CORE_PROBE], env=tree_env(tree),
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or "unknown"
+def blas_core(tree: str, tmp: str) -> str:
+    stem = os.path.join(tmp, "core")
+    run_child(["-c", CORE_PROBE], tmp, child_env(tree), stem)
+    return output(stem, "stdout") or "unknown"
 
 
 def run_workload(tree: str, workload: str, seed: int, side: str) -> None:
@@ -71,19 +64,13 @@ def run_workload(tree: str, workload: str, seed: int, side: str) -> None:
     work, streams = os.path.join(side, "work"), os.path.join(side, "streams")
     os.makedirs(os.path.join(work, workloads["OUT"]))
     os.makedirs(streams)
-    env = tree_env(tree)
-    gen = subprocess.run([sys.executable, os.path.join(tree, "perfbench", "gen.py"),
-                          "--workload", workload, "--seed", str(seed), "--dir", work],
-                         env=env, capture_output=True, text=True)
-    if gen.returncode != 0:
-        raise RuntimeError(f"gen.py exited {gen.returncode}: {gen.stderr.strip()[-500:]}")
+    env, gen = child_env(tree), os.path.join(side, "gen")
+    code, _ = run_child([os.path.join(tree, "perfbench", "gen.py"), "--workload", workload,
+                         "--seed", str(seed), "--dir", work], work, env, gen)
+    if code != 0:
+        raise RuntimeError(f"gen.py exited {code}: {output(gen)[-500:]}")
     for n, (label, argv) in enumerate(workloads["WORKLOADS"][workload].commands, start=1):
-        stem = os.path.join(streams, f"{n}-{label}")
-        with open(f"{stem}.stdout", "wb") as out, open(f"{stem}.stderr", "wb") as err:
-            code = subprocess.run([sys.executable, "-m", "centerhash.cli", *argv], cwd=work,
-                                  env=env, stdout=out, stderr=err).returncode
-        with open(f"{stem}.exit", "w") as f:
-            f.write(f"{code}\n")
+        run_child(["-m", "centerhash.cli", *argv], work, env, os.path.join(streams, f"{n}-{label}"))
 
 
 def first_difference(a: str, b: str) -> int | None:
@@ -138,7 +125,7 @@ def main(argv=None) -> int:
     undeclared = total = compared = 0
     with tempfile.TemporaryDirectory(prefix="identity_check-") as tmp:
         trees = {side: export(rev, os.path.join(tmp, side)) for side, rev in revs.items()}
-        core = blas_core(trees["head"])
+        core = blas_core(trees["head"], tmp)
         workloads = runpy.run_path(os.path.join(trees["head"], "perfbench", "workloads.py"))
         for workload in workloads["WORKLOADS"]:
             for seed in args.seeds:

@@ -4,34 +4,32 @@
 
 Writes the workload's inputs with perfbench/gen.py into a temporary directory.
 If the workload has a `run` command, it first runs it in one fresh child
-process with one BLAS thread, as the benchmark runs it, and with each pipeline
-stage wrapped. For each stage, in the order the run enters it, it prints the
-child's peak RSS (ru_maxrss, in MB of 2^20 bytes, the benchmark's `peak_rss_mb`
-unit) on entry and on exit, and the minor page faults the stage took (the
-ru_minflt delta): a stage that frees memory and faults it back in, step after
-step, shows there even when its peak does not move. The child imports more
-than the `centerhash` command does (the multiprocessing modules that start
-it), so the peaks read about 2 MB above the command's own, which the command
-table below shows; the rises are the stages' own. The stage table's last line
-names the stage that raised the peak last, and the stage that raised it most,
-with its rise: a stage can add a little on top of a peak an earlier stage set.
+(`python -c STAGE_HOOK run ...`) whose hook wraps each pipeline stage, then
+calls the CLI's main. For each stage, in the order the run enters it, it
+prints the child's peak RSS (ru_maxrss, in MB of 2^20 bytes, the benchmark's
+`peak_rss_mb` unit) on entry and on exit, and the minor page faults the stage
+took (the ru_minflt delta): a stage that frees memory and faults it back in,
+step after step, shows there even when its peak does not move. The hook child
+reads up to about 0.25 MB above the plain command, which the command table
+below shows. The stage table's last line names the stage that raised the peak
+last, and the stage that raised it most, with its rise: a stage can add a
+little on top of a peak an earlier stage set.
 
-Then it runs every command of the workload in order, each in a fresh child
-started as perfbench/run.py starts it, and prints each one's peak as run.py
-reads it (ru_maxrss through os.wait4), the command that sets the workload's
-`peak_rss_mb`, and the launcher's own peak RSS. Linux starts a child's
-ru_maxrss at the RSS of the process that started it (at its peak RSS, when
-started with vfork, as Python's subprocess does), so a command's peak is its
-own only where it lies above the launcher's. The launcher is a fork of the
-script's process, so that its peak is small even where a large process (a
-test runner) started the script. The commands' own output is not shown; a
-command that fails prints its error and exits 1.
+Then it runs every command of the workload in order, and prints each one's
+peak, the command that sets the workload's `peak_rss_mb`, and the launcher's
+own peak RSS. Every child is started by `run_child`, as perfbench/run.py
+starts its commands: a fresh `python` with one BLAS thread, its peak read
+through os.wait4. Linux starts a child's ru_maxrss at the RSS of the process
+that started it (at its peak RSS, when started with vfork, as Python's
+subprocess does), so a command's peak is its own only where it lies above the
+launcher's. The launcher is a fork of the script's process, so that its peak
+is small even where a large process (a test runner) started the script. The
+commands' own output is not shown; a command that fails prints its error and
+exits 1.
 """
 
 import argparse
-import contextlib
-import io
-import multiprocessing
+import ast
 import os
 import resource
 import shutil
@@ -39,62 +37,74 @@ import subprocess
 import sys
 import tempfile
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
+sys.path.insert(0, ROOT)
+from perfbench.workloads import OUT, WORKLOADS  # noqa: E402
+
+# run as `python -c STAGE_HOOK <command> ...`: the CLI with each pipeline stage wrapped;
+# its last stderr line lists (stage, peak MB on entry, on exit, minor faults) in stage order
+STAGE_HOOK = """
+import contextlib, resource, sys
+from centerhash import cli, pipeline
+stages, stage = [], pipeline._stage
+
+@contextlib.contextmanager
+def measured(name):
+    entry = resource.getrusage(resource.RUSAGE_SELF)
+    try:
+        with stage(name):
+            yield
+    finally:
+        exit_ = resource.getrusage(resource.RUSAGE_SELF)
+        stages.append((name, entry.ru_maxrss / 1024, exit_.ru_maxrss / 1024,
+                       exit_.ru_minflt - entry.ru_minflt))
+
+pipeline._stage = measured
+code = cli.main(sys.argv[1:])
+if code == 0:
+    print(repr(stages), file=sys.stderr)
+sys.exit(code)
+"""
 
 
-def usage() -> tuple[float, int]:
-    """The process's peak RSS in MB and its minor page faults so far."""
-    ru = resource.getrusage(resource.RUSAGE_SELF)
-    return ru.ru_maxrss / 1024, ru.ru_minflt
+def child_env(tree: str) -> dict:
+    """The environment of a child that runs `tree`'s centerhash on one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    env.update({var: "1" for var in BLAS_ENV})
+    return env
 
 
-def measure(argv: list, work: str) -> tuple[int, list]:
-    """Run the `run` command `argv` in `work`, each pipeline stage wrapped; returns the
-    exit code and (stage, peak on entry, peak on exit, minor faults) in the order the
-    stages ran."""
-    from centerhash import cli, pipeline
-
-    stages = []
-    stage = pipeline._stage
-
-    @contextlib.contextmanager
-    def measured(name):
-        entry, faults = usage()
-        try:
-            with stage(name):
-                yield
-        finally:
-            exit_, faults_after = usage()
-            stages.append((name, entry, exit_, faults_after - faults))
-
-    pipeline._stage = measured
-    os.chdir(work)
-    with contextlib.redirect_stdout(io.StringIO()):
-        return cli.main(argv), stages
-
-
-def command_peaks(commands: list, work: str, env: dict) -> list:
-    """(label, peak MB) of each command, run in order in `work`, each in a fresh child of
-    this process whose peak is read as perfbench/run.py reads it; None if one fails."""
-    peaks = []
-    for label, argv in commands:
-        proc = subprocess.Popen([sys.executable, "-m", "centerhash.cli", *argv], cwd=work,
-                                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        with proc.stderr:
-            error = proc.stderr.read().decode(errors="replace")
+def run_child(argv: list, cwd: str, env: dict, stem: str) -> tuple[int, float]:
+    """Run `python argv` in `cwd` to completion, its stdout, stderr and exit code going
+    to stem.stdout, stem.stderr and stem.exit; returns the exit code and the child's
+    peak RSS in MB, read through os.wait4 as perfbench/run.py reads it."""
+    with open(f"{stem}.stdout", "wb") as out, open(f"{stem}.stderr", "wb") as err:
+        proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=out,
+                                stderr=err)
         _, status, ru = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
-        if proc.returncode != 0:
-            print(f"{label} exited {proc.returncode}: {error.strip()}", file=sys.stderr)
-            return None
-        peaks.append((label, ru.ru_maxrss / 1024))
-    return peaks
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped: Popen must not wait
+    with open(f"{stem}.exit", "w") as f:
+        f.write(f"{proc.returncode}\n")
+    return proc.returncode, ru.ru_maxrss / 1024
+
+
+def output(stem: str, stream: str = "stderr") -> str:
+    with open(f"{stem}.{stream}", "rb") as f:
+        return f.read().decode(errors="replace").strip()
+
+
+def run_measured(label: str, argv: list, cwd: str, stem: str) -> float | None:
+    """run_child on this tree, one BLAS thread; the peak, or None once the failure,
+    with the child's stderr, is printed."""
+    code, peak = run_child(argv, cwd, child_env(ROOT), stem)
+    if code != 0:
+        print(f"{label} exited {code}: {output(stem)}", file=sys.stderr)
+        return None
+    return peak
 
 
 def print_stages(stages: list) -> None:
@@ -110,27 +120,34 @@ def print_stages(stages: list) -> None:
         print(f"peak {stages[-1][2]:.2f} MB, reached before the first stage")
 
 
-def launch(workload: str, seed: int, commands: list, out: str) -> int:
+def launch(workload: str, seed: int, commands: list) -> int:
     """Write the inputs, run the stage table if the workload has a `run` command, then
     the command peaks; returns the exit code."""
     run = next((argv for label, argv in commands if label == "run"), None)
-    with tempfile.TemporaryDirectory() as work:
-        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-        subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "gen.py"),
-                        "--workload", workload, "--seed", str(seed), "--dir", work],
-                       env=env, check=True, stdout=subprocess.DEVNULL)
+    with tempfile.TemporaryDirectory() as tmp:
+        work, streams = os.path.join(tmp, "work"), os.path.join(tmp, "streams")
+        os.makedirs(os.path.join(work, OUT))
+        os.makedirs(streams)
+        gen = [os.path.join(ROOT, "perfbench", "gen.py"), "--workload", workload,
+               "--seed", str(seed), "--dir", work]
+        if run_measured("gen.py", gen, work, os.path.join(streams, "gen")) is None:
+            return 1
         if run is not None:
-            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-                code, stages = pool.submit(measure, run, work).result()
-            if code != 0:
+            stem = os.path.join(streams, "stages")
+            if run_measured("run", ["-c", STAGE_HOOK, *run], work, stem) is None:
                 return 1
-            print_stages(stages)
-            shutil.rmtree(os.path.join(work, out))
-        os.makedirs(os.path.join(work, out))
-        peaks = command_peaks(commands, work, env)
-    launcher = usage()[0]  # a high-water mark: what every child started at, or less
-    if peaks is None:
-        return 1
+            print_stages(ast.literal_eval(output(stem).splitlines()[-1]))
+            shutil.rmtree(os.path.join(work, OUT))
+            os.makedirs(os.path.join(work, OUT))
+        peaks = []
+        for n, (label, argv) in enumerate(commands, start=1):
+            stem = os.path.join(streams, f"{n}-{label}")
+            peak = run_measured(label, ["-m", "centerhash.cli", *argv], work, stem)
+            if peak is None:
+                return 1
+            peaks.append((label, peak))
+    # a high-water mark: what every child started at, or less
+    launcher = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"{'command':<12} {'peak_mb':>9}")
     for label, peak in peaks:
         print(f"{label:<12} {peak:9.2f}")
@@ -142,26 +159,21 @@ def launch(workload: str, seed: int, commands: list, out: str) -> int:
 
 
 def main(argv=None) -> int:
-    # imported here, not at the top: the spawn child imports this script again, and
-    # perfbench.workloads imports hashlib, which would load OpenSSL before any stage
-    from perfbench.workloads import OUT, WORKLOADS
-
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
     commands = [(label, list(argv)) for label, argv in WORKLOADS[args.workload].commands]
-    os.environ.update({var: "1" for var in BLAS_ENV})
-    # Every child here is started with vfork (subprocess, the spawn pool), and a vfork
-    # child's ru_maxrss starts at its parent's peak RSS; this process's peak starts at
-    # that of whatever started it (a test runner, say). A fork child's starts at this
-    # process's current RSS, which is small: so the launcher is a fork of this process.
+    # Every child is started with vfork (subprocess), and a vfork child's ru_maxrss
+    # starts at its parent's peak RSS; this process's peak starts at that of whatever
+    # started it (a test runner, say). A fork child's starts at this process's current
+    # RSS, which is small: so the launcher is a fork of this process.
     sys.stdout.flush()
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = launch(args.workload, args.seed, commands, OUT)
+            code = launch(args.workload, args.seed, commands)
         except Exception:  # os._exit below would drop the traceback
             traceback.print_exc()
         finally:

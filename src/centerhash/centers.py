@@ -217,13 +217,13 @@ def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMa
     center vector, and the tie stream is consumed in first-appearance
     order. Only the rows of the distinct sets are unpacked.
     """
-    if isinstance(labels, hamming.PackedRows):
-        packed = np.ascontiguousarray(labels.words).view(np.uint8)
-    else:
-        labels = np.asarray(labels, dtype=np.uint8)
+    if not isinstance(labels, hamming.PackedRows):
+        labels = np.asarray(labels)
         if labels.ndim != 2:
             raise DimensionError(f"expected an (n, q) multi-hot matrix, got {labels.shape}")
-        packed = np.packbits(labels, axis=1, bitorder="little")
+        rows = np.packbits(labels != 0, axis=1, bitorder="little")
+        labels = hamming.PackedRows(hamming.bytes_to_words(rows, labels.shape[1]), labels.shape[1])
+    packed = np.ascontiguousarray(labels.words).view(np.uint8)
     q = labels.shape[1]
     if q > cs.m:
         raise InsufficientCentersError(f"{q} categories but only {cs.m} centers")
@@ -236,7 +236,7 @@ def assign_multi_label(cs: CenterSet, labels, seed: int = 0) -> SemanticCenterMa
     order = np.argsort(first)  # distinct sets in first-appearance order
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    members = (labels[first[order]] != 0).astype(np.int64)  # (sets, q)
+    members = labels[first[order]].astype(np.int64)  # (sets, q)
     votes = 2 * (members @ cs.bits[:q].astype(np.int64)) - members.sum(axis=1, keepdims=True)
     set_vectors = (votes > 0).astype(np.uint8)
     ties = votes == 0  # never on a singleton, whose vote is +-1 on every bit

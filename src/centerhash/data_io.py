@@ -120,11 +120,11 @@ def load_features(path) -> np.ndarray:
 
 def save_labels(path, labels) -> None:
     """Write (n, q) multi-hot labels (magic CSQL, bitmap rows LSB-first)."""
-    y = np.asarray(labels, dtype=np.uint8)
+    y = np.asarray(labels)
     if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
         raise ValueError(f"need a nonempty 2-d label matrix, got shape {y.shape}")
-    if y.max() > 1:
-        raise ValueError("labels must be 0 or 1")
+    hamming.check_bits(y, "labels")  # before the cast, which would wrap 256 to 0
+    y = y.astype(np.uint8, copy=False)
     if (y.sum(axis=1) == 0).any():
         raise InvalidLabelError("every sample needs at least one label")
     binfmt.save_bit_rows(path, MAGIC_LABELS, np.packbits(y, axis=1, bitorder="little"), y.shape[1])

@@ -31,16 +31,21 @@ def pack_matrix(bits: np.ndarray) -> np.ndarray:
     n, k = bits.shape
     if k == 0:
         raise DimensionError("codes must have at least one bit")
-    # a bool matrix (a thresholded batch) is 0/1 by construction, and an
-    # unsigned one iff its max is at most 1, a check with no temporary array
+    check_bits(bits, "bit matrix entries")
+    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
+    return bytes_to_words(packed, k)
+
+
+def check_bits(bits: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every entry of `bits` is 0 or 1. A bool array (a
+    thresholded batch) is 0/1 by construction, and an unsigned one iff its max is at
+    most 1, a check with no temporary array."""
     if bits.dtype.kind == "u":
         valid = bits.size == 0 or bits.max() <= 1
     else:
         valid = bits.dtype == np.bool_ or ((bits == 0) | (bits == 1)).all()
     if not valid:
-        raise ValueError("bit matrix entries must be 0 or 1")
-    packed = np.packbits(bits.astype(np.uint8, copy=False), axis=1, bitorder="little")
-    return bytes_to_words(packed, k)
+        raise ValueError(f"{what} must be 0 or 1")
 
 
 def unpack_matrix(words: np.ndarray, k: int) -> np.ndarray:

@@ -152,7 +152,7 @@ def evaluate(index: CodeIndex, query_words, query_labels, map_n: int) -> EvalRep
     P@N count the relevance of the first map_n ranks (``_nearest``).
     """
     query_words = np.asarray(query_words, dtype=np.uint64)
-    query_labels = np.asarray(query_labels, dtype=np.uint8)
+    query_labels = np.asarray(query_labels)  # a category is any nonzero value: no cast
     if query_labels.ndim != 2 or query_words.ndim != 2 or len(query_words) != len(query_labels):
         raise DimensionError("query codes and labels must be aligned (n, .) matrices")
     if query_words.shape[0] == 0:

@@ -286,7 +286,7 @@ def assign_reference(cs, labels, seed=0):
     """The per-row loop: each row's label set is looked up in a cache, and a
     set seen for the first time takes its majority vote then, drawing its
     tied bits from the "ties" stream."""
-    labels = np.asarray(labels, dtype=np.uint8)
+    labels = np.asarray(labels)
     rng = substream(seed, "ties")
     cache, slot = {}, {}  # a set's vector, and its place in first-appearance order
     index = np.empty(labels.shape[0], dtype=np.intp)

@@ -258,10 +258,11 @@ class TestAssignMultiLabel:
         b = C.assign_multi_label(cs, labels, seed=999)
         assert np.array_equal(a.vectors, b.vectors)
 
-    def test_empty_label_set_rejected(self):
+    @pytest.mark.parametrize("q", [2, 0])
+    def test_empty_label_set_rejected(self, q):
         cs = C.generate_centers(2, 4, seed=0)
-        with pytest.raises(InvalidLabelError):
-            C.assign_multi_label(cs, np.zeros((1, 2), dtype=np.uint8), seed=0)
+        with pytest.raises(InvalidLabelError, match="^sample 0 has an empty label set$"):
+            C.assign_multi_label(cs, np.zeros((1, q), dtype=np.uint8), seed=0)
 
     def test_too_many_categories(self):
         cs = C.generate_centers(2, 4, seed=0)
@@ -335,6 +336,15 @@ class TestAssignAgainstRowLoop:
         cs = C.generate_centers(3, 8, seed=0)
         labels = np.array([[2, 1, 0], [1, 1, 0], [0, 7, 1]])
         assert_same_map(C.assign_multi_label(cs, labels, 1), oracle.assign_reference(cs, labels, 1))
+
+    @pytest.mark.parametrize("value", [0.5, 256])
+    def test_a_member_stored_as_any_nonzero_value_counts(self, value):
+        # cast to uint8, 0.5 and 256 both read 0: a wrong set, then an empty one
+        cs = C.generate_centers(3, 8, seed=0)
+        labels = np.array([[value, 1, 0], [0, 0, value]])
+        expected = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8)
+        for assign in (C.assign_multi_label, oracle.assign_reference):
+            assert_same_map(assign(cs, labels, 1), C.assign_multi_label(cs, expected, 1))
 
 
 class TestCenterFile:

@@ -349,6 +349,13 @@ class TestLabels:
             data_io.save_labels(tmp_path / "y.csql", labels)
         assert not (tmp_path / "y.csql").exists()
 
+    @pytest.mark.parametrize("value", [0.5, 256, np.nan, -1])
+    def test_entry_other_than_0_or_1_rejected_before_the_cast(self, tmp_path, value):
+        # cast to uint8 first, 0.5 and 256 would be written as 0
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            data_io.save_labels(tmp_path / "y.csql", np.array([[1, value], [0, 1]]))
+        assert not (tmp_path / "y.csql").exists()
+
     def test_save_memory_is_bounded_by_the_matrix(self, tmp_path):
         # the 0/1 check must not build a temporary per entry: 50k x 21 labels
         # (1.05 MB) peaked at 12.6 MB with an np.isin check

@@ -501,6 +501,14 @@ def test_query_without_category_and_multi_category_queries_match_oracle():
     assert set(alone.radius_precision.tolist()) == set(alone.precision.tolist()) == {0.0}
 
 
+@pytest.mark.parametrize("value", [0.5, 256])
+def test_a_query_category_stored_as_any_nonzero_value_counts(value):
+    # cast to uint8, 0.5 and 256 both read 0: the query would have no relevant item
+    index = make_index([[0, 0], [1, 1]], [one_hot(2, 0), one_hot(2, 1)])
+    query = hamming.pack_matrix(np.zeros((1, 2), dtype=np.uint8))
+    assert R.evaluate(index, query, np.array([[value, 0]]), 2).map_at_n == 1.0
+
+
 def test_evaluate_holds_the_same_bytes_at_every_n():
     # a report is map_n P@N points and two curves of k + 1 radii, whatever n is
     rng = np.random.default_rng(4)

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts, which drive the public API end to end."""
 
+import ast
 import json
 import os
 import re
@@ -32,9 +33,9 @@ def test_experiment_prints_one_row_per_variant(tmp_path):
     assert rows[0][1] == f"{float(map_at_n.split(',')[1]):.4f}"
 
 
-def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
+def check_stage_table(tmp_path, workload):
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "stage_peaks.py"), "--workload", "multilabel-run",
+        [sys.executable, str(ROOT / "scripts" / "stage_peaks.py"), "--workload", workload,
          "--seed", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
@@ -55,9 +56,17 @@ def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
     assert re.fullmatch(rf"peak {rows[-1][2]} MB, reached in [a-z-]+; "
                         r"largest rise in [a-z-]+ \(\+\d+\.\d\d MB\)", last)
     run, *_ = command_peaks(out[split:], ["run", "encode", "encode", "encode", "eval"])
-    # the stage child also holds the multiprocessing modules that started it
-    assert run < float(rows[-1][2])
+    # the hook child runs the same command: a spawned child read 2.1-2.5 MB above it
+    assert abs(run - float(rows[-1][2])) < 0.5
     assert list(tmp_path.iterdir()) == []  # the inputs went to a temporary directory
+
+
+def test_stage_peaks_prints_the_peak_on_entry_and_exit_of_each_stage(tmp_path):
+    check_stage_table(tmp_path, "multilabel-run")
+
+
+def test_stage_peaks_stage_table_reads_as_train_medium_run_does(tmp_path):
+    check_stage_table(tmp_path, "train-medium")
 
 
 def command_peaks(lines, labels):
@@ -90,11 +99,19 @@ def test_stage_peaks_names_the_command_that_sets_the_peak_of_a_workload_without_
     assert list(tmp_path.iterdir()) == []
 
 
-def test_stage_peaks_child_has_not_loaded_openssl_when_the_first_stage_starts(tmp_path):
-    # the spawn child imports the script again, as __mp_main__, then runs measure; had
-    # either loaded OpenSSL (about 3.6 MB), every stage would read above the command's own
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+@pytest.fixture
+def stage_peaks(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import stage_peaks
+
+    return stage_peaks
+
+
+def test_stage_peaks_child_has_not_loaded_openssl_when_the_first_stage_starts(tmp_path,
+                                                                               stage_peaks):
+    # the probe runs the stage hook as the stage child does; had the hook loaded OpenSSL
+    # (about 3.6 MB), every stage would read above the command's own
+    env = stage_peaks.child_env(str(ROOT))
     synth = ["synth", "--classes", "3", "--per-class", "8", "--dim", "4", "--spread", "0.1",
              "--seed", "0", "--out-prefix", "blob"]
     run = ["run", "--train-features", "blob.train.csqf", "--train-labels", "blob.train.csql",
@@ -103,25 +120,43 @@ def test_stage_peaks_child_has_not_loaded_openssl_when_the_first_stage_starts(tm
     subprocess.run([sys.executable, "-m", "centerhash.cli", *synth], cwd=tmp_path, env=env,
                    check=True, capture_output=True, timeout=120)
     probe = f"""
-import contextlib, runpy, sys
-script = runpy.run_path({str(ROOT / "scripts" / "stage_peaks.py")!r}, run_name="__mp_main__")
+import contextlib, sys
 from centerhash import pipeline
-openssl, stage = [], pipeline._stage
+openssl, plain = [], pipeline._stage  # names the hook does not bind
 
 @contextlib.contextmanager
 def first(name):
     openssl.append("_hashlib" in sys.modules)
-    with stage(name):
+    with plain(name):
         yield
 
 pipeline._stage = first
-code, stages = script["measure"]({run!r}, {str(tmp_path)!r})
-print(code, len(stages), openssl[0])
+try:
+    exec({stage_peaks.STAGE_HOOK!r})
+finally:
+    print(openssl[0])
 """
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "8", "False"]
+    stem = str(tmp_path / "probe")
+    code, peak = stage_peaks.run_child(["-c", probe, *run], str(tmp_path), env, stem)
+    assert code == 0, stage_peaks.output(stem)
+    assert (tmp_path / "probe.exit").read_text() == "0\n" and peak > 0
+    assert stage_peaks.output(stem, "stdout").splitlines()[-1] == "False"
+    assert len(ast.literal_eval(stage_peaks.output(stem).splitlines()[-1])) == 8
+
+
+@pytest.mark.parametrize("label, swap, error", [
+    ("eval", ("out/encoded.csqc", "out/missing.csqc"), "error [eval] "),
+    ("run", ("train.csqf", "missing.csqf"), "error [load] "),
+], ids=["command", "stage_child"])
+def test_stage_peaks_prints_a_failed_childs_label_exit_code_and_error(capsys, stage_peaks, label,
+                                                                       swap, error):
+    # one train-medium command, its input swapped for a file that is not there
+    argv = dict(stage_peaks.WORKLOADS["train-medium"].commands)[label]
+    argv = [swap[1] if arg == swap[0] else arg for arg in argv]
+    assert stage_peaks.launch("train-medium", 1, [(label, argv)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"{label} exited 1: {error}") and swap[1] in err, err
 
 
 def bench_result(**overrides):
