@@ -10,8 +10,8 @@ prints the child's peak RSS (ru_maxrss, in MB of 2^20 bytes, the benchmark's
 `peak_rss_mb` unit) on entry and on exit, and the minor page faults the stage
 took (the ru_minflt delta): a stage that frees memory and faults it back in,
 step after step, shows there even when its peak does not move. The hook child
-reads up to about 0.25 MB above the plain command, which the command table
-below shows. The stage table's last line names the stage that raised the peak
+reads within about 0.1 MB of the plain command, which the command table below
+shows. The stage table's last line names the stage that raised the peak
 last, and the stage that raised it most, with its rise: a stage can add a
 little on top of a peak an earlier stage set.
 
