@@ -98,8 +98,8 @@ def output(stem: str, stream: str = "stderr") -> str:
 
 
 def run_measured(label: str, argv: list, cwd: str, stem: str) -> float | None:
-    """run_child on this tree, one BLAS thread; the peak, or None once the failure,
-    with the child's stderr, is printed."""
+    """run_child with this tree's centerhash; the child's peak, or None once a failed
+    child's label, exit code and stderr are printed."""
     code, peak = run_child(argv, cwd, child_env(ROOT), stem)
     if code != 0:
         print(f"{label} exited {code}: {output(stem)}", file=sys.stderr)
