@@ -18,7 +18,12 @@ pass, per batch; and model.loss_s above 0, since each step computes its loss
 terms with model.central_loss and model.quantization_loss. A traced run that
 evaluated (retrieval.evaluate_s above 0) must show
 hamming.distance_calls_per_query exactly 1.0, since retrieval.evaluate
-computes each query's distances once and reads every metric off them.
+computes each query's distances once and reads every metric off them. A
+traced run that assigned (centers.assign_s above 0) must show
+data_io.bytes_read of at least its assigned rows, since every label row is
+at least one byte. The rows are centers.assign_rows_per_s times
+centers.assign_s; each is the median, here the mean, of two traced runs, so
+the product reads at or above the true count when the two timings differ.
 Exits 0, or prints what is wrong and exits 1.
 """
 
@@ -78,6 +83,12 @@ def problems(stdout: str, declared: list, positive: bool = True) -> list:
         if calls != 1.0:
             found.append(f"metric hamming.distance_calls_per_query is {calls!r}, "
                          "a run that evaluated needs 1.0")
+    if values.get("centers.assign_s", 0) > 0:
+        rows = round(values.get("centers.assign_rows_per_s", 0) * values["centers.assign_s"])
+        read = values.get("data_io.bytes_read", rows)
+        if read < rows:
+            found.append(f"metric data_io.bytes_read is {read!r}, a run that assigned "
+                         f"needs at least a byte per row ({rows})")
     return found
 
 

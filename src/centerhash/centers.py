@@ -40,6 +40,7 @@ class CenterSet:
             raise ValueError("a center set needs at least one center")
         if self.bits.shape[1] < 1:
             raise DimensionError("centers must have at least one bit")
+        hamming.check_bits(self.bits, "center bits")
         self.bits.flags.writeable = False
 
     @property

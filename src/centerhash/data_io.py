@@ -145,13 +145,9 @@ def _label_rows(path) -> tuple[np.ndarray, int]:
     return rows, q
 
 
-def load_labels(path) -> np.ndarray:
-    """Read a label file into an (n, q) uint8 multi-hot matrix."""
-    return load_label_rows(path)[:]
-
-
-def load_label_rows(path) -> hamming.PackedRows:
-    """Read a label file as its packed rows, a hamming.PackedRows; the checks are load_labels'."""
+def load_labels(path) -> hamming.PackedRows:
+    """Read a label file as its packed rows, a hamming.PackedRows: [:] is the (n, q)
+    uint8 multi-hot matrix, and indexing unpacks only the rows it selects."""
     rows, q = _label_rows(path)
     return hamming.PackedRows(hamming.bytes_to_words(rows, q), q)
 

@@ -132,7 +132,7 @@ def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
 
 
 def _buffers(layer_sizes, rows: int) -> tuple:
-    """Room for _forward_into on up to `rows` rows: a1, a2, h and the sigmoid's scratch."""
+    """Room for _forward_cached on up to `rows` rows: a1, a2, h and the sigmoid's scratch."""
     widths = list(layer_sizes[1:])
     return tuple(np.empty((rows, w)) for w in widths + widths[-1:])
 
@@ -151,11 +151,12 @@ class _Workspace:
         self.grads = [np.empty(shape) for shape in ((w1, d), (w2, w1), (k, w2), w1, w2, k)]
 
 
-def _forward_into(model: HashModel, x: np.ndarray, buffers: tuple) -> tuple:
-    """The activations (a1, a2, h) of the rows of x, computed in the leading rows of buffers."""
+def _forward_cached(model: HashModel, x: np.ndarray, buffers: tuple | None = None) -> tuple:
+    """The activations (a1, a2, h) of the rows of x, computed in the leading rows of
+    buffers (as _buffers makes them), or in new arrays."""
     w1, w2, w3 = model.weights
     b1, b2, b3 = model.biases
-    a1, a2, h, e = (b[: len(x)] for b in buffers)
+    a1, a2, h, e = (b[: len(x)] for b in buffers or _buffers(model.layer_sizes, len(x)))
     np.matmul(x, w1.T, out=a1)
     a1 += b1
     np.maximum(a1, 0.0, out=a1)
@@ -165,10 +166,6 @@ def _forward_into(model: HashModel, x: np.ndarray, buffers: tuple) -> tuple:
     np.matmul(a2, w3.T, out=h)
     h += b3
     return a1, a2, _sigmoid(h, e)
-
-
-def _forward_cached(model: HashModel, x: np.ndarray, buffers: tuple | None = None) -> tuple:
-    return _forward_into(model, x, buffers or _buffers(model.layer_sizes, len(x)))
 
 
 def _check_features(model: HashModel, shape: tuple) -> None:
@@ -336,9 +333,10 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     unpacks packed centers, and widens only those rows to float64, the same
     values a float64 copy of the whole input would hold. Every step computes in
     arrays allocated here for one batch, so from a file and packed centers, only
-    the packed words and the shuffle order grow with n. A file's gathers check
-    the rows they read; a caller that needs a bad row to fail before any step
-    checks every row first.
+    the packed words and the shuffle order grow with n. A file is read and
+    checked in full first, in encode's blocks, so its first bad row in file
+    order raises FormatError before any step (and with no epochs); then each
+    batch reads its own rows again.
     Shuffling, init, and tie streams all hang off cfg.seed, so identical
     inputs and config reproduce the trained parameters byte for byte.
     Returns the model and one loss record per epoch.
@@ -359,6 +357,10 @@ def train(features, center_vectors, cfg: TrainConfig) -> tuple[HashModel, list]:
     k = c.shape[1]
 
     model = init_model(d, k, seed=cfg.seed)
+    if isinstance(x, data_io.FeatureFile):
+        rows = block_rows(model.layer_sizes)
+        for start in range(0, n, rows):
+            x[start : start + rows]  # raises FormatError at the first bad row
     params = model.weights + model.biases
     velocity = [np.zeros_like(p) for p in params]
     shuffle_rng = substream(cfg.seed, "shuffle")
@@ -423,7 +425,7 @@ def encode(model: HashModel, features) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, rows):
             block = np.ascontiguousarray(features[start : start + rows], dtype=np.float64)
-            h = _forward_into(model, block, buffers)[-1]
+            h = _forward_cached(model, block, buffers)[-1]
             del block  # freed now, so two blocks are never held at once
             words[start : start + len(h)] = hamming.binarize_matrix(h)
     return words

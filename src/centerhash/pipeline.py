@@ -50,7 +50,7 @@ def gen_centers(method: str, m: int, k: int, seed: int, out) -> centers_mod.Cent
 def assign(centers, labels, seed: int, out) -> centers_mod.SemanticCenterMap:
     """Give every labeled sample its semantic center; save them to `out` as codes."""
     cs = centers_mod.load_centers(centers)
-    assignment = centers_mod.assign_multi_label(cs, data_io.load_label_rows(labels), seed)
+    assignment = centers_mod.assign_multi_label(cs, data_io.load_labels(labels), seed)
     hamming.save_codes(out, assignment.packed(), cs.k)
     return assignment
 
@@ -58,17 +58,10 @@ def assign(centers, labels, seed: int, out) -> centers_mod.SemanticCenterMap:
 def train(features, centers_map, cfg: model_mod.TrainConfig, out_model):
     """Train the hash head toward each row's assigned center; returns (model, epoch log).
     The map gives k, and must have one row per feature row; its centers stay packed,
-    and training unpacks each batch's rows. The features stay in their file: every row
-    is read and checked once, in ascending blocks of the rows the trained head's
-    encode takes, so a bad row fails before any step (and with no epochs), and then
-    each batch reads its own rows."""
-    x = data_io.open_features(features)
-    c = hamming.PackedRows(*hamming.load_codes(centers_map))
-    d, k = x.d, c.shape[1]
-    rows = model_mod.block_rows((d, *model_mod.default_hidden(d, k), k))
-    for start in range(0, x.n, rows):
-        x[start : start + rows]  # raises FormatError at the first bad row in file order
-    net, log = model_mod.train(x, c, cfg)
+    and training unpacks each batch's rows. The features stay in their file, which
+    model.train checks in full before its first step."""
+    net, log = model_mod.train(data_io.open_features(features),
+                               hamming.PackedRows(*hamming.load_codes(centers_map)), cfg)
     model_mod.save_model(out_model, net)
     return net, log
 
@@ -88,15 +81,13 @@ def evaluate(db_codes, db_labels, query_codes, query_labels, map_n: int,
     db_words, db_k = hamming.load_codes(db_codes)
     db_bitsets, db_n = data_io.load_label_bitsets(db_labels)
     query_words, query_k = hamming.load_codes(query_codes)
-    query_y = data_io.load_labels(query_labels)
+    query_y = data_io.load_labels(query_labels)[:]
     if db_k != query_k:
         raise DimensionError(f"database codes have k={db_k}, queries k={query_k}")
     report = retrieval.evaluate(retrieval.CodeIndex(db_words, db_bitsets, db_n, db_k),
                                 query_words, query_y, map_n)
-    # every item has a category, so n set bits in all means exactly one each
-    if centers and int(np.bitwise_count(db_bitsets).sum()) == db_n:
-        groups = np.unpackbits(db_bitsets, axis=1, count=db_n, bitorder="little").argmax(axis=0)
-        report.center_distances = _center_distances(db_words, db_k, groups, centers)
+    if centers:
+        report.center_distances = _center_distances(db_words, db_k, db_bitsets, db_n, centers)
     return report
 
 
@@ -104,16 +95,22 @@ def distmat(codes, assignments, centers) -> np.ndarray:
     """The (m, m) mean code-to-center distances, each code grouped under the
     one center its row of the `assignments` label file names."""
     words, k = hamming.load_codes(codes)
-    assigned = data_io.load_labels(assignments)
-    if not (assigned.sum(axis=1) == 1).all():
+    matrix = _center_distances(words, k, *data_io.load_label_bitsets(assignments), centers)
+    if matrix is None:
         raise InvalidLabelError("assignments must name exactly one center per code")
-    return _center_distances(words, k, assigned.argmax(axis=1), centers)
+    return matrix
 
 
-def _center_distances(words, k: int, groups, centers) -> np.ndarray:
+def _center_distances(words, k: int, bitsets, n: int, centers) -> np.ndarray | None:
+    """The (m, m) mean code-to-center distances, each of the n codes grouped under the
+    one category its row has in the per-category bitsets; None unless every row has
+    exactly one. Every row has a category, so n set bits in all means exactly one each."""
+    if int(np.bitwise_count(bitsets).sum()) != n:
+        return None
     cs = centers_mod.load_centers(centers)
     if cs.k != k:
         raise DimensionError(f"codes have k={k}, centers k={cs.k}")
+    groups = np.unpackbits(bitsets, axis=1, count=n, bitorder="little").argmax(axis=0)
     return retrieval.center_distance_matrix(words, groups, cs)
 
 

@@ -52,12 +52,13 @@ class CodeIndex:
 
     @classmethod
     def from_labels(cls, codes, labels, k: int) -> "CodeIndex":
-        """An index over k-bit codes aligned with (n, q) multi-hot labels."""
+        """An index over k-bit codes aligned with (n, q) multi-hot labels, whose nonzero
+        entries name an item's categories."""
         codes, labels = np.asarray(codes), np.asarray(labels)
         if codes.ndim != 2 or labels.ndim != 2:
             raise DimensionError(f"codes {codes.shape} and labels {labels.shape} "
                                  "must be (n, W) and (n, q) matrices")
-        return cls(codes, np.packbits(labels.T, axis=1, bitorder="little"), labels.shape[0], k)
+        return cls(codes, np.packbits(labels.T != 0, axis=1, bitorder="little"), labels.shape[0], k)
 
 
 def _nearest(dists, within, count: int) -> np.ndarray:

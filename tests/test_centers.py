@@ -348,6 +348,12 @@ class TestAssignAgainstRowLoop:
 
 
 class TestCenterFile:
+    def test_bits_other_than_0_and_1_rejected(self):
+        # a 2 counted twice in the majority vote, while save_centers wrote it as 1: the
+        # labels [[1, 0, 1], [0, 1, 1]] got [1, 1, 1, 1] in memory, [1, 1, 1, 0] reloaded
+        with pytest.raises(ValueError, match="^center bits must be 0 or 1$"):
+            C.CenterSet(np.array([[1, 0, 1, 0], [0, 1, 1, 0], [2, 0, 0, 1]], np.uint8), None)
+
     def test_roundtrip(self, tmp_path):
         cs = C.generate_centers(10, 24, seed=0)
         path = tmp_path / "centers.csqh"

@@ -465,7 +465,7 @@ def test_run_rejects_splits_that_disagree_before_writing(workdir, capsys, flags,
             "--seed", 7, "--out-prefix", "blob")
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 16, "--spread", 0.1,
             "--seed", 7, "--out-prefix", "wide")
-    labels = data_io.load_labels("blob.query.csql")
+    labels = data_io.load_labels("blob.query.csql")[:]
     data_io.save_labels("five.csql", np.hstack([labels, np.zeros((len(labels), 1), np.uint8)]))
     write_run_config(workdir / "run.cfg", seed=7)
     capsys.readouterr()
@@ -527,7 +527,7 @@ def test_run_empty_label_row_fails_the_stage_that_reads_it(workdir, capsys, spli
     # checked by the stage that reads it, after the earlier stages' artifacts
     run_cli("synth", "--classes", 4, "--per-class", 20, "--dim", 8, "--spread", 0.1,
             "--seed", 7, "--out-prefix", "blob")
-    labels = data_io.load_labels(f"blob.{split}.csql")
+    labels = data_io.load_labels(f"blob.{split}.csql")[:]
     labels[3] = 0
     rows = np.packbits(labels, axis=1, bitorder="little")
     binfmt.save_bit_rows(f"blob.{split}.csql", data_io.MAGIC_LABELS, rows, labels.shape[1])
@@ -932,6 +932,20 @@ def test_distmat_matches_report_section(workdir):
     section = report[report.index("center_i,center_j,mean_distance"):]
     assert section.count("\n") == 1 + 4 * 4
     assert (workdir / "dist.csv").read_text() == section
+
+
+def test_distmat_rejects_a_row_with_two_categories(workdir, capsys):
+    run_cli("gen-centers", "--k", 8, "--m", 4, "--out", "c.csqh")
+    labels = np.eye(4, dtype=np.uint8)
+    labels[2, 0] = 1
+    data_io.save_labels("y.csql", labels)
+    hamming.save_codes("codes.csqc", C.load_centers("c.csqh").packed(), 8)
+    capsys.readouterr()
+    assert run_cli("distmat", "--codes", "codes.csqc", "--assignments", "y.csql",
+                   "--centers", "c.csqh", "--out", "dist.csv") == 1
+    assert capsys.readouterr().err == (
+        "error [distmat] assignments must name exactly one center per code\n")
+    assert not (workdir / "dist.csv").exists()
 
 
 # RunConfig training keys and the TrainConfig fields they set

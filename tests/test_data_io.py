@@ -307,14 +307,14 @@ class TestLabels:
         labels = np.eye(5, dtype=np.uint8)[[0, 3, 3, 1, 4, 2]]
         path = tmp_path / "y.csql"
         data_io.save_labels(path, labels)
-        assert np.array_equal(data_io.load_labels(path), labels)
+        assert np.array_equal(data_io.load_labels(path)[:], labels)
 
     def test_multi_hot_popcount(self, tmp_path):
         row = np.zeros((1, 80), dtype=np.uint8)
         row[0, [3, 17, 79]] = 1
         path = tmp_path / "y.csql"
         data_io.save_labels(path, row)
-        loaded = data_io.load_labels(path)
+        loaded = data_io.load_labels(path)[:]
         assert loaded.sum() == 3
         assert np.array_equal(loaded, row)
 
@@ -369,7 +369,7 @@ class TestLabels:
         finally:
             tracemalloc.stop()
         assert peak < labels.nbytes
-        assert np.array_equal(data_io.load_labels(tmp_path / "y.csql"), labels)
+        assert np.array_equal(data_io.load_labels(tmp_path / "y.csql")[:], labels)
 
 
 class TestLabelBitsets:
@@ -386,7 +386,7 @@ class TestLabelBitsets:
         bitsets, rows = data_io.load_label_bitsets(path)
         assert rows == n
         assert bitsets.dtype == np.uint8
-        assert np.array_equal(bitsets, np.packbits(data_io.load_labels(path).T, axis=1,
+        assert np.array_equal(bitsets, np.packbits(data_io.load_labels(path)[:].T, axis=1,
                                                    bitorder="little"))
 
     @pytest.mark.parametrize("payload, q, message", [

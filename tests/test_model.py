@@ -422,6 +422,26 @@ class TestTrain:
         # a second gradient set, or an lr * v temporary of the widest layer, breaks it
         assert peak <= 2 * params + step + xb.nbytes + cb.nbytes + (64 << 10)
 
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_feature_file_is_checked_in_full_before_any_step(self, tmp_path, monkeypatch,
+                                                             epochs):
+        # batches gather rows in shuffled order, but every row is read first, in encode's
+        # blocks (here of 4 rows): the first bad row in file order is named, with no epochs
+        # too, and no step runs
+        x, c = tiny_problem(n=80, d=8, k=12, seed=6)
+        x[[3, 70], 5] = np.inf
+        write_features_unchecked(tmp_path / "x.csqf", x.astype(np.float32))
+        monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(8, 12), 4))
+
+        def step(*args):
+            raise AssertionError("a step ran before every row was checked")
+
+        monkeypatch.setattr(M, "_step", step)
+        with pytest.raises(FormatError, match="^feature row 3 is not finite") as err:
+            M.train(data_io.open_features(tmp_path / "x.csqf"), c,
+                    M.TrainConfig(epochs=epochs, batch_size=8))
+        assert err.value.offset == 20 + 4 * 3 * 8
+
 
 class TestFusedStep:
     """train runs one forward pass per batch and must equal, byte for byte,
@@ -643,13 +663,13 @@ class TestEncodeAndCheckpoint:
     def test_blocks_share_one_set_of_buffers(self, monkeypatch):
         monkeypatch.setattr(M, "ENCODE_BLOCK_BYTES", block_bytes(M.init_model(3, 5), 4))
         calls = []
-        real = M._forward_into
+        real = M._forward_cached
 
         def spy(model, x, buffers):
             calls.append((len(x), len(buffers[0]), id(buffers)))
             return real(model, x, buffers)
 
-        monkeypatch.setattr(M, "_forward_into", spy)
+        monkeypatch.setattr(M, "_forward_cached", spy)
         M.encode(M.init_model(3, 5, seed=0), np.ones((11, 3)))
         assert [c[:2] for c in calls] == [(4, 4), (4, 4), (3, 4)]
         assert len({c[2] for c in calls}) == 1

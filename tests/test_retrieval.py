@@ -509,6 +509,14 @@ def test_a_query_category_stored_as_any_nonzero_value_counts(value):
     assert R.evaluate(index, query, np.array([[value, 0]]), 2).map_at_n == 1.0
 
 
+def test_a_database_category_stored_as_any_nonzero_value_counts():
+    # packbits takes no float array: 0.5 raised a bare TypeError
+    codes = np.zeros((2, 1), np.uint64)
+    index = R.CodeIndex.from_labels(codes, np.array([[0.5, 0], [0, 1.0]]), 2)
+    expected = R.CodeIndex.from_labels(codes, np.array([[1, 0], [0, 1]], np.uint8), 2)
+    assert np.array_equal(index.categories, expected.categories)
+
+
 def test_evaluate_holds_the_same_bytes_at_every_n():
     # a report is map_n P@N points and two curves of k + 1 radii, whatever n is
     rng = np.random.default_rng(4)

@@ -276,6 +276,28 @@ def test_check_bench_result_rejects_an_evaluation_without_one_distance_call_per_
                            "a run that evaluated needs 1.0\n")
 
 
+def test_check_bench_result_accepts_a_run_that_read_a_byte_per_assigned_row_or_more():
+    # multilabel-run at seed 1: 50,000 label rows assigned, both label files counted;
+    # search-large never assigns, and reads fewer bytes than it has rows
+    assigned = traced_values(**{"centers.assign_s": 0.5, "centers.assign_rows_per_s": 100_000,
+                                "data_io.bytes_read": 151_260})
+    unassigned = traced_values(**{"centers.assign_s": 0, "centers.assign_rows_per_s": 0,
+                                  "data_io.bytes_read": 1_020})
+    for values in (assigned, unassigned):
+        proc = check_bench_result(traced_result(values), "--trace")
+        assert proc.returncode == 0, proc.stdout
+
+
+def test_check_bench_result_rejects_a_run_that_read_fewer_bytes_than_it_assigned_rows():
+    # the count a traced multilabel-run showed when assign read labels past the wrapped reader
+    values = traced_values(**{"centers.assign_s": 0.5, "centers.assign_rows_per_s": 100_000,
+                              "data_io.bytes_read": 1_240})
+    proc = check_bench_result(traced_result(values), "--trace")
+    assert proc.returncode == 1
+    assert proc.stdout == ("problem: metric data_io.bytes_read is 1240, a run that assigned "
+                           "needs at least a byte per row (50000)\n")
+
+
 def test_check_bench_result_rejects_an_untraced_run_as_traced():
     proc = check_bench_result(bench_result(), "--trace")
     assert proc.returncode == 1
